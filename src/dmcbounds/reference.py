@@ -9,6 +9,16 @@ p_i <- p_i 2^(D_i) / sum_k p_k 2^(D_k). At every step
 so the bracket width is a certified optimality gap; iteration stops once it
 drops below the tolerance and the lower end is reported as the capacity.
 
+When the optimal input is sparse, that update crawls: the unused inputs
+decay only geometrically. So every 50 updates an active-set Newton solve of
+the KKT system (D_i = C on the support S, sum_S p_i = 1) runs from the
+current p. Its ratio test drops the input that would turn negative, and once
+the face is solved the worst off-support input with D_i > I(p) joins S. A
+failed solve is discarded and the updates resume where they were. Each
+Newton step counts as one iteration, and the stopping rule is unchanged: the
+full-alphabet bracket above, so a wrong support guess can cost time but can
+never certify a wrong capacity.
+
 The grid oracle is an independent brute-force check for tiny alphabets: it
 evaluates mutual information on the whole simplex lattice {k/resolution} and
 reports the lattice maximum, with the same D-bracket evaluated at the
@@ -22,11 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, NotConverged, TooLarge
-from .matrix import ChannelMatrix, entropy_bits, row_entropies
+from .matrix import ChannelMatrix
 
 GRID_MAX_N = 4
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100_000
+NEWTON_EVERY = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,13 +49,115 @@ class CapacityEstimate:
     method: str  # "blahut-arimoto" or "grid-oracle"
 
 
-def _divergence_terms(entries: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """D_i = sum_j A_ij log2(A_ij/q_j) with q = A^T p; zero entries drop out."""
-    q = entries.T @ p
+def _neg_row_entropies(entries: np.ndarray) -> np.ndarray:
+    """sum_j A_ij log2 A_ij for each row (0 log 0 = 0), i.e. minus the row entropies."""
     mask = entries > 0.0
-    loga = np.where(mask, np.log2(np.where(mask, entries, 1.0)), 0.0)
-    logq = np.where(q > 0.0, np.log2(np.where(q > 0.0, q, 1.0)), 0.0)
-    return (np.where(mask, entries * (loga - logq[np.newaxis, :]), 0.0)).sum(axis=1)
+    return np.where(mask, entries * np.log2(np.where(mask, entries, 1.0)), 0.0).sum(axis=1)
+
+
+def _divergence_terms(entries: np.ndarray, neg_ent: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """D_i = sum_j A_ij log2(A_ij/q_j) with q = A^T p; zero entries drop out.
+
+    A row with A_ij > 0 at an output with q_j = 0 diverges: its D_i is +inf.
+    """
+    q = entries.T @ p
+    unreached = q <= 0.0
+    d = neg_ent - entries @ np.log2(np.where(unreached, 1.0, q))
+    if unreached.any():
+        d[(entries[:, unreached] > 0.0).any(axis=1)] = np.inf
+    return d
+
+
+def _bracket(p: np.ndarray, d: np.ndarray) -> tuple[float, float]:
+    """(I(p), max_i D_i - I(p)); unused inputs carry no weight, even at D_i = inf.
+
+    The gap is clamped at 0: a negative value is rounding, and the clamp only
+    widens the bracket.
+    """
+    used = p > 0.0
+    lower = float(p[used] @ d[used])
+    return lower, max(float(d.max()) - lower, 0.0)
+
+
+def _newton_direction(
+    entries: np.ndarray, p: np.ndarray, d: np.ndarray, idx: np.ndarray
+) -> np.ndarray | None:
+    """Newton step dp on the face S = ``idx`` for D_S(A^T (p + dp)) = C, sum = 1.
+
+    Solves [[M, 1], [1^T, 0]] [dp; C] = [D_S; 1 - sum p_S], where
+    M = (A_S / q) A_S^T / ln 2 is minus the Jacobian of D_S. Returns None when
+    the system is singular.
+    """
+    q = entries.T @ p
+    reached = q > 0.0
+    rows = entries[np.ix_(idx, reached)]
+    k = idx.size
+    system = np.ones((k + 1, k + 1))
+    system[:k, :k] = (rows / q[reached]) @ rows.T / np.log(2.0)
+    system[k, k] = 0.0
+    try:
+        dp = np.linalg.solve(system, np.append(d[idx], 1.0 - p[idx].sum()))[:k]
+    except np.linalg.LinAlgError:
+        return None
+    return dp if np.isfinite(dp).all() else None
+
+
+def _newton_on_support(
+    entries: np.ndarray, neg_ent: np.ndarray, p: np.ndarray, tol: float, budget: int
+) -> tuple[np.ndarray | None, int]:
+    """Active-set Newton solve of the KKT system D_i = C (i in S), sum_S p_i = 1.
+
+    S starts as the support of ``p``. Each step goes along the Newton direction
+    as far as p >= 0 allows (ratio test), halving the step until I(p) does not
+    drop; when the full ratio-test step is taken, the input it drives to zero
+    leaves S. Once D is flat on S, the worst off-support input with
+    D_i > I(p) joins S.
+
+    Returns ``(p, steps)``: p is a pmf whose full-alphabet bracket is at most
+    ``tol``, or None if a step failed or ``budget`` steps ran out.
+    """
+    d = _divergence_terms(entries, neg_ent, p)
+    lower, _ = _bracket(p, d)
+    support = p > 0.0
+    for step in range(1, budget + 1):
+        idx = np.flatnonzero(support)
+        dp = _newton_direction(entries, p, d, idx)
+        if dp is None:
+            return None, step
+        shrinking = dp < 0.0
+        ratios = np.where(shrinking, p[idx] / np.where(shrinking, -dp, 1.0), np.inf)
+        leaving = int(np.argmin(ratios))
+        t = min(1.0, float(ratios[leaving]))
+        if t <= 0.0:  # the input that just joined S would shrink at once
+            return None, step
+        blocked = t < 1.0
+        while True:
+            trial = p.copy()
+            trial[idx] = np.maximum(p[idx] + t * dp, 0.0)
+            if blocked:
+                trial[idx[leaving]] = 0.0
+            trial /= trial.sum()
+            trial_d = _divergence_terms(entries, neg_ent, trial)
+            trial_lower, gap = _bracket(trial, trial_d)
+            if trial_lower >= lower - 1e-15:
+                break
+            t *= 0.5
+            blocked = False
+            if t < 1e-12:
+                return None, step
+        p, d, lower = trial, trial_d, trial_lower
+        if gap <= tol:
+            return p, step
+        support = p > 0.0
+        face = d[support]
+        if blocked or face.max() - face.min() > 0.5 * tol:
+            continue
+        outside = np.where(support, -np.inf, d)
+        entering = int(np.argmax(outside))
+        if not (np.isfinite(outside[entering]) and outside[entering] > lower):
+            return None, step
+        support[entering] = True
+    return None, budget
 
 
 def blahut_arimoto(
@@ -54,27 +167,40 @@ def blahut_arimoto(
 ) -> CapacityEstimate:
     """Capacity via alternating maximization from the uniform input pmf.
 
-    Raises NotConverged (carrying the running estimate) if the bracket gap
-    stays above ``tol`` after ``max_iter`` updates.
+    Every ``NEWTON_EVERY`` updates, an active-set Newton solve of at most
+    n + ``NEWTON_EVERY`` steps runs from the current pmf; a failed solve is
+    discarded. ``iterations`` counts updates and Newton steps alike. Raises
+    NotConverged (carrying the running estimate) if the bracket gap stays
+    above ``tol`` after ``max_iter`` iterations.
     """
     if tol <= 0.0:
         raise InvalidParameter(f"tolerance must be positive, got {tol!r}")
     entries = matrix.entries
-    n = matrix.n
-    p = np.full(n, 1.0 / n)
+    neg_ent = _neg_row_entropies(entries)
+    p = np.full(matrix.n, 1.0 / matrix.n)
     iterations = 0
+    since_newton = 0
     while True:
-        d = _divergence_terms(entries, p)
-        lower = float(p @ d)
-        gap = float(d.max()) - lower
+        d = _divergence_terms(entries, neg_ent, p)
+        lower, gap = _bracket(p, d)
         if gap <= tol:
             return CapacityEstimate(lower, p, iterations, gap, "blahut-arimoto")
         if iterations >= max_iter:
             estimate = CapacityEstimate(lower, p, iterations, gap, "blahut-arimoto")
             raise NotConverged(iterations, gap, estimate)
-        w = p * np.exp2(d - d.max())
+        if since_newton == NEWTON_EVERY:
+            since_newton = 0
+            budget = min(max_iter - iterations, matrix.n + NEWTON_EVERY)
+            solved, steps = _newton_on_support(entries, neg_ent, p, tol, budget)
+            iterations += steps
+            if solved is not None:
+                p = solved
+            continue
+        top = d[p > 0.0].max()
+        w = p * np.exp2(np.minimum(d - top, 0.0))
         p = w / w.sum()
         iterations += 1
+        since_newton += 1
 
 
 def _simplex_lattice(total: int, parts: int) -> np.ndarray:
@@ -105,11 +231,11 @@ def grid_oracle(matrix: ChannelMatrix, resolution: int) -> CapacityEstimate:
     q = pmfs @ matrix.entries
     with np.errstate(divide="ignore", invalid="ignore"):
         h_out = -np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q, 1.0)), 0.0).sum(axis=1)
-    ent, _ = row_entropies(matrix)
-    mi = h_out - pmfs @ ent
+    neg_ent = _neg_row_entropies(matrix.entries)
+    mi = h_out + pmfs @ neg_ent
     best = int(np.argmax(mi))
     p_best = pmfs[best]
-    d = _divergence_terms(matrix.entries, p_best)
+    d = _divergence_terms(matrix.entries, neg_ent, p_best)
     gap = float(d.max()) - float(mi[best])
     return CapacityEstimate(float(mi[best]), p_best, len(pmfs), gap, "grid-oracle")
 

@@ -7,7 +7,14 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from dmcbounds import dump_matrix_csv, fixed_example, load_matrix_csv, validate_channel
+from dmcbounds import (
+    CapacityEstimate,
+    blahut_arimoto,
+    dump_matrix_csv,
+    fixed_example,
+    load_matrix_csv,
+    validate_channel,
+)
 from dmcbounds.cli import main, run_sweep, sweep_csv
 
 SWEEP_HEADER = (
@@ -230,3 +237,41 @@ class TestConsoleScript:
             capture_output=True,
         )
         assert proc.returncode == 2
+
+
+class TestInfiniteGap:
+    """A bracket whose top is +inf (an output the input pmf never reaches)
+    must still print: as ``inf`` where the gap is shown, and nowhere else."""
+
+    @pytest.fixture(autouse=True)
+    def infinite_gap(self, monkeypatch):
+        def uncertified(matrix, tol, max_iter):
+            est = blahut_arimoto(matrix, tol, max_iter)
+            return CapacityEstimate(
+                est.capacity, est.optimal_input, est.iterations, math.inf, est.method
+            )
+
+        monkeypatch.setattr("dmcbounds.cli.blahut_arimoto", uncertified)
+
+    def test_analyze_text(self, ex1_file, capsys):
+        assert main(["analyze", ex1_file]) == 0
+        assert "ba_gap: inf\n" in capsys.readouterr().out
+
+    def test_analyze_json(self, ex1_file, capsys):
+        assert main(["analyze", ex1_file, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ba_gap"] == "inf"
+        assert doc["ba_capacity"] == pytest.approx(1.2715, abs=1e-3)
+
+    def test_compare(self, ex1_file, capsys):
+        assert main(["compare", ex1_file]) == 0
+        row = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        assert len(row) == 6
+        assert float(row[1]) == pytest.approx(1.2715, abs=1e-3)
+
+    def test_sweep(self, capsys):
+        args = ["sweep", "--family", "relay-miso", "--n", "3", "--range", "0.1:0.3"]
+        assert main(args + ["--steps", "3"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == SWEEP_HEADER
+        assert all(row.split(",")[2] != "NA" for row in lines[1:])

@@ -13,9 +13,35 @@ from dmcbounds import (
     capacity_upper_bound,
     grid_oracle,
     random_sdd_positive,
+    relay_miso,
     validate_channel,
 )
+from dmcbounds.reference import _bracket, _divergence_terms, _neg_row_entropies
 from conftest import entropy2
+
+
+def certified_bracket(matrix, p):
+    """Independent (I(p), max_i D_i - I(p)) over the whole input alphabet."""
+    a = np.asarray(matrix.entries)
+    q = a.T @ p
+    d = np.zeros(a.shape[0])
+    for i, row in enumerate(a):
+        for j, aij in enumerate(row):
+            if aij > 0.0:
+                d[i] += math.inf if q[j] == 0.0 else aij * math.log2(aij / q[j])
+    lower = float(sum(pi * di for pi, di in zip(p, d) if pi > 0.0))
+    return lower, float(d.max()) - lower
+
+
+def rank_two_channel():
+    """4x4 channel of rank 2: the optimal input is not unique, so the Newton
+    system on the full support is singular and the solve gives way to BA."""
+    rows = np.array([[0.6, 0.2, 0.1, 0.1], [0.1, 0.1, 0.3, 0.5]])
+    mix = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.3, 0.7]])
+    return validate_channel(mix @ rows)
+
+
+Z_CHANNEL = [[1.0, 0.0], [0.5, 0.5]]
 
 
 class TestBlahutArimoto:
@@ -74,6 +100,86 @@ class TestBlahutArimoto:
     def test_rejects_nonpositive_tolerance(self, bsc01):
         with pytest.raises(InvalidParameter):
             blahut_arimoto(bsc01, 0.0)
+
+
+class TestDivergenceTerms:
+    def test_unreached_output_diverges_and_certifies_nothing(self):
+        entries = validate_channel(Z_CHANNEL).entries
+        p = np.array([1.0, 0.0])
+        d = _divergence_terms(entries, _neg_row_entropies(entries), p)
+        assert list(d) == [0.0, math.inf]
+        assert _bracket(p, d) == (0.0, math.inf)
+
+    def test_matches_independent_bracket(self, ex4):
+        entries = ex4.entries
+        for p in ([0.2, 0.3, 0.5], [0.0, 0.4, 0.6], [1.0, 0.0, 0.0]):
+            p = np.array(p)
+            got = _bracket(p, _divergence_terms(entries, _neg_row_entropies(entries), p))
+            assert got == pytest.approx(certified_bracket(ex4, p), abs=1e-12)
+
+    def test_z_channel_capacity(self):
+        est = blahut_arimoto(validate_channel(Z_CHANNEL))
+        assert est.capacity == pytest.approx(math.log2(1.25), abs=1e-9)
+
+
+class TestSparseOptimalInput:
+    @pytest.mark.parametrize(
+        "alpha, lo, hi",
+        [
+            (0.10, 2.158171163679, 2.158173138155),
+            (0.14, 1.879530218776, 1.879532895815),
+        ],
+    )
+    def test_relay30_points_that_used_to_hit_the_cap(self, alpha, lo, hi):
+        # [lo, hi] is the bracket plain BA certifies after 100 000 updates
+        est = blahut_arimoto(relay_miso(30, alpha))
+        assert est.gap <= 1e-9
+        assert est.iterations <= 100_000
+        assert lo <= est.capacity <= hi
+
+    def test_optimal_input_is_certified_pmf(self):
+        alphas = (0.02, 0.1, 0.22, 0.34, 0.46)
+        matrices = [relay_miso(n, a) for n in (3, 8, 30) for a in alphas]
+        sdd = ((5, 1.5, 3), (16, 1.5, 4), (40, 3.0, 5), (64, 1.5, 6))
+        matrices += [random_sdd_positive(n, r, s) for n, r, s in sdd]
+        matrices.append(rank_two_channel())
+        for m in matrices:
+            est = blahut_arimoto(m)
+            p = est.optimal_input
+            assert p.min() >= 0.0
+            assert p.sum() == pytest.approx(1.0, abs=1e-12)
+            lower, gap = certified_bracket(m, p)
+            assert gap <= 1e-9 + 1e-12
+            assert lower == pytest.approx(est.capacity, abs=1e-12)
+
+    def test_relay3_overlaps_grid_oracle(self):
+        for alpha in (0.05, 0.2, 0.35, 0.48):
+            m = relay_miso(3, alpha)
+            ba = blahut_arimoto(m)
+            grid = grid_oracle(m, 60)
+            assert max(ba.capacity, grid.capacity) <= min(
+                ba.capacity + ba.gap, grid.capacity + grid.gap
+            ) + 1e-12
+
+    def test_singular_newton_system_falls_back_to_updates(self):
+        m = rank_two_channel()
+        ba = blahut_arimoto(m)
+        grid = grid_oracle(m, 80)
+        assert ba.gap <= 1e-9
+        assert grid.capacity <= ba.capacity + 1e-12 <= grid.capacity + grid.gap + 2e-12
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 49, 50, 51, 60, 75])
+    def test_iterations_never_exceed_max_iter(self, max_iter):
+        for m in (relay_miso(30, 0.10), relay_miso(8, 0.3), rank_two_channel()):
+            try:
+                est = blahut_arimoto(m, 1e-9, max_iter)
+            except NotConverged as err:
+                assert err.iterations == max_iter
+                est = err.estimate
+                assert est.gap > 1e-9
+            assert est.iterations <= max_iter
+            assert est.optimal_input.min() >= 0.0
+            assert est.optimal_input.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestGridOracle:
