@@ -69,9 +69,11 @@ class SingularMatrix(NumericError):
 
 
 class ConvergenceFailure(NumericError):
-    def __init__(self, sweeps: int):
-        self.sweeps = sweeps
-        super().__init__(f"eigen-iteration did not converge within {sweeps} sweeps")
+    """The LAPACK singular value decomposition did not converge."""
+
+    def __init__(self, detail: str):
+        self.detail = detail
+        super().__init__(f"singular value decomposition did not converge: {detail}")
 
 
 class NotPositive(NumericError):

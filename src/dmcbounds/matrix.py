@@ -8,7 +8,7 @@ reference capacities) consumes the ``ChannelMatrix`` produced by
 - inverse of A (LU with partial pivoting, singular pivot threshold 1e-12);
 - Gershgorin ratios c_i = A_ii / sum of off-diagonal row entries, and their
   minimum c_min (+inf when every off-diagonal sum is zero);
-- minimum singular value, via cyclic Jacobi iteration on A^T A;
+- minimum singular value, from the LAPACK SVD of A (not of A^T A);
 - row entropies in bits and their maximum.
 
 All logarithms are base 2 and 0*log(0) = 0 throughout.
@@ -17,12 +17,12 @@ All logarithms are base 2 and 0*log(0) = 0 throughout.
 from __future__ import annotations
 
 import io
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import svdvals
 
 from .errors import (
     ConvergenceFailure,
@@ -38,8 +38,6 @@ ROW_SUM_TOL = 1e-9
 NEGATIVE_CLAMP = 1e-12
 PIVOT_TOL = 1e-12
 DOMINANCE_MARGIN = 1e-12
-JACOBI_OFF_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,18 +87,16 @@ def validate_channel(raw) -> ChannelMatrix:
     n = entries.shape[0]
     if n < 2:
         raise NotSquare(f"alphabet size must be at least 2, got {n}")
-    for i in range(n):
-        for j in range(n):
-            v = entries[i, j]
-            if v < 0.0:
-                if v >= -NEGATIVE_CLAMP:
-                    entries[i, j] = 0.0
-                else:
-                    raise NegativeEntry(i, j, v)
+    bad = np.argwhere(entries < -NEGATIVE_CLAMP)  # row-major order
+    if bad.size:
+        i, j = (int(k) for k in bad[0])
+        raise NegativeEntry(i, j, entries[i, j])
+    entries[entries < 0.0] = 0.0
     sums = entries.sum(axis=1)
-    for i in range(n):
-        if abs(sums[i] - 1.0) > ROW_SUM_TOL:
-            raise RowSumViolation(i, float(sums[i]))
+    bad_rows = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
+    if bad_rows.size:
+        i = int(bad_rows[0])
+        raise RowSumViolation(i, float(sums[i]))
     entries.setflags(write=False)
     return ChannelMatrix(entries)
 
@@ -135,45 +131,14 @@ def gershgorin(matrix: ChannelMatrix) -> tuple[np.ndarray, float]:
 
 
 def min_singular_value(matrix: ChannelMatrix) -> float:
-    """Minimum singular value of A: cyclic Jacobi iteration on A^T A.
+    """Minimum singular value of A, from the LAPACK SVD of A itself.
 
-    Sweeps until the off-diagonal Frobenius norm drops below 1e-12, at most
-    100 sweeps; raises ConvergenceFailure beyond that.
+    Raises ConvergenceFailure when the SVD does not converge.
     """
-    a = matrix.entries
-    b = a.T @ a
-    n = b.shape[0]
-
-    def off_norm(m: np.ndarray) -> float:
-        # summing the squared off-diagonal directly; subtracting diagonal
-        # squares from the total cancels catastrophically near convergence
-        off = m.copy()
-        np.fill_diagonal(off, 0.0)
-        return math.sqrt(float((off * off).sum()))
-
-    sweeps = 0
-    while off_norm(b) > JACOBI_OFF_TOL:
-        if sweeps >= JACOBI_MAX_SWEEPS:
-            raise ConvergenceFailure(sweeps)
-        sweeps += 1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                bpq = b[p, q]
-                if abs(bpq) <= JACOBI_OFF_TOL / (4.0 * n * n):
-                    continue
-                tau = (b[q, q] - b[p, p]) / (2.0 * bpq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rp, rq = b[p, :].copy(), b[q, :].copy()
-                b[p, :] = c * rp - s * rq
-                b[q, :] = s * rp + c * rq
-                cp, cq = b[:, p].copy(), b[:, q].copy()
-                b[:, p] = c * cp - s * cq
-                b[:, q] = s * cp + c * cq
-                b[p, q] = 0.0
-                b[q, p] = 0.0
-    return math.sqrt(max(float(np.diag(b).min()), 0.0))
+    try:
+        return float(svdvals(matrix.entries).min())
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from None
 
 
 def row_entropies(matrix: ChannelMatrix) -> tuple[np.ndarray, float]:
@@ -234,15 +199,16 @@ def load_matrix_csv(source) -> ChannelMatrix:
     rows = []
     for r, line in enumerate(lines):
         fields = line.split(",")
-        row = []
-        for c, field in enumerate(fields):
-            try:
-                row.append(float(field))
-            except ValueError:
-                raise MatrixFormatError(
-                    f"row {r + 1}, column {c + 1}: cannot parse {field.strip()!r}"
-                ) from None
-        rows.append(row)
+        try:
+            rows.append(list(map(float, fields)))
+        except ValueError:
+            for c, field in enumerate(fields):
+                try:
+                    float(field)
+                except ValueError:
+                    raise MatrixFormatError(
+                        f"row {r + 1}, column {c + 1}: cannot parse {field.strip()!r}"
+                    ) from None
     width = len(rows[0])
     for r, row in enumerate(rows):
         if len(row) != width:

@@ -1,6 +1,7 @@
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,10 +23,45 @@ from dmcbounds import (
     min_singular_value,
     mutual_information,
     random_sdd_positive,
+    relay_miso,
     row_entropies,
     validate_channel,
 )
 from conftest import entropy2
+
+EPS = np.finfo(float).eps
+
+
+def mp_singular_values(entries, dps=60):
+    """Singular values of A in ``dps``-digit arithmetic, independent of LAPACK."""
+    with mpmath.workdps(dps):
+        sv = mpmath.svd_r(mpmath.matrix(np.asarray(entries).tolist()), compute_uv=False)
+        return sorted(float(v) for v in sv)
+
+
+def validate_by_loops(raw):
+    """The row-major double loop that validate_channel's masks replaced:
+    the clamped entries, or (error class, row[, col]) of the first fault."""
+    entries = np.array(raw, dtype=float)
+    n = entries.shape[0]
+    for i in range(n):
+        for j in range(n):
+            if entries[i, j] < 0.0:
+                if entries[i, j] < -1e-12:
+                    return (NegativeEntry, i, j)
+                entries[i, j] = 0.0
+    sums = entries.sum(axis=1)
+    for i in range(n):
+        if abs(sums[i] - 1.0) > 1e-9:
+            return (RowSumViolation, i)
+    return entries
+
+
+def assert_backward_stable_sigma_min(m, sv_ref):
+    """|sigma - sigma_ref| <= 4 n eps sigma_max, the accuracy of a backward
+    stable SVD of A (the eigenvalues of A^T A only reach it for sigma_max^2)."""
+    got = min_singular_value(m)
+    assert abs(got - sv_ref[0]) <= 4 * m.n * EPS * sv_ref[-1], (got, sv_ref[0])
 
 
 class TestValidate:
@@ -56,6 +92,29 @@ class TestValidate:
         with pytest.raises(NegativeEntry) as err:
             validate_channel([[1.01, -0.01], [0.5, 0.5]])
         assert (err.value.row, err.value.col) == (0, 1)
+
+    def test_first_negative_entry_in_row_major_order_reported(self):
+        raw = [[0.5, 0.5, 0.0], [0.7, 0.5, -0.2], [1.2, -0.1, -0.1]]
+        with pytest.raises(NegativeEntry) as err:
+            validate_channel(raw)
+        assert (err.value.row, err.value.col, err.value.value) == (1, 2, -0.2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 5), data=st.data())
+    def test_matches_elementwise_reference(self, n, data):
+        values = st.sampled_from([0.0, 0.25, 0.5, 1.0, -1e-13, -2e-12, -0.25, math.nan])
+        raw = [[data.draw(values) for _ in range(n)] for _ in range(n)]
+        if data.draw(st.booleans()):
+            for row in raw:
+                row[-1] = 1.0 - sum(row[:-1])
+        expected = validate_by_loops(raw)
+        if isinstance(expected, np.ndarray):
+            assert np.array_equal(validate_channel(raw).entries, expected, equal_nan=True)
+        else:
+            with pytest.raises(expected[0]) as err:
+                validate_channel(raw)
+            where = (err.value.row, err.value.col) if expected[0] is NegativeEntry else (err.value.row,)
+            assert where == expected[1:]
 
     def test_tiny_negative_clamped_to_zero(self):
         m = validate_channel([[1.0 + 1e-13, -1e-13], [0.5, 0.5]])
@@ -131,8 +190,29 @@ class TestMinSingularValue:
 
     def test_matches_svd_oracle_on_random_fixtures(self, sdd_fixtures):
         for _, _, seed, m in sdd_fixtures[::7]:
-            ref = np.linalg.svd(np.asarray(m.entries), compute_uv=False).min()
-            assert min_singular_value(m) == pytest.approx(ref, rel=1e-6), seed
+            ref = mp_singular_values(m.entries, dps=30)
+            assert_backward_stable_sigma_min(m, ref)
+
+    def test_near_singular_circulant(self):
+        # (1-eps) I + eps * shift is normal, so its singular values are the
+        # moduli of its eigenvalues (1-eps) + eps w^k; w = -1 at n = 6 gives
+        # sigma_min = |1 - 2 eps|, here |a - b| of the stored entries (exact)
+        n, eps = 6, 0.5 - 1e-8
+        m = validate_channel((1.0 - eps) * np.eye(n) + eps * np.roll(np.eye(n), 1, axis=1))
+        a, b = m.entries[0, 0], m.entries[0, 1]
+        exact = abs(a - b)
+        assert exact == pytest.approx(2e-8, rel=1e-7)
+        assert abs(min_singular_value(m) - exact) <= 4 * n * EPS * (a + b)
+
+    @pytest.mark.parametrize(
+        "alpha, published",
+        [(0.20, 1.798e-7), (0.26, 2.057e-10), (0.30, 8.180e-13)],
+    )
+    def test_ill_conditioned_relay30(self, alpha, published):
+        m = relay_miso(30, alpha)
+        ref = mp_singular_values(m.entries)
+        assert ref[0] == pytest.approx(published, rel=1e-3)
+        assert_backward_stable_sigma_min(m, ref)
 
     def test_invariant_under_permutations(self, ex1):
         base = min_singular_value(ex1)
@@ -142,13 +222,17 @@ class TestMinSingularValue:
         assert min_singular_value(rows) == pytest.approx(base, rel=1e-9)
         assert min_singular_value(cols) == pytest.approx(base, rel=1e-9)
 
-    def test_convergence_failure_carries_sweeps(self, monkeypatch):
+    def test_svd_failure_raises_convergence_failure(self, monkeypatch):
         import dmcbounds.matrix as mx
 
-        monkeypatch.setattr(mx, "JACOBI_MAX_SWEEPS", 0)
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(mx, "svdvals", no_convergence)
         with pytest.raises(ConvergenceFailure) as err:
             min_singular_value(validate_channel([[0.9, 0.1], [0.2, 0.8]]))
-        assert err.value.sweeps == 0
+        assert err.value.detail == "SVD did not converge"
+        assert "singular value decomposition" in str(err.value)
 
 
 class TestRowEntropies:
