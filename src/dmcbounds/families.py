@@ -91,27 +91,38 @@ def relay_miso_explicit3(alpha: float) -> np.ndarray:
     )
 
 
-def _relay_entries(n: int, alpha: float) -> np.ndarray:
-    # Input i means i-1 of the n binary uplinks carry a one; each uplink flips
-    # independently with probability alpha; the receiver outputs the count.
-    # Entry (i, j), 1-indexed: sum over s = one->zero flips.
+@lru_cache(maxsize=2)
+def _relay_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # Row r (0-indexed) means r of the n binary uplinks carry a one; each
+    # uplink flips independently with probability alpha; the receiver outputs
+    # the count c. So row r is the convolution of Bin(r, 1-alpha) (the ones
+    # that survive) with Bin(n-r, alpha) (the zeros that flip up), and term s
+    # of entry (r, c) has s ones flipped down and c-r+s zeros flipped up:
+    #   coef[s, r, c]  = C(n-r, c-r+s) * C(r, s), rounded once to a double,
+    #   flips[s, r, c] = c-r+2s,
+    # both zero where a binomial vanishes. The table is alpha-free, so one
+    # build serves a whole sweep at this n; it is read-only because it is shared.
     m = n + 1
-    a = np.zeros((m, m))
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            lo = max(i - j, 0)
-            hi = min(n + 1 - j, i - 1)
-            total = 0.0
-            for s in range(lo, hi + 1):
-                flips = j - i + 2 * s
-                total += (
-                    comb(n + 1 - i, j - i + s)
-                    * comb(i - 1, s)
-                    * alpha**flips
-                    * (1.0 - alpha) ** (n - flips)
-                )
-            a[i - 1, j - 1] = total
-    return a
+    s, r, c = np.ogrid[:m, :m, :m]
+    up = c - r + s
+    valid = (up >= 0) & (up <= n - r) & (s <= r)
+    flips = np.where(valid, up + s, 0)
+    pascal = np.array([[comb(a, b) for b in range(m)] for a in range(m)], dtype=object)
+    s, r, c = np.nonzero(valid)
+    coef = np.zeros(valid.shape)
+    coef[valid] = (pascal[n - r, c - r + s] * pascal[r, s]).astype(float)
+    coef.setflags(write=False)
+    flips.setflags(write=False)
+    return coef, flips
+
+
+def _relay_entries(n: int, alpha: float) -> np.ndarray:
+    coef, flips = _relay_table(n)
+    apow = np.array([alpha**k for k in range(n + 1)])
+    bpow = np.array([(1.0 - alpha) ** k for k in range(n + 1)])
+    # Builtin sum adds the s-slices in ascending s, so every entry rounds as
+    # the scalar sum over s does; the zero padding adds exact zeros.
+    return sum(coef * apow[flips] * bpow[n - flips])
 
 
 @lru_cache(maxsize=1)

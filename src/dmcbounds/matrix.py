@@ -76,7 +76,8 @@ def validate_channel(raw) -> ChannelMatrix:
     """Check squareness, nonnegativity and row stochasticity of a raw array.
 
     Entries in [-1e-12, 0) are clamped to zero; everything else is preserved
-    bit-exactly. Raises NotSquare, NegativeEntry or RowSumViolation.
+    bit-exactly. Raises NotSquare, NegativeEntry or RowSumViolation (also
+    for a row holding NaN or inf, whose sum is not within 1e-9 of 1).
     """
     try:
         entries = np.array(raw, dtype=float)
@@ -93,7 +94,7 @@ def validate_channel(raw) -> ChannelMatrix:
         raise NegativeEntry(i, j, entries[i, j])
     entries[entries < 0.0] = 0.0
     sums = entries.sum(axis=1)
-    bad_rows = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
+    bad_rows = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))  # NaN is bad too
     if bad_rows.size:
         i = int(bad_rows[0])
         raise RowSumViolation(i, float(sums[i]))
@@ -143,7 +144,9 @@ def min_singular_value(matrix: ChannelMatrix) -> float:
 
 def row_entropies(matrix: ChannelMatrix) -> tuple[np.ndarray, float]:
     """Entropy of each row in bits, and the maximum over rows."""
-    ent = np.array([entropy_bits(row) for row in matrix.entries])
+    a = matrix.entries
+    pos = a > 0.0
+    ent = -np.where(pos, a * np.log2(np.where(pos, a, 1.0)), 0.0).sum(axis=1)
     return ent, float(ent.max())
 
 

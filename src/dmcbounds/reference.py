@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, NotConverged, TooLarge
-from .matrix import ChannelMatrix
+from .matrix import ChannelMatrix, row_entropies
 
 GRID_MAX_N = 4
 DEFAULT_TOL = 1e-9
@@ -47,12 +47,6 @@ class CapacityEstimate:
     iterations: int
     gap: float
     method: str  # "blahut-arimoto" or "grid-oracle"
-
-
-def _neg_row_entropies(entries: np.ndarray) -> np.ndarray:
-    """sum_j A_ij log2 A_ij for each row (0 log 0 = 0), i.e. minus the row entropies."""
-    mask = entries > 0.0
-    return np.where(mask, entries * np.log2(np.where(mask, entries, 1.0)), 0.0).sum(axis=1)
 
 
 def _divergence_terms(entries: np.ndarray, neg_ent: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -176,7 +170,7 @@ def blahut_arimoto(
     if tol <= 0.0:
         raise InvalidParameter(f"tolerance must be positive, got {tol!r}")
     entries = matrix.entries
-    neg_ent = _neg_row_entropies(entries)
+    neg_ent = -row_entropies(matrix)[0]
     p = np.full(matrix.n, 1.0 / matrix.n)
     iterations = 0
     since_newton = 0
@@ -231,7 +225,7 @@ def grid_oracle(matrix: ChannelMatrix, resolution: int) -> CapacityEstimate:
     q = pmfs @ matrix.entries
     with np.errstate(divide="ignore", invalid="ignore"):
         h_out = -np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q, 1.0)), 0.0).sum(axis=1)
-    neg_ent = _neg_row_entropies(matrix.entries)
+    neg_ent = -row_entropies(matrix)[0]
     mi = h_out + pmfs @ neg_ent
     best = int(np.argmax(mi))
     p_best = pmfs[best]

@@ -74,6 +74,13 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 2
         assert "row 2, column 2" in capsys.readouterr().err
 
+    def test_nan_entry_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("nan,0.5\n0.5,0.5\n")
+        for command in ("analyze", "compare"):
+            assert main([command, str(path)]) == 2
+            assert capsys.readouterr().err.startswith("error: row 0 sums to nan")
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.csv")]) == 2
 

@@ -23,6 +23,32 @@ from dmcbounds import (
     relay_miso_explicit3,
     validate_channel,
 )
+from dmcbounds.families import _relay_entries, _relay_table
+
+
+def relay_entries_by_loops(n, alpha):
+    """The scalar triple loop that the binomial table replaced: entry (i, j),
+    1-indexed, sums over s, the number of ones flipped to zero."""
+    m = n + 1
+    a = np.zeros((m, m))
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            total = 0.0
+            for s in range(max(i - j, 0), min(n + 1 - j, i - 1) + 1):
+                flips = j - i + 2 * s
+                total += (
+                    math.comb(n + 1 - i, j - i + s)
+                    * math.comb(i - 1, s)
+                    * alpha**flips
+                    * (1.0 - alpha) ** (n - flips)
+                )
+            a[i - 1, j - 1] = total
+    return a
+
+
+def sweep_grid(lo, hi, steps):
+    """The parameter points of ``dmcbounds sweep --range lo:hi --steps steps``."""
+    return [hi if i == steps - 1 else lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
 
 
 class TestSplitMix64:
@@ -96,6 +122,23 @@ class TestRelayMiso:
             left = np.asarray(relay_miso(3, alpha).entries)
             right = np.asarray(relay_miso(3, 1.0 - alpha).entries)[:, ::-1]
             assert np.abs(left - right).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_table_matches_scalar_loop_bit_for_bit(self, n):
+        alphas = [0.0, 1.0, 0.5, 0.17, 0.83]
+        alphas += sweep_grid(0.02, 0.50, 13) + sweep_grid(0.02, 0.98, 49)
+        for alpha in alphas:
+            assert np.array_equal(_relay_entries(n, alpha), relay_entries_by_loops(n, alpha)), alpha
+
+    def test_cached_table_is_read_only_and_results_are_fresh(self):
+        first = relay_miso(30, 0.2).entries
+        second = relay_miso(30, 0.2).entries
+        assert first is not second and not np.shares_memory(first, second)
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(_relay_entries(30, 0.2), _relay_entries(30, 0.2))
+        for table in _relay_table(30):
+            with pytest.raises(ValueError):
+                table[0, 0, 0] = 1
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameter):

@@ -41,7 +41,8 @@ def mp_singular_values(entries, dps=60):
 
 def validate_by_loops(raw):
     """The row-major double loop that validate_channel's masks replaced:
-    the clamped entries, or (error class, row[, col]) of the first fault."""
+    the clamped entries, or (error class, row[, col]) of the first fault.
+    A row sum of NaN is a fault: the test is written so that NaN fails it."""
     entries = np.array(raw, dtype=float)
     n = entries.shape[0]
     for i in range(n):
@@ -52,7 +53,7 @@ def validate_by_loops(raw):
                 entries[i, j] = 0.0
     sums = entries.sum(axis=1)
     for i in range(n):
-        if abs(sums[i] - 1.0) > 1e-9:
+        if not abs(sums[i] - 1.0) <= 1e-9:
             return (RowSumViolation, i)
     return entries
 
@@ -99,6 +100,17 @@ class TestValidate:
             validate_channel(raw)
         assert (err.value.row, err.value.col, err.value.value) == (1, 2, -0.2)
 
+    def test_nan_row_is_a_row_sum_violation(self):
+        with pytest.raises(RowSumViolation) as err:
+            validate_channel([[0.5, 0.5], [math.nan, 0.5]])
+        assert err.value.row == 1
+        assert math.isnan(err.value.total)
+
+    def test_negative_entry_reported_before_nan_row(self):
+        with pytest.raises(NegativeEntry) as err:
+            validate_channel([[math.nan, 0.5], [1.5, -0.5]])
+        assert (err.value.row, err.value.col) == (1, 1)
+
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(2, 5), data=st.data())
     def test_matches_elementwise_reference(self, n, data):
@@ -109,7 +121,7 @@ class TestValidate:
                 row[-1] = 1.0 - sum(row[:-1])
         expected = validate_by_loops(raw)
         if isinstance(expected, np.ndarray):
-            assert np.array_equal(validate_channel(raw).entries, expected, equal_nan=True)
+            assert np.array_equal(validate_channel(raw).entries, expected)
         else:
             with pytest.raises(expected[0]) as err:
                 validate_channel(raw)
