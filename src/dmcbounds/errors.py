@@ -63,9 +63,11 @@ class TooLarge(InputError):
 
 
 class SingularMatrix(NumericError):
-    def __init__(self, pivot: float):
-        self.pivot = pivot
-        super().__init__(f"singular matrix: pivot magnitude {pivot:.3e} below 1e-12")
+    """cond(A) = sigma_max/sigma_min is at least 1e13 (inf when sigma_min = 0)."""
+
+    def __init__(self, cond: float):
+        self.cond = cond
+        super().__init__(f"singular matrix: condition number {cond:.3e} is at least 1e13")
 
 
 class ConvergenceFailure(NumericError):

@@ -5,10 +5,12 @@ row is a probability vector. Everything downstream (closed-form bounds,
 reference capacities) consumes the ``ChannelMatrix`` produced by
 ``validate_channel`` or the bundled ``InverseAnalysis`` diagnostics:
 
-- inverse of A (LU with partial pivoting, singular pivot threshold 1e-12);
+- inverse of A, by LAPACK solve of A X = I, refused as singular when the
+  2-norm condition number sigma_max/sigma_min reaches 1e13;
 - Gershgorin ratios c_i = A_ii / sum of off-diagonal row entries, and their
   minimum c_min (+inf when every off-diagonal sum is zero);
-- minimum singular value, from the LAPACK SVD of A (not of A^T A);
+- minimum singular value and condition number, from one LAPACK SVD of A
+  (not of A^T A);
 - row entropies in bits and their maximum.
 
 All logarithms are base 2 and 0*log(0) = 0 throughout.
@@ -17,12 +19,10 @@ All logarithms are base 2 and 0*log(0) = 0 throughout.
 from __future__ import annotations
 
 import io
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import svdvals
 
 from .errors import (
     ConvergenceFailure,
@@ -36,7 +36,9 @@ from .errors import (
 
 ROW_SUM_TOL = 1e-9
 NEGATIVE_CLAMP = 1e-12
-PIVOT_TOL = 1e-12
+# At cond(A) >= 1e13, cond * eps > 2e-3: not even the leading digits of an
+# inverse-based result survive, so the matrix is treated as singular.
+COND_LIMIT = 1e13
 DOMINANCE_MARGIN = 1e-12
 
 
@@ -61,6 +63,7 @@ class InverseAnalysis:
     gershgorin_ratios: np.ndarray
     c_min: float
     sigma_min: float
+    cond: float
     row_entropies: np.ndarray
     h_max: float
 
@@ -102,19 +105,36 @@ def validate_channel(raw) -> ChannelMatrix:
     return ChannelMatrix(entries)
 
 
-def invert(matrix: ChannelMatrix) -> np.ndarray:
-    """Inverse of the channel matrix by LU with partial pivoting.
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values of A in descending order, from the LAPACK SVD of A."""
+    try:
+        return np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from None
 
-    Raises SingularMatrix when any pivot magnitude falls below 1e-12.
+
+def _condition_number(sv: np.ndarray) -> float:
+    return float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
+
+
+def _checked_inverse(a: np.ndarray, sv: np.ndarray) -> np.ndarray:
+    """inv(A), or SingularMatrix when A's singular values ``sv`` give cond >= 1e13."""
+    if sv[-1] <= sv[0] / COND_LIMIT:
+        raise SingularMatrix(_condition_number(sv))
+    try:
+        return np.linalg.solve(a, np.eye(a.shape[0]))
+    except np.linalg.LinAlgError:
+        raise SingularMatrix(_condition_number(sv)) from None
+
+
+def invert(matrix: ChannelMatrix) -> np.ndarray:
+    """Inverse of the channel matrix, by LAPACK solve of A X = I.
+
+    Raises SingularMatrix when cond(A) = sigma_max/sigma_min reaches 1e13, and
+    ConvergenceFailure when the SVD that measures it does not converge.
     """
-    a = np.array(matrix.entries, dtype=float)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy warns on exact zero pivots
-        lu, piv = scipy.linalg.lu_factor(a)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() < PIVOT_TOL:
-        raise SingularMatrix(float(pivots.min()))
-    return scipy.linalg.lu_solve((lu, piv), np.eye(matrix.n))
+    a = matrix.entries
+    return _checked_inverse(a, _singular_values(a))
 
 
 def gershgorin(matrix: ChannelMatrix) -> tuple[np.ndarray, float]:
@@ -136,10 +156,7 @@ def min_singular_value(matrix: ChannelMatrix) -> float:
 
     Raises ConvergenceFailure when the SVD does not converge.
     """
-    try:
-        return float(svdvals(matrix.entries).min())
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from None
+    return float(_singular_values(matrix.entries)[-1])
 
 
 def row_entropies(matrix: ChannelMatrix) -> tuple[np.ndarray, float]:
@@ -151,19 +168,25 @@ def row_entropies(matrix: ChannelMatrix) -> tuple[np.ndarray, float]:
 
 
 def analyze_inverse(matrix: ChannelMatrix) -> InverseAnalysis:
-    """Bundle the inverse with positivity/dominance flags and all diagnostics."""
+    """Bundle the inverse with positivity/dominance flags and all diagnostics.
+
+    One SVD of A gives the singular test, sigma_min and cond.
+    """
     a = matrix.entries
+    sv = _singular_values(a)
+    inverse = _checked_inverse(a, sv)
     diag = np.diag(a)
     off = a.sum(axis=1) - diag
     ratios, c_min = gershgorin(matrix)
     ent, h_max = row_entropies(matrix)
     return InverseAnalysis(
-        inverse=invert(matrix),
+        inverse=inverse,
         is_positive=bool(a.min() > 0.0),
         is_sdd=bool(((diag - off) > DOMINANCE_MARGIN).all()),
         gershgorin_ratios=ratios,
         c_min=c_min,
-        sigma_min=min_singular_value(matrix),
+        sigma_min=float(sv[-1]),
+        cond=_condition_number(sv),
         row_entropies=ent,
         h_max=h_max,
     )

@@ -4,7 +4,7 @@ polyline per series and a legend is all that is needed."""
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+import html
 
 WIDTH = 800
 HEIGHT = 600
@@ -54,7 +54,7 @@ def render_line_chart(
     if title:
         out.append(
             f'<text x="{WIDTH / 2:.2f}" y="24" text-anchor="middle" '
-            f'font-size="16">{escape(title)}</text>'
+            f'font-size="16">{html.escape(title, quote=False)}</text>'
         )
 
     for k in range(5):
@@ -70,12 +70,12 @@ def render_line_chart(
         )
     out.append(
         f'<text x="{MARGIN_LEFT + plot_w / 2:.2f}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-size="13">{escape(x_label)}</text>'
+        f'font-size="13">{html.escape(x_label, quote=False)}</text>'
     )
     out.append(
         f'<text x="18" y="{MARGIN_TOP + plot_h / 2:.2f}" text-anchor="middle" '
         f'font-size="13" transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.2f})">'
-        f"{escape(y_label)}</text>"
+        f"{html.escape(y_label, quote=False)}</text>"
     )
 
     for idx, (name, pts) in enumerate(drawn):
@@ -91,7 +91,7 @@ def render_line_chart(
             f'stroke="{color}" stroke-width="1.5"/>'
         )
         out.append(
-            f'<text x="{lx + 28}" y="{ly + 4}" font-size="12">{escape(name)}</text>'
+            f'<text x="{lx + 28}" y="{ly + 4}" font-size="12">{html.escape(name, quote=False)}</text>'
         )
 
     out.append("</svg>")

@@ -245,6 +245,17 @@ class TestConsoleScript:
         )
         assert proc.returncode == 2
 
+    def test_import_loads_no_scipy_xml_sax_or_urllib_request(self):
+        # each of these costs start-up time on every CLI call and none is used
+        code = (
+            "import sys, dmcbounds.cli\n"
+            "heavy = ('scipy', 'xml.sax', 'urllib.request')\n"
+            "print(sorted(m for m in sys.modules if m.startswith(heavy)))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestInfiniteGap:
     """A bracket whose top is +inf (an output the input pmf never reaches)

@@ -26,23 +26,35 @@ from dmcbounds import (
 from dmcbounds.families import _relay_entries, _relay_table
 
 
-def relay_entries_by_loops(n, alpha):
-    """The scalar triple loop that the binomial table replaced: entry (i, j),
-    1-indexed, sums over s, the number of ones flipped to zero."""
-    m = n + 1
-    a = np.zeros((m, m))
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            total = 0.0
+def relay_comb_products(n):
+    """The exact int products comb(n+1-i, j-i+s) * comb(i-1, s) of the scalar
+    loop with their powers of alpha and of 1-alpha, per 0-indexed entry:
+    [(row, col, [(product, flips, n - flips), ...]), ...]."""
+    terms = []
+    for i in range(1, n + 2):
+        for j in range(1, n + 2):
+            by_s = []
             for s in range(max(i - j, 0), min(n + 1 - j, i - 1) + 1):
                 flips = j - i + 2 * s
-                total += (
-                    math.comb(n + 1 - i, j - i + s)
-                    * math.comb(i - 1, s)
-                    * alpha**flips
-                    * (1.0 - alpha) ** (n - flips)
-                )
-            a[i - 1, j - 1] = total
+                comb = math.comb(n + 1 - i, j - i + s) * math.comb(i - 1, s)
+                by_s.append((comb, flips, n - flips))
+            terms.append((i - 1, j - 1, by_s))
+    return terms
+
+
+def relay_entries_by_loops(n, alpha, products):
+    """The scalar triple loop that the binomial table replaced: entry (i, j),
+    1-indexed, sums over s, the number of ones flipped to zero. ``products``
+    is ``relay_comb_products(n)``. The powers are the ones the loop computed,
+    so every int * float product and every sum is the same as in the loop."""
+    apow = [alpha**k for k in range(n + 1)]
+    bpow = [(1.0 - alpha) ** k for k in range(n + 1)]
+    a = np.zeros((n + 1, n + 1))
+    for row, col, by_s in products:
+        total = 0.0
+        for comb, flips, rest in by_s:
+            total += comb * apow[flips] * bpow[rest]
+        a[row, col] = total
     return a
 
 
@@ -127,8 +139,10 @@ class TestRelayMiso:
     def test_table_matches_scalar_loop_bit_for_bit(self, n):
         alphas = [0.0, 1.0, 0.5, 0.17, 0.83]
         alphas += sweep_grid(0.02, 0.50, 13) + sweep_grid(0.02, 0.98, 49)
+        products = relay_comb_products(n)
         for alpha in alphas:
-            assert np.array_equal(_relay_entries(n, alpha), relay_entries_by_loops(n, alpha)), alpha
+            expected = relay_entries_by_loops(n, alpha, products)
+            assert np.array_equal(_relay_entries(n, alpha), expected), alpha
 
     def test_cached_table_is_read_only_and_results_are_fresh(self):
         first = relay_miso(30, 0.2).entries

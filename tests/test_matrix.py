@@ -154,8 +154,28 @@ class TestInvert:
 
     def test_rank_one_raises(self):
         m = validate_channel([[0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(SingularMatrix):
+        with pytest.raises(SingularMatrix) as err:
             invert(m)
+        assert err.value.cond >= 1e13
+        assert "condition number" in str(err.value)
+
+    def test_cond_above_limit_raises(self):
+        # relay n=60 alpha=0.20 has cond 3.2e13: every digit of its inverse is noise
+        with pytest.raises(SingularMatrix) as err:
+            invert(relay_miso(60, 0.20))
+        assert err.value.cond == pytest.approx(3.2e13, rel=0.05)
+
+    def test_ill_conditioned_below_limit_is_inverted(self):
+        # relay n=30 alpha=0.30 has cond 1.7e12, under the 1e13 limit
+        assert invert(relay_miso(30, 0.30)).shape == (31, 31)
+
+    def test_solve_failure_raises_singular_matrix(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(SingularMatrix):
+            invert(validate_channel([[0.9, 0.1], [0.2, 0.8]]))
 
     def test_residual_and_row_sums(self, ex1, ex4):
         for m in (ex1, ex4):
@@ -225,6 +245,11 @@ class TestMinSingularValue:
         ref = mp_singular_values(m.entries)
         assert ref[0] == pytest.approx(published, rel=1e-3)
         assert_backward_stable_sigma_min(m, ref)
+        # each singular value is within e = 4 n eps sigma_max of the exact one,
+        # which brackets cond = sigma_max / sigma_min
+        e = 4 * m.n * EPS * ref[-1]
+        cond = analyze_inverse(m).cond
+        assert (ref[-1] - e) / (ref[0] + e) <= cond <= (ref[-1] + e) / (ref[0] - e), cond
 
     def test_invariant_under_permutations(self, ex1):
         base = min_singular_value(ex1)
@@ -235,12 +260,10 @@ class TestMinSingularValue:
         assert min_singular_value(cols) == pytest.approx(base, rel=1e-9)
 
     def test_svd_failure_raises_convergence_failure(self, monkeypatch):
-        import dmcbounds.matrix as mx
-
-        def no_convergence(a):
+        def no_convergence(a, compute_uv=True):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(mx, "svdvals", no_convergence)
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
         with pytest.raises(ConvergenceFailure) as err:
             min_singular_value(validate_channel([[0.9, 0.1], [0.2, 0.8]]))
         assert err.value.detail == "SVD did not converge"
@@ -284,6 +307,20 @@ class TestAnalyzeInverse:
         assert a.c_min == gershgorin(ex3)[1]
         assert a.sigma_min == min_singular_value(ex3)
         assert a.h_max == row_entropies(ex3)[1]
+
+    def test_one_svd_per_call(self, ex3, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(a, compute_uv=True):
+            calls.append(a.shape)
+            return svd(a, compute_uv=compute_uv)
+
+        sv = svd(ex3.entries, compute_uv=False)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        a = analyze_inverse(ex3)
+        assert calls == [(3, 3)]
+        assert (a.sigma_min, a.cond) == (sv[-1], sv[0] / sv[-1])
 
 
 class TestMutualInformation:
