@@ -88,7 +88,7 @@ class SweepRecord:
 
 def _analyze_document(matrix: ChannelMatrix, tol: float, max_iter: int) -> dict:
     report = capacity_upper_bound(matrix)
-    est = blahut_arimoto(matrix, tol, max_iter)
+    est = blahut_arimoto(matrix, tol, max_iter, start=report.p_star)
     return {
         "n": matrix.n,
         "upper_bound": report.upper_bound,
@@ -166,11 +166,7 @@ def cmd_generate(args) -> int:
 def sweep_record(spec: FamilySpec, tol: float, max_iter: int) -> SweepRecord:
     """Evaluate one grid point; numeric failures turn into NA columns."""
     matrix = build_family(spec)
-    try:
-        ba = blahut_arimoto(matrix, tol, max_iter).capacity
-    except NumericError:
-        ba = None
-    upper = feasible = None
+    upper = feasible = p_star = None
     spectral = gershgorin = None
     try:
         report = capacity_upper_bound(matrix)
@@ -178,6 +174,7 @@ def sweep_record(spec: FamilySpec, tol: float, max_iter: int) -> SweepRecord:
         feasible = report.p_star_feasible
         spectral = report.spectral_condition
         gershgorin = report.gershgorin_condition
+        p_star = report.p_star
     except (SingularMatrix, NotPositive):
         # dominance implies invertibility and the conditions assume a
         # positive matrix, so the hypotheses cannot hold here
@@ -185,6 +182,10 @@ def sweep_record(spec: FamilySpec, tol: float, max_iter: int) -> SweepRecord:
         gershgorin = Condition.PRECONDITION_NOT_MET
     except ConvergenceFailure:
         pass
+    try:
+        ba = blahut_arimoto(matrix, tol, max_iter, start=p_star).capacity
+    except NumericError:
+        ba = None
     return SweepRecord(
         parameter=spec.parameter,
         upper_bound=upper,
@@ -276,7 +277,7 @@ def cmd_sweep(args) -> int:
 def cmd_compare(args) -> int:
     matrix = load_matrix_csv(args.matrix)
     report = capacity_upper_bound(matrix)
-    est = blahut_arimoto(matrix, args.tol, args.max_iter)
+    est = blahut_arimoto(matrix, args.tol, args.max_iter, start=report.p_star)
     bounds = [
         ("closed-form", report.upper_bound),
         ("arimoto", arimoto_upper_bound(matrix)),

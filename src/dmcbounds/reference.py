@@ -19,6 +19,16 @@ Newton step counts as one iteration, and the stopping rule is unchanged: the
 full-alphabet bracket above, so a wrong support guess can cost time but can
 never certify a wrong capacity.
 
+The solver can also start from a hint. The CLI passes the closed form's
+p* = inv(A)^T q*, which solves the KKT system in closed form and is the
+optimal input whenever it is a pmf; where it is not, clip(p*) still lies
+close to the optimal support. The hint is clipped at 0 and renormalized. If
+its bracket is already within the tolerance it is returned with 0
+iterations; otherwise the Newton solve runs from it at once, its steps
+counted like any other, and if that solve fails the iteration starts over
+from uniform exactly as without a hint. Either way the reported capacity is
+the lower end of a certified bracket at whichever input certified it.
+
 The grid oracle is an independent brute-force check for tiny alphabets: it
 evaluates mutual information on the whole simplex lattice {k/resolution} and
 reports the lattice maximum, with the same D-bracket evaluated at the
@@ -31,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, NotConverged, TooLarge
+from .errors import InvalidParameter, InvalidPmf, NotConverged, TooLarge
 from .matrix import ChannelMatrix, row_entropies
 
 GRID_MAX_N = 4
@@ -154,10 +164,27 @@ def _newton_on_support(
     return None, budget
 
 
+def _seed_pmf(start, n: int) -> np.ndarray | None:
+    """clip(start, 0) renormalized, or None for no hint, a non-finite hint or
+    one without positive mass. Raises InvalidPmf unless its shape is (n,)."""
+    if start is None:
+        return None
+    hint = np.asarray(start, dtype=float)
+    if hint.shape != (n,):
+        raise InvalidPmf(f"start must have shape ({n},), got {hint.shape}")
+    if not np.isfinite(hint).all():
+        return None
+    hint = np.maximum(hint, 0.0)
+    total = hint.sum()
+    return hint / total if 0.0 < total < np.inf else None
+
+
 def blahut_arimoto(
     matrix: ChannelMatrix,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    *,
+    start=None,
 ) -> CapacityEstimate:
     """Capacity via alternating maximization from the uniform input pmf.
 
@@ -166,14 +193,24 @@ def blahut_arimoto(
     discarded. ``iterations`` counts updates and Newton steps alike. Raises
     NotConverged (carrying the running estimate) if the bracket gap stays
     above ``tol`` after ``max_iter`` iterations.
+
+    ``start`` is an optional hint of shape (n,), such as the closed form's p*.
+    Clipped at 0 and renormalized, it is returned at iteration 0 if its
+    bracket is already within ``tol``; otherwise the Newton solve runs from
+    it first, and if that fails the iteration starts over from uniform. A
+    non-finite hint, or one without positive mass, is ignored.
     """
     if tol <= 0.0:
         raise InvalidParameter(f"tolerance must be positive, got {tol!r}")
     entries = matrix.entries
     neg_ent = -row_entropies(matrix)[0]
-    p = np.full(matrix.n, 1.0 / matrix.n)
+    uniform = np.full(matrix.n, 1.0 / matrix.n)
+    p = _seed_pmf(start, matrix.n)
+    seeded = p is not None
+    if not seeded:
+        p = uniform
     iterations = 0
-    since_newton = 0
+    since_newton = NEWTON_EVERY if seeded else 0
     while True:
         d = _divergence_terms(entries, neg_ent, p)
         lower, gap = _bracket(p, d)
@@ -189,6 +226,9 @@ def blahut_arimoto(
             iterations += steps
             if solved is not None:
                 p = solved
+            elif seeded:
+                p = uniform
+            seeded = False
             continue
         top = d[p > 0.0].max()
         w = p * np.exp2(np.minimum(d - top, 0.0))

@@ -62,6 +62,14 @@ class TestAnalyze:
         assert doc["q_star"] == pytest.approx([0.33087, 0.32806, 0.34107], abs=1e-4)
         assert doc["feasible"] is True
 
+    def test_json_closed_form_input_certifies_at_iteration_0(self, ex1_file, capsys):
+        # p* is the optimal input of example-1, so BA seeded with it
+        # certifies before a single update
+        assert main(["analyze", ex1_file, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ba_iterations"] == 0
+        assert doc["ba_gap"] <= 1e-9
+
     def test_malformed_row_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("0.5,0.4\n0.5,0.5\n")
@@ -191,6 +199,17 @@ class TestSweep:
         polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
         assert len(polylines) == 5  # every series has at least one defined point
 
+    def test_relay3_midrange_capacity_is_rounded_correctly(self, capsys):
+        # the 50-digit capacity at alpha = 0.48 and 0.52 is
+        # 0.0034578579582157203; BA seeded with p* certifies a lower end that
+        # prints as its correctly rounded 9 digits
+        args = ["sweep", "--family", "relay-miso", "--n", "3", "--range", "0.02:0.98"]
+        assert main(args + ["--steps", "49"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        ba = {row[0]: row[2] for row in rows}
+        assert ba["0.48"] == "0.00345785796"
+        assert ba["0.52"] == "0.00345785796"
+
     def test_byte_identical_across_runs(self, tmp_path):
         args = ["sweep", "--family", "beta", "--range", "0.05:0.95", "--steps", "7"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -263,8 +282,8 @@ class TestInfiniteGap:
 
     @pytest.fixture(autouse=True)
     def infinite_gap(self, monkeypatch):
-        def uncertified(matrix, tol, max_iter):
-            est = blahut_arimoto(matrix, tol, max_iter)
+        def uncertified(matrix, tol, max_iter, **kwargs):
+            est = blahut_arimoto(matrix, tol, max_iter, **kwargs)
             return CapacityEstimate(
                 est.capacity, est.optimal_input, est.iterations, math.inf, est.method
             )

@@ -4,20 +4,25 @@ import numpy as np
 import pytest
 
 from dmcbounds import (
+    FamilySpec,
     InvalidParameter,
+    InvalidPmf,
     NotConverged,
+    NumericError,
     TooLarge,
     arimoto_upper_bound,
     blahut_arimoto,
     boyd_chiang_upper_bound,
+    build_family,
     capacity_upper_bound,
+    fixed_example,
     grid_oracle,
     random_sdd_positive,
     relay_miso,
     row_entropies,
     validate_channel,
 )
-from dmcbounds.reference import _bracket, _divergence_terms
+from dmcbounds.reference import NEWTON_EVERY, _bracket, _divergence_terms
 from conftest import entropy2
 
 
@@ -43,6 +48,20 @@ def rank_two_channel():
 
 
 Z_CHANNEL = [[1.0, 0.0], [0.5, 0.5]]
+
+
+def sweep_channels(family, n, lo, hi, steps):
+    """The channels of a CLI sweep, at the grid parameters the CLI uses."""
+    grid = [hi if i == steps - 1 else lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
+    return [build_family(FamilySpec(family, n, x, None)) for x in grid]
+
+
+def closed_form_input(matrix):
+    """p* of the closed form, or None where the matrix has no closed form."""
+    try:
+        return capacity_upper_bound(matrix).p_star
+    except NumericError:
+        return None
 
 
 class TestBlahutArimoto:
@@ -171,9 +190,12 @@ class TestSparseOptimalInput:
 
     @pytest.mark.parametrize("max_iter", [0, 1, 49, 50, 51, 60, 75])
     def test_iterations_never_exceed_max_iter(self, max_iter):
-        for m in (relay_miso(30, 0.10), relay_miso(8, 0.3), rank_two_channel()):
+        seeded = relay_miso(30, 0.14)  # its p* needs the Newton solve
+        calls = [(m, None) for m in (relay_miso(30, 0.10), relay_miso(8, 0.3), rank_two_channel())]
+        calls.append((seeded, capacity_upper_bound(seeded).p_star))
+        for m, start in calls:
             try:
-                est = blahut_arimoto(m, 1e-9, max_iter)
+                est = blahut_arimoto(m, 1e-9, max_iter, start=start)
             except NotConverged as err:
                 assert err.iterations == max_iter
                 est = err.estimate
@@ -181,6 +203,108 @@ class TestSparseOptimalInput:
             assert est.iterations <= max_iter
             assert est.optimal_input.min() >= 0.0
             assert est.optimal_input.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_seeded_newton_steps_count_as_iterations(self):
+        m = relay_miso(30, 0.14)
+        p_star = capacity_upper_bound(m).p_star
+        steps = blahut_arimoto(m, start=p_star).iterations
+        assert 0 < steps < NEWTON_EVERY  # certified by the solve from clip(p*)
+        assert blahut_arimoto(m, max_iter=steps, start=p_star).iterations == steps
+        with pytest.raises(NotConverged) as err:
+            blahut_arimoto(m, max_iter=steps - 1, start=p_star)
+        assert err.value.iterations == steps - 1
+
+
+class TestClosedFormStart:
+    """BA seeded with a start hint, normally the closed form's p*."""
+
+    @staticmethod
+    def assert_same_capacity(m, start):
+        plain = blahut_arimoto(m, 1e-9)
+        seeded = blahut_arimoto(m, 1e-9, start=start)
+        assert plain.gap <= 1e-9
+        assert seeded.gap <= 1e-9
+        lower, gap = certified_bracket(m, seeded.optimal_input)
+        assert gap <= 1e-9 + 1e-12
+        assert lower == pytest.approx(seeded.capacity, abs=1e-12)
+        assert seeded.capacity == pytest.approx(plain.capacity, abs=1e-9)
+        return seeded
+
+    @pytest.mark.parametrize(
+        "n, lo, hi, steps",
+        [(3, 0.02, 0.98, 49), (30, 0.02, 0.50, 13), (60, 0.02, 0.50, 25)],
+    )
+    def test_relay_cli_grids(self, n, lo, hi, steps):
+        for m in sweep_channels("relay-miso", n, lo, hi, steps):
+            self.assert_same_capacity(m, closed_form_input(m))
+
+    def test_beta_cli_grid(self):
+        for m in sweep_channels("beta", None, 0.05, 0.95, 19):
+            self.assert_same_capacity(m, closed_form_input(m))
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    @pytest.mark.parametrize("ratio", [1.5, 3.0, 10.0])
+    def test_random_sdd_seeds(self, n, ratio):
+        m = random_sdd_positive(n, ratio, 100 * n + int(ratio))
+        self.assert_same_capacity(m, capacity_upper_bound(m).p_star)
+
+    @pytest.mark.parametrize("name", ["example-1", "example-3", "example-4"])
+    def test_fixed_examples(self, name):
+        m = fixed_example(name)
+        report = capacity_upper_bound(m)
+        seeded = self.assert_same_capacity(m, report.p_star)
+        if report.p_star_feasible:  # p* is optimal, so it certifies at once
+            assert seeded.iterations == 0
+
+    @pytest.mark.parametrize(
+        "hint",
+        [
+            [math.nan, 0.5, 0.5],
+            [math.inf, 0.0, 0.0],
+            [-math.inf, 0.5, 0.5],
+            [0.0, 0.0, 0.0],
+            [-0.2, -0.3, 0.0],
+        ],
+    )
+    def test_unusable_hint_is_ignored_bit_for_bit(self, ex4, hint):
+        plain = blahut_arimoto(ex4)
+        seeded = blahut_arimoto(ex4, start=np.array(hint))
+        assert seeded.capacity == plain.capacity
+        assert seeded.gap == plain.gap
+        assert seeded.iterations == plain.iterations
+        assert np.array_equal(seeded.optimal_input, plain.optimal_input)
+
+    @pytest.mark.parametrize("hint", [[0.5, 0.5], [0.25] * 4, [[0.2, 0.3, 0.5]], 1.0])
+    def test_wrong_shape_is_rejected(self, ex4, hint):
+        with pytest.raises(InvalidPmf):
+            blahut_arimoto(ex4, start=np.array(hint))
+
+    @pytest.mark.parametrize(
+        "m, unused",
+        [(relay_miso(30, 0.14), 14), (relay_miso(8, 0.3), 4), (fixed_example("example-4"), 1)],
+    )
+    def test_point_mass_on_a_non_optimal_input_still_certifies(self, m, unused):
+        assert blahut_arimoto(m).optimal_input[unused] < 1e-6
+        self.assert_same_capacity(m, np.eye(m.n)[unused])
+
+    @pytest.mark.parametrize("hint", [[0.4, 0.3, 0.2, 0.1], [0.0, 0.0, 1.0, 0.0]])
+    def test_failed_solve_from_hint_restarts_from_uniform(self, hint):
+        # the Newton system of a rank-2 channel is singular on a full
+        # support, so the solve from these hints fails; what follows is the
+        # unseeded run, later by the failed steps only
+        m = rank_two_channel()
+        plain = blahut_arimoto(m)
+        seeded = blahut_arimoto(m, start=np.array(hint))
+        assert seeded.iterations > plain.iterations
+        assert seeded.capacity == plain.capacity
+        assert seeded.gap == plain.gap
+        assert np.array_equal(seeded.optimal_input, plain.optimal_input)
+
+    def test_hint_is_not_modified(self, ex4):
+        hint = capacity_upper_bound(ex4).p_star.copy()
+        before = hint.copy()
+        blahut_arimoto(ex4, start=hint)
+        assert np.array_equal(hint, before)
 
 
 class TestGridOracle:
