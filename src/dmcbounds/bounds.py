@@ -12,6 +12,11 @@ to 1 but may go negative), and
 
     C <= H(q*) + sum_ij p*_i A_ij log2 A_ij.
 
+Where A is too close to singular to invert, the same formula with the
+Moore-Penrose pseudo-inverse pinv(A) in place of inv(A) still gives an input
+near the optimum (``pseudo_inverse_input``). It is only a start point for the
+iterative solver, never a bound.
+
 When p* is a valid pmf the bound is the capacity. Four sufficient conditions
 certify that, ordered from sharpest to cheapest to evaluate:
 
@@ -40,7 +45,14 @@ import numpy as np
 
 from .errors import NotPositive, PreconditionNotMet
 from .formatting import fmt, fmt_vector
-from .matrix import ChannelMatrix, InverseAnalysis, analyze_inverse, entropy_bits, invert
+from .matrix import (
+    ChannelMatrix,
+    InverseAnalysis,
+    analyze_inverse,
+    entropy_bits,
+    invert,
+    row_entropies,
+)
 
 FEASIBILITY_TOL = -1e-10
 
@@ -138,6 +150,30 @@ def optimal_output_distribution(k: np.ndarray) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     w = np.exp2(-(k - k.min()))
     return w / w.sum()
+
+
+def _kkt_closed_form(
+    inverse: np.ndarray, entropies: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K, q*, p*) of the KKT closed form from an inverse of A and A's row
+    entropies: K = inverse @ H, q* = softmax(-K), p* = inverse^T q*."""
+    k = inverse @ entropies
+    q_star = optimal_output_distribution(k)
+    return k, q_star, inverse.T @ q_star
+
+
+def pseudo_inverse_input(matrix: ChannelMatrix) -> np.ndarray | None:
+    """The closed form's input with pinv(A) in place of inv(A).
+
+    A start hint for ``blahut_arimoto`` where A is refused as singular: it
+    need not be a pmf and bounds nothing. None when the SVD inside
+    ``np.linalg.pinv`` does not converge.
+    """
+    try:
+        pinv = np.linalg.pinv(matrix.entries)
+    except np.linalg.LinAlgError:
+        return None
+    return _kkt_closed_form(pinv, row_entropies(matrix)[0])[2]
 
 
 def back_projected_input(matrix: ChannelMatrix, q_star: np.ndarray) -> np.ndarray:
@@ -242,9 +278,7 @@ def capacity_upper_bound(
         analysis = analyze_inverse(matrix)
     if not analysis.is_positive:
         raise NotPositive("the closed-form bound requires a strictly positive matrix")
-    k = inverse_row_entropies(matrix, analysis)
-    q_star = optimal_output_distribution(k)
-    p_star = analysis.inverse.T @ q_star
+    k, q_star, p_star = _kkt_closed_form(analysis.inverse, analysis.row_entropies)
     upper = entropy_bits(q_star) - float(p_star @ analysis.row_entropies)
     spectral, v = check_spectral_condition(matrix, analysis)
     if analysis.is_sdd:

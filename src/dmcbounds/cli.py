@@ -20,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .bounds import Condition, capacity_upper_bound
+from .bounds import Condition, capacity_upper_bound, pseudo_inverse_input
 from .errors import (
     ConvergenceFailure,
     DmcError,
@@ -166,7 +166,7 @@ def cmd_generate(args) -> int:
 def sweep_record(spec: FamilySpec, tol: float, max_iter: int) -> SweepRecord:
     """Evaluate one grid point; numeric failures turn into NA columns."""
     matrix = build_family(spec)
-    upper = feasible = p_star = None
+    upper = feasible = start = None
     spectral = gershgorin = None
     try:
         report = capacity_upper_bound(matrix)
@@ -174,16 +174,18 @@ def sweep_record(spec: FamilySpec, tol: float, max_iter: int) -> SweepRecord:
         feasible = report.p_star_feasible
         spectral = report.spectral_condition
         gershgorin = report.gershgorin_condition
-        p_star = report.p_star
-    except (SingularMatrix, NotPositive):
+        start = report.p_star
+    except (SingularMatrix, NotPositive) as exc:
         # dominance implies invertibility and the conditions assume a
         # positive matrix, so the hypotheses cannot hold here
         spectral = Condition.PRECONDITION_NOT_MET
         gershgorin = Condition.PRECONDITION_NOT_MET
+        if isinstance(exc, SingularMatrix):  # a start for BA, not a bound
+            start = pseudo_inverse_input(matrix)
     except ConvergenceFailure:
         pass
     try:
-        ba = blahut_arimoto(matrix, tol, max_iter, start=p_star).capacity
+        ba = blahut_arimoto(matrix, tol, max_iter, start=start).capacity
     except NumericError:
         ba = None
     return SweepRecord(

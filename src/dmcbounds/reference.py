@@ -27,7 +27,14 @@ its bracket is already within the tolerance it is returned with 0
 iterations; otherwise the Newton solve runs from it at once, its steps
 counted like any other, and if that solve fails the iteration starts over
 from uniform exactly as without a hint. Either way the reported capacity is
-the lower end of a certified bracket at whichever input certified it.
+the lower end of a certified bracket at whichever input certified it, raised
+to 0 if it rounds below (C >= 0 for every channel), with the gap shrunk by as
+much so the bracket keeps its top.
+
+Where A is refused as singular there is no p*; the CLI's sweep then passes
+the same closed form computed with the pseudo-inverse pinv(A), which puts the
+start close to the optimal support just the same. A matrix that inverts but
+has a zero entry has no closed form, and its sweep point starts from uniform.
 
 The grid oracle is an independent brute-force check for tiny alphabets: it
 evaluates mutual information on the whole simplex lattice {k/resolution} and
@@ -164,6 +171,17 @@ def _newton_on_support(
     return None, budget
 
 
+def _estimate(lower: float, gap: float, p: np.ndarray, iterations: int) -> CapacityEstimate:
+    """The bracket [lower, lower + gap] at p, its lower end raised to 0.
+
+    C >= 0 for every channel, so a negative lower end (or -0.0) is rounding;
+    the gap shrinks by the same amount, so the top of the bracket stays put.
+    """
+    if lower <= 0.0:
+        lower, gap = 0.0, max(gap + lower, 0.0)
+    return CapacityEstimate(lower, p, iterations, gap, "blahut-arimoto")
+
+
 def _seed_pmf(start, n: int) -> np.ndarray | None:
     """clip(start, 0) renormalized, or None for no hint, a non-finite hint or
     one without positive mass. Raises InvalidPmf unless its shape is (n,)."""
@@ -199,6 +217,10 @@ def blahut_arimoto(
     bracket is already within ``tol``; otherwise the Newton solve runs from
     it first, and if that fails the iteration starts over from uniform. A
     non-finite hint, or one without positive mass, is ignored.
+
+    The capacity reported (here and on NotConverged) is never negative: a
+    lower end below 0 is rounding, so it is reported as 0 and the gap shrinks
+    by the same amount.
     """
     if tol <= 0.0:
         raise InvalidParameter(f"tolerance must be positive, got {tol!r}")
@@ -215,10 +237,10 @@ def blahut_arimoto(
         d = _divergence_terms(entries, neg_ent, p)
         lower, gap = _bracket(p, d)
         if gap <= tol:
-            return CapacityEstimate(lower, p, iterations, gap, "blahut-arimoto")
+            return _estimate(lower, gap, p, iterations)
         if iterations >= max_iter:
-            estimate = CapacityEstimate(lower, p, iterations, gap, "blahut-arimoto")
-            raise NotConverged(iterations, gap, estimate)
+            estimate = _estimate(lower, gap, p, iterations)
+            raise NotConverged(iterations, estimate.gap, estimate)
         if since_newton == NEWTON_EVERY:
             since_newton = 0
             budget = min(max_iter - iterations, matrix.n + NEWTON_EVERY)

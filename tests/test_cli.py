@@ -9,13 +9,16 @@ import pytest
 
 from dmcbounds import (
     CapacityEstimate,
+    FamilySpec,
     blahut_arimoto,
+    build_family,
     dump_matrix_csv,
     fixed_example,
     load_matrix_csv,
+    pseudo_inverse_input,
     validate_channel,
 )
-from dmcbounds.cli import main, run_sweep, sweep_csv
+from dmcbounds.cli import main, run_sweep, sweep_csv, sweep_record
 
 SWEEP_HEADER = (
     "parameter,upper_bound,ba_capacity,arimoto,"
@@ -168,6 +171,7 @@ class TestSweep:
         assert mid.ba_capacity is not None  # iterative capacity needs no inverse
         text = sweep_csv(records)
         assert ",NA," in text.split("\n")[2]
+        assert text.split("\n")[2].split(",")[2] == "0"  # C = 0: rank 1
 
     def test_nonpositive_endpoint_turns_na(self):
         records = run_sweep("relay-miso", 3, 0.0, 0.2, 3)
@@ -216,6 +220,34 @@ class TestSweep:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestSweepRecordStart:
+    """The start hint ``sweep_record`` gives ``blahut_arimoto``."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = []
+
+        def recording(matrix, tol, max_iter, **kwargs):
+            calls.append(kwargs)
+            return blahut_arimoto(matrix, tol, max_iter, **kwargs)
+
+        monkeypatch.setattr("dmcbounds.cli.blahut_arimoto", recording)
+        return calls
+
+    def test_singular_point_starts_from_pseudo_inverse_input(self, calls):
+        alpha = 0.02 + 9 * (0.50 - 0.02) / 12  # alpha = 0.38 on the n=30/13 grid
+        spec = FamilySpec("relay-miso", 30, alpha, None)
+        record = sweep_record(spec, 1e-9, 100_000)
+        assert np.array_equal(calls[0]["start"], pseudo_inverse_input(build_family(spec)))
+        assert record.upper_bound is None  # the hint is not a bound
+        assert record.to_csv_row().split(",")[1] == "NA"
+        assert record.ba_capacity == pytest.approx(0.683040186, abs=1e-9)
+
+    def test_non_positive_point_starts_from_uniform(self, calls):
+        sweep_record(FamilySpec("relay-miso", 3, 0.0, None), 1e-9, 100_000)
+        assert calls[0]["start"] is None
 
 
 class TestCompare:

@@ -9,7 +9,9 @@ from dmcbounds import (
     InvalidPmf,
     NotConverged,
     NumericError,
+    SingularMatrix,
     TooLarge,
+    analyze_inverse,
     arimoto_upper_bound,
     blahut_arimoto,
     boyd_chiang_upper_bound,
@@ -17,6 +19,7 @@ from dmcbounds import (
     capacity_upper_bound,
     fixed_example,
     grid_oracle,
+    pseudo_inverse_input,
     random_sdd_positive,
     relay_miso,
     row_entropies,
@@ -54,6 +57,14 @@ def sweep_channels(family, n, lo, hi, steps):
     """The channels of a CLI sweep, at the grid parameters the CLI uses."""
     grid = [hi if i == steps - 1 else lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
     return [build_family(FamilySpec(family, n, x, None)) for x in grid]
+
+
+def refused_as_singular(matrix):
+    try:
+        analyze_inverse(matrix)
+    except SingularMatrix:
+        return True
+    return False
 
 
 def closed_form_input(matrix):
@@ -228,7 +239,7 @@ class TestClosedFormStart:
         assert gap <= 1e-9 + 1e-12
         assert lower == pytest.approx(seeded.capacity, abs=1e-12)
         assert seeded.capacity == pytest.approx(plain.capacity, abs=1e-9)
-        return seeded
+        return plain, seeded
 
     @pytest.mark.parametrize(
         "n, lo, hi, steps",
@@ -252,7 +263,7 @@ class TestClosedFormStart:
     def test_fixed_examples(self, name):
         m = fixed_example(name)
         report = capacity_upper_bound(m)
-        seeded = self.assert_same_capacity(m, report.p_star)
+        _, seeded = self.assert_same_capacity(m, report.p_star)
         if report.p_star_feasible:  # p* is optimal, so it certifies at once
             assert seeded.iterations == 0
 
@@ -299,6 +310,60 @@ class TestClosedFormStart:
         assert seeded.capacity == plain.capacity
         assert seeded.gap == plain.gap
         assert np.array_equal(seeded.optimal_input, plain.optimal_input)
+
+    @pytest.mark.parametrize("n, steps, singular", [(30, 13, 5), (60, 25, 16)])
+    def test_pseudo_inverse_hint_at_singular_cli_grid_points(self, n, steps, singular):
+        points = [
+            m for m in sweep_channels("relay-miso", n, 0.02, 0.50, steps)
+            if refused_as_singular(m)
+        ]
+        assert len(points) == singular
+        for m in points:
+            plain, seeded = self.assert_same_capacity(m, pseudo_inverse_input(m))
+            if plain.iterations:  # alpha = 0.5 (rank 1) certifies at once either way
+                assert seeded.iterations < plain.iterations
+            else:
+                assert seeded.iterations == 0
+
+    def test_pseudo_inverse_input_is_p_star_when_a_inverts(self, ex1):
+        expected = capacity_upper_bound(ex1).p_star
+        assert pseudo_inverse_input(ex1) == pytest.approx(expected, abs=1e-12)
+
+    def test_pinv_failure_gives_no_hint(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        m = relay_miso(30, 0.38)
+        monkeypatch.setattr(np.linalg, "pinv", no_convergence)
+        hint = pseudo_inverse_input(m)
+        assert hint is None
+        plain = blahut_arimoto(m)
+        seeded = blahut_arimoto(m, start=hint)
+        assert seeded.capacity == plain.capacity
+        assert seeded.gap == plain.gap
+        assert seeded.iterations == plain.iterations
+        assert np.array_equal(seeded.optimal_input, plain.optimal_input)
+
+    @pytest.mark.parametrize("n", [3, 30])
+    def test_capacity_of_a_rank_one_channel_is_never_negative(self, n):
+        # every row of relay_miso(n, 0.5) is the same, so C = 0; from some of
+        # these hints the bracket's lower end rounds to a few ulps below 0
+        m = relay_miso(n, 0.5)
+        neg_ent = -row_entropies(m)[0]
+        rng = np.random.default_rng(2024)
+        for _ in range(20):
+            hint = rng.random(n + 1)
+            for tol, max_iter in ((1e-9, 100_000), (1e-300, 3)):
+                try:
+                    est = blahut_arimoto(m, tol, max_iter, start=hint)
+                except NotConverged as err:
+                    est = err.estimate
+                    assert err.gap == est.gap
+                assert math.copysign(1.0, est.capacity) == 1.0  # not -0.0 either
+                p = est.optimal_input
+                lower, gap = _bracket(p, _divergence_terms(m.entries, neg_ent, p))
+                assert est.capacity == max(lower, 0.0)
+                assert est.capacity + est.gap == max(lower + gap, 0.0)  # same top
 
     def test_hint_is_not_modified(self, ex4):
         hint = capacity_upper_bound(ex4).p_star.copy()
