@@ -44,13 +44,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositive, PreconditionNotMet
-from .formatting import fmt, fmt_vector
 from .matrix import (
     ChannelMatrix,
     InverseAnalysis,
     analyze_inverse,
     entropy_bits,
-    invert,
     row_entropies,
 )
 
@@ -92,50 +90,6 @@ class BoundReport:
     def n(self) -> int:
         return len(self.q_star)
 
-    def to_text(self) -> str:
-        """Flat key-value block, one field per line."""
-        lines = [
-            f"n: {self.n}",
-            f"upper_bound: {fmt(self.upper_bound)}",
-            f"feasible: {fmt(self.p_star_feasible)}",
-            f"feasibility_condition: {self.feasibility_condition}",
-            f"spectral_condition: {self.spectral_condition}",
-            f"coarse_condition: {self.coarse_condition}",
-            f"gershgorin_condition: {self.gershgorin_condition}",
-            f"c_min: {fmt(self.analysis.c_min)}",
-            f"sigma_min: {fmt(self.analysis.sigma_min)}",
-            f"sigma_star: {fmt(self.sigma_star)}",
-            f"h_max: {fmt(self.analysis.h_max)}",
-            f"h_max_star: {fmt(self.h_max_star)}",
-            f"root_exponent: {fmt(self.root_exponent)}",
-            f"inverse_entropies: {fmt_vector(self.inverse_entropies)}",
-            f"q_star: {fmt_vector(self.q_star)}",
-            f"p_star: {fmt_vector(self.p_star)}",
-        ]
-        return "\n".join(lines)
-
-    def to_csv_row(self) -> str:
-        """One CSV row: n, upper_bound, feasible, the four condition states
-        (feasibility, spectral, coarse, Gershgorin), c_min, sigma_min,
-        sigma_star, h_max, h_max_star, then q*_1..n and p*_1..n."""
-        cells = [
-            str(self.n),
-            fmt(self.upper_bound),
-            fmt(self.p_star_feasible),
-            str(self.feasibility_condition),
-            str(self.spectral_condition),
-            str(self.coarse_condition),
-            str(self.gershgorin_condition),
-            fmt(self.analysis.c_min),
-            fmt(self.analysis.sigma_min),
-            fmt(self.sigma_star),
-            fmt(self.analysis.h_max),
-            fmt(self.h_max_star),
-        ]
-        cells.extend(fmt(float(x)) for x in self.q_star)
-        cells.extend(fmt(float(x)) for x in self.p_star)
-        return ",".join(cells)
-
 
 def inverse_row_entropies(matrix: ChannelMatrix, analysis: InverseAnalysis) -> np.ndarray:
     """K_j = sum_i inv(A)[j][i] * H(A_i), in bits. Requires a positive matrix."""
@@ -176,9 +130,18 @@ def pseudo_inverse_input(matrix: ChannelMatrix) -> np.ndarray | None:
     return _kkt_closed_form(pinv, row_entropies(matrix)[0])[2]
 
 
-def back_projected_input(matrix: ChannelMatrix, q_star: np.ndarray) -> np.ndarray:
-    """p* = inv(A)^T q*. Sums to 1 by construction; entries may be negative."""
-    return invert(matrix).T @ np.asarray(q_star, dtype=float)
+def _dominant_positive(analysis: InverseAnalysis) -> bool:
+    """The hypothesis of every sufficient condition: A strictly positive and
+    strictly diagonally dominant. It forces 1 < c_min < inf, since dominance
+    gives A_ii - off_i > 1e-12 with off_i <= 1, and positivity off_i > 0."""
+    return analysis.is_positive and analysis.is_sdd
+
+
+def _spectral_lhs(n: int, c: float) -> tuple[float, float]:
+    """((1/V)*log2((c-1)/(n-1)^2), V) with V = c/(c-1): the left-hand side
+    the spectral and Gershgorin tests share."""
+    v = c / (c - 1.0)
+    return (1.0 / v) * math.log2((c - 1.0) / (n - 1) ** 2), v
 
 
 def _inverse_column_ratios(inverse: np.ndarray) -> np.ndarray:
@@ -195,7 +158,7 @@ def check_feasibility_condition(
 ) -> Condition:
     """Holds when every inverse column ratio is at least (n-1)*2^(K_max-K_min),
     which certifies p* >= 0 entrywise."""
-    if not (analysis.is_positive and analysis.is_sdd):
+    if not _dominant_positive(analysis):
         return Condition.PRECONDITION_NOT_MET
     n = matrix.n
     spread = float(k.max() - k.min())
@@ -210,19 +173,16 @@ def check_spectral_condition(
 ) -> tuple[Condition, float]:
     """Test (1/V)*log2((c_min-1)/(n-1)^2) >= n*H_max/sigma_min with
     V = c_min/(c_min-1). Returns the tri-state and V (NaN if unavailable)."""
-    if not (analysis.is_positive and analysis.is_sdd and analysis.c_min > 1.0):
+    if not _dominant_positive(analysis):
         return Condition.PRECONDITION_NOT_MET, math.nan
-    n = matrix.n
-    c = analysis.c_min
-    v = c / (c - 1.0)
-    lhs = (1.0 / v) * math.log2((c - 1.0) / (n - 1) ** 2)
-    rhs = n * analysis.h_max / analysis.sigma_min
+    lhs, v = _spectral_lhs(matrix.n, analysis.c_min)
+    rhs = matrix.n * analysis.h_max / analysis.sigma_min
     return (Condition.HOLDS if lhs >= rhs else Condition.FAILS), v
 
 
 def check_coarse_condition(matrix: ChannelMatrix, analysis: InverseAnalysis) -> Condition:
     """Cruder variant: log2((c_min-1)/(n-1)^2) >= 2*n*log2(n)/sigma_min."""
-    if not (analysis.is_positive and analysis.is_sdd and analysis.c_min > 1.0):
+    if not _dominant_positive(analysis):
         return Condition.PRECONDITION_NOT_MET
     n = matrix.n
     lhs = math.log2((analysis.c_min - 1.0) / (n - 1) ** 2)
@@ -237,7 +197,7 @@ def spectral_surrogates(
     H*_max = log2(c_min+1) + (log2(n-1) - c_min*log2(c_min))/(c_min+1), an
     upper bound on H_max. Requires a strictly diagonally dominant positive
     matrix (which forces c_min finite)."""
-    if not (analysis.is_positive and analysis.is_sdd) or math.isinf(analysis.c_min):
+    if not _dominant_positive(analysis):
         raise PreconditionNotMet(
             "surrogates require a strictly diagonally dominant positive matrix"
         )
@@ -253,16 +213,13 @@ def check_gershgorin_condition(
 ) -> Condition:
     """The spectral test with sigma*/H*_max substituted, so it needs only
     c_min. Requires sigma* > 0, i.e. c_min > n/2."""
-    if not (analysis.is_positive and analysis.is_sdd and analysis.c_min > 1.0):
+    if not _dominant_positive(analysis):
         return Condition.PRECONDITION_NOT_MET
     sigma_star, h_max_star = spectral_surrogates(matrix, analysis)
     if sigma_star <= 0.0:
         return Condition.PRECONDITION_NOT_MET
-    n = matrix.n
-    c = analysis.c_min
-    v = c / (c - 1.0)
-    lhs = (1.0 / v) * math.log2((c - 1.0) / (n - 1) ** 2)
-    rhs = n * h_max_star / sigma_star
+    lhs, _ = _spectral_lhs(matrix.n, analysis.c_min)
+    rhs = matrix.n * h_max_star / sigma_star
     return Condition.HOLDS if lhs >= rhs else Condition.FAILS
 
 
@@ -281,7 +238,7 @@ def capacity_upper_bound(
     k, q_star, p_star = _kkt_closed_form(analysis.inverse, analysis.row_entropies)
     upper = entropy_bits(q_star) - float(p_star @ analysis.row_entropies)
     spectral, v = check_spectral_condition(matrix, analysis)
-    if analysis.is_sdd:
+    if _dominant_positive(analysis):
         sigma_star, h_max_star = spectral_surrogates(matrix, analysis)
     else:
         sigma_star, h_max_star = math.nan, math.nan

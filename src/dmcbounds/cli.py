@@ -42,12 +42,6 @@ from .reference import (
 )
 from .svg import render_line_chart
 
-SWEEP_HEADER = (
-    "parameter,upper_bound,ba_capacity,arimoto,"
-    "boyd_chiang_col,boyd_chiang_row,prop3,cor2,feasible"
-)
-COMPARE_HEADER = "upper_bound,ba_capacity,arimoto,boyd_chiang_col,boyd_chiang_row,tightest"
-
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -63,27 +57,38 @@ class SweepRecord:
     gershgorin: Condition | None
     feasible: bool | None
 
-    def to_csv_row(self) -> str:
-        def opt(v) -> str:
-            if v is None:
-                return "NA"
-            if isinstance(v, Condition):
-                return v.value
-            return fmt(v)
+    def columns(self) -> dict:
+        """CSV header name -> value, in column order."""
+        return {
+            "parameter": self.parameter,
+            "upper_bound": self.upper_bound,
+            "ba_capacity": self.ba_capacity,
+            "arimoto": self.arimoto,
+            "boyd_chiang_col": self.boyd_col,
+            "boyd_chiang_row": self.boyd_row,
+            "prop3": self.spectral,
+            "cor2": self.gershgorin,
+            "feasible": self.feasible,
+        }
 
-        return ",".join(
-            [
-                fmt(self.parameter),
-                opt(self.upper_bound),
-                opt(self.ba_capacity),
-                fmt(self.arimoto),
-                fmt(self.boyd_col),
-                fmt(self.boyd_row),
-                opt(self.spectral),
-                opt(self.gershgorin),
-                opt(self.feasible),
-            ]
-        )
+
+def _cell(value) -> str:
+    """How every command prints one value: None is NA, a list its values
+    comma-joined, a float or bool goes through ``fmt``, and anything else (an
+    int, a Condition, a name) through ``str``."""
+    if value is None:
+        return "NA"
+    if isinstance(value, list):
+        return ",".join(map(_cell, value))
+    if isinstance(value, (float, bool)):
+        return fmt(value)
+    return str(value)
+
+
+def _csv(rows: list[dict]) -> str:
+    """The first row's keys as the header, then one line per row."""
+    lines = [",".join(rows[0])] + [",".join(map(_cell, r.values())) for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _analyze_document(matrix: ChannelMatrix, tol: float, max_iter: int) -> dict:
@@ -115,39 +120,23 @@ def _analyze_document(matrix: ChannelMatrix, tol: float, max_iter: int) -> dict:
     }
 
 
-def _document_text(doc: dict) -> str:
-    lines = []
-    for key, value in doc.items():
-        if isinstance(value, list):
-            rendered = ",".join(fmt(v) for v in value)
-        elif isinstance(value, bool):
-            rendered = fmt(value)
-        elif isinstance(value, float):
-            rendered = fmt(value)
-        else:
-            rendered = str(value)
-        lines.append(f"{key}: {rendered}")
-    return "\n".join(lines)
-
-
-def _json_safe(doc: dict) -> dict:
-    def conv(v):
-        if isinstance(v, float) and (math.isnan(v) or math.isinf(v)):
-            return fmt(v)
-        if isinstance(v, list):
-            return [conv(x) for x in v]
-        return v
-
-    return {k: conv(v) for k, v in doc.items()}
+def _json_value(value):
+    """JSON has no NaN or inf: only those floats become strings, as ``fmt``
+    prints them."""
+    if isinstance(value, list):
+        return [_json_value(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return fmt(value)
+    return value
 
 
 def cmd_analyze(args) -> int:
     matrix = load_matrix_csv(args.matrix)
     doc = _analyze_document(matrix, args.tol, args.max_iter)
     if args.json:
-        print(json.dumps(_json_safe(doc), indent=2))
+        print(json.dumps({k: _json_value(v) for k, v in doc.items()}, indent=2))
     else:
-        print(_document_text(doc))
+        print("\n".join(f"{k}: {_cell(v)}" for k, v in doc.items()))
     return 0
 
 
@@ -231,7 +220,7 @@ def run_sweep(
 
 
 def sweep_csv(records: list[SweepRecord]) -> str:
-    return "\n".join([SWEEP_HEADER] + [r.to_csv_row() for r in records]) + "\n"
+    return _csv([r.columns() for r in records])
 
 
 def sweep_svg(records: list[SweepRecord], family: str) -> str:
@@ -280,25 +269,17 @@ def cmd_compare(args) -> int:
     matrix = load_matrix_csv(args.matrix)
     report = capacity_upper_bound(matrix)
     est = blahut_arimoto(matrix, args.tol, args.max_iter, start=report.p_star)
-    bounds = [
-        ("closed-form", report.upper_bound),
-        ("arimoto", arimoto_upper_bound(matrix)),
-        ("boyd-chiang-col", boyd_chiang_upper_bound(matrix, "column-max")),
-        ("boyd-chiang-row", boyd_chiang_upper_bound(matrix, "row-max")),
-    ]
-    tightest = min(bounds, key=lambda kv: kv[1])[0]
-    row = ",".join(
-        [
-            fmt(report.upper_bound),
-            fmt(est.capacity),
-            fmt(bounds[1][1]),
-            fmt(bounds[2][1]),
-            fmt(bounds[3][1]),
-            tightest,
-        ]
-    )
-    print(COMPARE_HEADER)
-    print(row)
+    row = {
+        "upper_bound": report.upper_bound,
+        "ba_capacity": est.capacity,
+        "arimoto": arimoto_upper_bound(matrix),
+        "boyd_chiang_col": boyd_chiang_upper_bound(matrix, "column-max"),
+        "boyd_chiang_row": boyd_chiang_upper_bound(matrix, "row-max"),
+    }
+    names = {"upper_bound": "closed-form", "arimoto": "arimoto",
+             "boyd_chiang_col": "boyd-chiang-col", "boyd_chiang_row": "boyd-chiang-row"}
+    row["tightest"] = names[min(names, key=row.get)]  # the first of equal bounds
+    sys.stdout.write(_csv([row]))
     return 0
 
 

@@ -5,16 +5,12 @@ from __future__ import annotations
 import math
 
 
-def fmt(x: float, digits: int = 9) -> str:
-    """Fixed significant-digit rendering; NaN becomes the NA marker."""
+def fmt(x: float) -> str:
+    """Nine significant digits; NaN becomes the NA marker."""
     if isinstance(x, bool):
         return "true" if x else "false"
     if math.isnan(x):
         return "NA"
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
-    return format(x, f".{digits}g")
-
-
-def fmt_vector(v, digits: int = 9) -> str:
-    return ",".join(fmt(float(x), digits) for x in v)
+    return format(x, ".9g")

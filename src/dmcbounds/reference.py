@@ -276,7 +276,8 @@ def grid_oracle(matrix: ChannelMatrix, resolution: int) -> CapacityEstimate:
 
     ``iterations`` reports the number of lattice points evaluated; ``gap`` is
     the certified bracket max_i D_i - I at the lattice maximizer, so the true
-    capacity lies within [capacity, capacity + gap].
+    capacity lies within [capacity, capacity + gap]. As in ``_bracket``, the
+    gap is clamped at 0: a negative value is rounding.
     """
     n = matrix.n
     if n > GRID_MAX_N:
@@ -292,7 +293,7 @@ def grid_oracle(matrix: ChannelMatrix, resolution: int) -> CapacityEstimate:
     best = int(np.argmax(mi))
     p_best = pmfs[best]
     d = _divergence_terms(matrix.entries, neg_ent, p_best)
-    gap = float(d.max()) - float(mi[best])
+    gap = max(float(d.max()) - float(mi[best]), 0.0)
     return CapacityEstimate(float(mi[best]), p_best, len(pmfs), gap, "grid-oracle")
 
 

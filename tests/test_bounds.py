@@ -12,7 +12,6 @@ from dmcbounds import (
     NotPositive,
     PreconditionNotMet,
     analyze_inverse,
-    back_projected_input,
     blahut_arimoto,
     capacity_upper_bound,
     check_coarse_condition,
@@ -100,26 +99,25 @@ class TestOptimalOutputDistribution:
 
 
 class TestBackProjectedInput:
-    def test_reliable_example(self, ex1, an1):
-        k = inverse_row_entropies(ex1, an1)
-        p = back_projected_input(ex1, optimal_output_distribution(k))
+    """p* = inv(A)^T q*, as ``capacity_upper_bound`` reports it."""
+
+    def test_reliable_example(self, ex1):
+        p = capacity_upper_bound(ex1).p_star
         assert p == pytest.approx([0.33067, 0.33480, 0.33453], abs=1e-4)
 
-    def test_permutation_row_example(self, ex3, an3):
-        k = inverse_row_entropies(ex3, an3)
-        p = back_projected_input(ex3, optimal_output_distribution(k))
+    def test_permutation_row_example(self, ex3):
+        p = capacity_upper_bound(ex3).p_star
         assert p == pytest.approx([0.32959, 0.33337, 0.33704], abs=1e-4)
 
     def test_symmetric_matrix_uniform_q_gives_uniform_p(self):
         m = validate_channel(
             [[0.8, 0.15, 0.05], [0.15, 0.7, 0.15], [0.05, 0.15, 0.8]]
         )
-        p = back_projected_input(m, np.full(3, 1 / 3))
+        p = analyze_inverse(m).inverse.T @ np.full(3, 1 / 3)
         assert p == pytest.approx([1 / 3] * 3, abs=1e-12)
 
-    def test_sums_to_one_even_when_infeasible(self, ex4, an4):
-        k = inverse_row_entropies(ex4, an4)
-        p = back_projected_input(ex4, optimal_output_distribution(k))
+    def test_sums_to_one_even_when_infeasible(self, ex4):
+        p = capacity_upper_bound(ex4).p_star
         assert p.sum() == pytest.approx(1.0, abs=1e-8)
         assert p.min() < 0  # the unreliable channel back-projects outside the simplex
 
@@ -273,33 +271,6 @@ class TestGershgorinCondition:
             check_gershgorin_condition(m, analyze_inverse(m))
             is Condition.PRECONDITION_NOT_MET
         )
-
-
-class TestReportSerialization:
-    def test_text_block_is_flat_key_value(self, ex1):
-        text = capacity_upper_bound(ex1).to_text()
-        lines = text.split("\n")
-        assert all(": " in line for line in lines)
-        keys = [line.split(":")[0] for line in lines]
-        assert keys[0] == "n"
-        assert "upper_bound" in keys and "q_star" in keys and "p_star" in keys
-
-    def test_csv_row_layout(self, ex1):
-        r = capacity_upper_bound(ex1)
-        cells = r.to_csv_row().split(",")
-        # n, bound, feasible, four conditions, five diagnostics, then q* and p*
-        assert len(cells) == 12 + 2 * ex1.n
-        assert cells[0] == "3"
-        assert cells[2] == "true"
-        assert cells[3:7] == ["holds", "holds", "fails", "holds"]
-        assert float(cells[7]) == pytest.approx(19.0)
-        assert float(cells[12]) == pytest.approx(r.q_star[0])
-        assert float(cells[15]) == pytest.approx(r.p_star[0])
-
-    def test_unavailable_surrogates_marked_na(self, ex4):
-        cells = capacity_upper_bound(ex4).to_csv_row().split(",")
-        assert cells[9] == "NA"  # sigma_star needs dominance
-        assert cells[11] == "NA"
 
 
 class TestPropertySuite:

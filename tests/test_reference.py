@@ -394,6 +394,15 @@ class TestGridOracle:
         assert est.capacity <= truth + 1e-9
         assert truth <= est.capacity + est.gap + 1e-9
 
+    def test_gap_is_never_negative_at_a_rank_1_channel(self):
+        # every row of relay-miso(3, 0.5) is the same, so C = 0 and rounding
+        # puts I(p) a few ulps above max_i D_i at the lattice maximizer
+        m = relay_miso(3, 0.5)
+        for resolution in (20, 60):
+            est = grid_oracle(m, resolution)
+            assert est.capacity == pytest.approx(0.0, abs=1e-15)
+            assert est.gap >= 0.0, resolution
+
     def test_alphabet_size_limit(self):
         m = random_sdd_positive(5, 3.0, 1)
         with pytest.raises(TooLarge):
