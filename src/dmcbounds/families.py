@@ -92,37 +92,42 @@ def relay_miso_explicit3(alpha: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=2)
-def _relay_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _relay_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Row r (0-indexed) means r of the n binary uplinks carry a one; each
     # uplink flips independently with probability alpha; the receiver outputs
     # the count c. So row r is the convolution of Bin(r, 1-alpha) (the ones
     # that survive) with Bin(n-r, alpha) (the zeros that flip up), and term s
-    # of entry (r, c) has s ones flipped down and c-r+s zeros flipped up:
-    #   coef[s, r, c]  = C(n-r, c-r+s) * C(r, s), rounded once to a double,
-    #   flips[s, r, c] = c-r+2s,
-    # both zero where a binomial vanishes. The table is alpha-free, so one
-    # build serves a whole sweep at this n; it is read-only because it is shared.
+    # of entry (r, c) has s ones flipped down and c-r+s zeros flipped up.
+    # The table lists only the terms where both binomials are nonzero (5,456
+    # of the 31^3 (s, r, c) triples at n = 30), ordered by output cell, then
+    # by ascending s; term k has
+    #   cell[k]  = r*(n+1) + c, the entry's index in the flattened matrix,
+    #   coef[k]  = C(n-r, c-r+s) * C(r, s), rounded once to a double,
+    #   flips[k] = c-r+2s.
+    # The table is alpha-free, so one build serves a whole sweep at this n;
+    # it is read-only because it is shared.
     m = n + 1
-    s, r, c = np.ogrid[:m, :m, :m]
+    r, c, s = np.ogrid[:m, :m, :m]
     up = c - r + s
-    valid = (up >= 0) & (up <= n - r) & (s <= r)
-    flips = np.where(valid, up + s, 0)
+    r, c, s = np.nonzero((up >= 0) & (up <= n - r) & (s <= r))
     pascal = np.array([[comb(a, b) for b in range(m)] for a in range(m)], dtype=object)
-    s, r, c = np.nonzero(valid)
-    coef = np.zeros(valid.shape)
-    coef[valid] = (pascal[n - r, c - r + s] * pascal[r, s]).astype(float)
-    coef.setflags(write=False)
-    flips.setflags(write=False)
-    return coef, flips
+    cell = r * m + c
+    coef = (pascal[n - r, c - r + s] * pascal[r, s]).astype(float)
+    flips = c - r + 2 * s
+    for table in (cell, coef, flips):
+        table.setflags(write=False)
+    return cell, coef, flips
 
 
 def _relay_entries(n: int, alpha: float) -> np.ndarray:
-    coef, flips = _relay_table(n)
+    cell, coef, flips = _relay_table(n)
     apow = np.array([alpha**k for k in range(n + 1)])
     bpow = np.array([(1.0 - alpha) ** k for k in range(n + 1)])
-    # Builtin sum adds the s-slices in ascending s, so every entry rounds as
-    # the scalar sum over s does; the zero padding adds exact zeros.
-    return sum(coef * apow[flips] * bpow[n - flips])
+    # bincount adds each cell's terms one by one in input order, from 0.0, so
+    # every entry rounds as the scalar sum over ascending s does; the terms
+    # the table leaves out only add exact zeros to that sum.
+    terms = coef * apow[flips] * bpow[n - flips]
+    return np.bincount(cell, terms, minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
 
 
 @lru_cache(maxsize=1)

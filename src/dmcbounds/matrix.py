@@ -210,13 +210,19 @@ def load_matrix_csv(source) -> ChannelMatrix:
     """Read the shared matrix CSV format (n lines of n comma-separated reals).
 
     ``source`` is a path or a text stream. Parse errors carry 1-based
-    row/column locations.
+    row/column locations; a non-ASCII byte in a file, its 0-based offset.
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
-        with open(source, "r", encoding="ascii") as fh:
-            text = fh.read()
+        try:
+            with open(source, "r", encoding="ascii") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            # read() decodes the whole file in one call: exc.start is a file offset
+            raise MatrixFormatError(
+                f"byte offset {exc.start}: {exc.object[exc.start]:#04x} is not ASCII"
+            ) from None
     lines = text.split("\n")
     while lines and lines[-1].strip() == "":
         lines.pop()

@@ -66,17 +66,20 @@ class CapacityEstimate:
     method: str  # "blahut-arimoto" or "grid-oracle"
 
 
-def _divergence_terms(entries: np.ndarray, neg_ent: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """D_i = sum_j A_ij log2(A_ij/q_j) with q = A^T p; zero entries drop out.
+def _divergence_terms(
+    entries: np.ndarray, neg_ent: np.ndarray, p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(D, q): D_i = sum_j A_ij log2(A_ij/q_j) with q = A^T p; zero entries drop out.
 
     A row with A_ij > 0 at an output with q_j = 0 diverges: its D_i is +inf.
     """
     q = entries.T @ p
+    if q.min() > 0.0:
+        return neg_ent - entries @ np.log2(q), q
     unreached = q <= 0.0
     d = neg_ent - entries @ np.log2(np.where(unreached, 1.0, q))
-    if unreached.any():
-        d[(entries[:, unreached] > 0.0).any(axis=1)] = np.inf
-    return d
+    d[(entries[:, unreached] > 0.0).any(axis=1)] = np.inf
+    return d, q
 
 
 def _bracket(p: np.ndarray, d: np.ndarray) -> tuple[float, float]:
@@ -91,23 +94,27 @@ def _bracket(p: np.ndarray, d: np.ndarray) -> tuple[float, float]:
 
 
 def _newton_direction(
-    entries: np.ndarray, p: np.ndarray, d: np.ndarray, idx: np.ndarray
+    entries: np.ndarray, p: np.ndarray, q: np.ndarray, d: np.ndarray, idx: np.ndarray
 ) -> np.ndarray | None:
     """Newton step dp on the face S = ``idx`` for D_S(A^T (p + dp)) = C, sum = 1.
 
     Solves [[M, 1], [1^T, 0]] [dp; C] = [D_S; 1 - sum p_S], where
-    M = (A_S / q) A_S^T / ln 2 is minus the Jacobian of D_S. Returns None when
-    the system is singular.
+    M = (A_S / q) A_S^T / ln 2 is minus the Jacobian of D_S and q = A^T p;
+    outputs with q_j = 0 drop out. Returns None when the system is singular.
     """
-    q = entries.T @ p
-    reached = q > 0.0
-    rows = entries[np.ix_(idx, reached)]
+    rows = entries[idx]
+    if q.min() <= 0.0:
+        reached = q > 0.0
+        rows, q = rows[:, reached], q[reached]
     k = idx.size
     system = np.ones((k + 1, k + 1))
-    system[:k, :k] = (rows / q[reached]) @ rows.T / np.log(2.0)
+    system[:k, :k] = (rows / q) @ rows.T / np.log(2.0)
     system[k, k] = 0.0
+    rhs = np.empty(k + 1)
+    rhs[:k] = d[idx]
+    rhs[k] = 1.0 - p[idx].sum()
     try:
-        dp = np.linalg.solve(system, np.append(d[idx], 1.0 - p[idx].sum()))[:k]
+        dp = np.linalg.solve(system, rhs)[:k]
     except np.linalg.LinAlgError:
         return None
     return dp if np.isfinite(dp).all() else None
@@ -127,28 +134,28 @@ def _newton_on_support(
     Returns ``(p, steps)``: p is a pmf whose full-alphabet bracket is at most
     ``tol``, or None if a step failed or ``budget`` steps ran out.
     """
-    d = _divergence_terms(entries, neg_ent, p)
+    d, q = _divergence_terms(entries, neg_ent, p)
     lower, _ = _bracket(p, d)
     support = p > 0.0
     for step in range(1, budget + 1):
-        idx = np.flatnonzero(support)
-        dp = _newton_direction(entries, p, d, idx)
+        idx = support.nonzero()[0]
+        dp = _newton_direction(entries, p, q, d, idx)
         if dp is None:
             return None, step
-        shrinking = dp < 0.0
-        ratios = np.where(shrinking, p[idx] / np.where(shrinking, -dp, 1.0), np.inf)
-        leaving = int(np.argmin(ratios))
+        p_face = p[idx]
+        ratios = np.divide(p_face, -dp, out=np.full(idx.size, np.inf), where=dp < 0.0)
+        leaving = int(ratios.argmin())
         t = min(1.0, float(ratios[leaving]))
         if t <= 0.0:  # the input that just joined S would shrink at once
             return None, step
         blocked = t < 1.0
         while True:
             trial = p.copy()
-            trial[idx] = np.maximum(p[idx] + t * dp, 0.0)
+            trial[idx] = np.maximum(p_face + t * dp, 0.0)
             if blocked:
                 trial[idx[leaving]] = 0.0
             trial /= trial.sum()
-            trial_d = _divergence_terms(entries, neg_ent, trial)
+            trial_d, trial_q = _divergence_terms(entries, neg_ent, trial)
             trial_lower, gap = _bracket(trial, trial_d)
             if trial_lower >= lower - 1e-15:
                 break
@@ -156,7 +163,7 @@ def _newton_on_support(
             blocked = False
             if t < 1e-12:
                 return None, step
-        p, d, lower = trial, trial_d, trial_lower
+        p, q, d, lower = trial, trial_q, trial_d, trial_lower
         if gap <= tol:
             return p, step
         support = p > 0.0
@@ -210,7 +217,8 @@ def blahut_arimoto(
     n + ``NEWTON_EVERY`` steps runs from the current pmf; a failed solve is
     discarded. ``iterations`` counts updates and Newton steps alike. Raises
     NotConverged (carrying the running estimate) if the bracket gap stays
-    above ``tol`` after ``max_iter`` iterations.
+    above ``tol`` after ``max_iter`` iterations, and InvalidParameter unless
+    ``tol`` is positive and finite and ``max_iter`` is at least 0.
 
     ``start`` is an optional hint of shape (n,), such as the closed form's p*.
     Clipped at 0 and renormalized, it is returned at iteration 0 if its
@@ -222,8 +230,10 @@ def blahut_arimoto(
     lower end below 0 is rounding, so it is reported as 0 and the gap shrinks
     by the same amount.
     """
-    if tol <= 0.0:
-        raise InvalidParameter(f"tolerance must be positive, got {tol!r}")
+    if not 0.0 < tol < np.inf:
+        raise InvalidParameter(f"tolerance must be positive and finite, got {tol!r}")
+    if max_iter < 0:
+        raise InvalidParameter(f"max_iter must be at least 0, got {max_iter!r}")
     entries = matrix.entries
     neg_ent = -row_entropies(matrix)[0]
     uniform = np.full(matrix.n, 1.0 / matrix.n)
@@ -234,7 +244,7 @@ def blahut_arimoto(
     iterations = 0
     since_newton = NEWTON_EVERY if seeded else 0
     while True:
-        d = _divergence_terms(entries, neg_ent, p)
+        d, _ = _divergence_terms(entries, neg_ent, p)
         lower, gap = _bracket(p, d)
         if gap <= tol:
             return _estimate(lower, gap, p, iterations)
@@ -292,7 +302,7 @@ def grid_oracle(matrix: ChannelMatrix, resolution: int) -> CapacityEstimate:
     mi = h_out + pmfs @ neg_ent
     best = int(np.argmax(mi))
     p_best = pmfs[best]
-    d = _divergence_terms(matrix.entries, neg_ent, p_best)
+    d, _ = _divergence_terms(matrix.entries, neg_ent, p_best)
     gap = max(float(d.max()) - float(mi[best]), 0.0)
     return CapacityEstimate(float(mi[best]), p_best, len(pmfs), gap, "grid-oracle")
 

@@ -121,6 +121,30 @@ class TestAnalyze:
             assert main([command, str(path)]) == 2
             assert capsys.readouterr().err.startswith("error: row 0 sums to nan")
 
+    def test_non_ascii_byte_exits_2_without_a_traceback(self, tmp_path):
+        path = tmp_path / "accent.csv"
+        path.write_bytes(b"0.9,0.1\n0.2,0.8\xc3\xa9\n")
+        for command in ("analyze", "compare"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "dmcbounds", command, str(path)],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 2
+            assert proc.stderr == "error: byte offset 15: 0xc3 is not ASCII\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--tol", "inf"], ["--tol", "nan"], ["--tol=-inf"], ["--tol", "0"],
+         ["--max-iter", "-3"]],
+    )
+    def test_tolerance_or_cap_that_cannot_certify_exits_2(self, ex4_file, capsys, flags):
+        for command in ("analyze", "compare"):
+            assert main([command, ex4_file, *flags]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.csv")]) == 2
 
@@ -219,6 +243,12 @@ class TestSweep:
                      "--steps", "3"]) == 2
         assert main(["sweep", "--family", "bsc", "--range", "nope",
                      "--steps", "3"]) == 2
+
+    def test_tolerance_that_cannot_certify_exits_2_and_writes_nothing(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", "bsc", "--range", "0.1:0.4", "--steps", "3",
+                     "--tol", "inf", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_svg_is_well_formed_with_one_polyline_per_series(self, tmp_path):
         out = tmp_path / "s.csv"

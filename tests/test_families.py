@@ -152,7 +152,7 @@ class TestRelayMiso:
         assert not np.shares_memory(_relay_entries(30, 0.2), _relay_entries(30, 0.2))
         for table in _relay_table(30):
             with pytest.raises(ValueError):
-                table[0, 0, 0] = 1
+                table[0] = 1
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameter):

@@ -386,3 +386,18 @@ class TestCsvFormat:
     def test_ragged_rows_rejected(self):
         with pytest.raises(NotSquare):
             load_matrix_csv(io.StringIO("1,0\n0,0.5,0.5"))
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"0.9,0.1\n0.2,0.8\xc3\xa9\n", "byte offset 15: 0xc3 is not ASCII"),
+            # far into the file: the offset counts from its first byte
+            (b"0." + b"0" * 20_000 + b"\xe9,1\n1,0\n", "byte offset 20002: 0xe9 is not ASCII"),
+        ],
+    )
+    def test_non_ascii_byte_is_a_format_error_at_its_offset(self, tmp_path, content, message):
+        path = tmp_path / "m.csv"
+        path.write_bytes(content)
+        with pytest.raises(MatrixFormatError) as err:
+            load_matrix_csv(path)
+        assert str(err.value) == message

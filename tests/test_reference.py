@@ -67,6 +67,16 @@ def refused_as_singular(matrix):
     return False
 
 
+def sweep_start(matrix):
+    """The start hint the CLI's sweep passes: p*, or pinv's where A is singular."""
+    try:
+        return capacity_upper_bound(matrix).p_star
+    except SingularMatrix:
+        return pseudo_inverse_input(matrix)
+    except NumericError:
+        return None
+
+
 def closed_form_input(matrix):
     """p* of the closed form, or None where the matrix has no closed form."""
     try:
@@ -132,12 +142,22 @@ class TestBlahutArimoto:
         with pytest.raises(InvalidParameter):
             blahut_arimoto(bsc01, 0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+    def test_rejects_tolerance_that_cannot_certify(self, bsc01, tol):
+        with pytest.raises(InvalidParameter):
+            blahut_arimoto(bsc01, tol)
+
+    def test_rejects_negative_max_iter(self, bsc01):
+        with pytest.raises(InvalidParameter):
+            blahut_arimoto(bsc01, 1e-9, -3)
+        assert blahut_arimoto(bsc01, 1e-9, 0).iterations == 0
+
 
 class TestDivergenceTerms:
     def test_unreached_output_diverges_and_certifies_nothing(self):
         m = validate_channel(Z_CHANNEL)
         p = np.array([1.0, 0.0])
-        d = _divergence_terms(m.entries, -row_entropies(m)[0], p)
+        d = _divergence_terms(m.entries, -row_entropies(m)[0], p)[0]
         assert list(d) == [0.0, math.inf]
         assert _bracket(p, d) == (0.0, math.inf)
 
@@ -145,7 +165,7 @@ class TestDivergenceTerms:
         neg_ent = -row_entropies(ex4)[0]
         for p in ([0.2, 0.3, 0.5], [0.0, 0.4, 0.6], [1.0, 0.0, 0.0]):
             p = np.array(p)
-            got = _bracket(p, _divergence_terms(ex4.entries, neg_ent, p))
+            got = _bracket(p, _divergence_terms(ex4.entries, neg_ent, p)[0])
             assert got == pytest.approx(certified_bracket(ex4, p), abs=1e-12)
 
     def test_z_channel_capacity(self):
@@ -215,6 +235,12 @@ class TestSparseOptimalInput:
             assert est.optimal_input.min() >= 0.0
             assert est.optimal_input.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_relay30_cli_grid_iteration_counts(self):
+        # the Newton step's rules (ratio test, halving, entering) fix these counts
+        channels = sweep_channels("relay-miso", 30, 0.02, 0.50, 13)
+        counts = [blahut_arimoto(m, start=sweep_start(m)).iterations for m in channels]
+        assert counts == [0, 17, 43, 37, 31, 28, 31, 31, 23, 18, 15, 18, 0]
+
     def test_seeded_newton_steps_count_as_iterations(self):
         m = relay_miso(30, 0.14)
         p_star = capacity_upper_bound(m).p_star
@@ -224,6 +250,48 @@ class TestSparseOptimalInput:
         with pytest.raises(NotConverged) as err:
             blahut_arimoto(m, max_iter=steps - 1, start=p_star)
         assert err.value.iterations == steps - 1
+
+
+class TestUnreachedOutputs:
+    """Newton solves whose iterates leave an output unreached (q_j = 0)."""
+
+    @staticmethod
+    def record_divergences(monkeypatch):
+        seen = []
+
+        def recording(entries, neg_ent, p):
+            d, q = _divergence_terms(entries, neg_ent, p)
+            seen.append((q.copy(), d.copy()))
+            return d, q
+
+        monkeypatch.setattr("dmcbounds.reference._divergence_terms", recording)
+        return seen
+
+    def test_unused_output_on_every_iterate(self, monkeypatch):
+        # output 4 is never produced, so q_4 = 0 at every iterate
+        m = validate_channel(
+            [[0.8, 0.2, 0.0, 0.0], [0.1, 0.8, 0.1, 0.0], [0.0, 0.2, 0.8, 0.0], [0.5, 0.0, 0.5, 0.0]]
+        )
+        seen = self.record_divergences(monkeypatch)
+        seeded = blahut_arimoto(m, start=[0.5, 0.0, 0.5, 0.0])
+        assert 0 < seeded.iterations < NEWTON_EVERY  # certified by the Newton solve
+        assert all(q[3] == 0.0 and np.isfinite(d).all() for q, d in seen)
+        lower, gap = certified_bracket(m, seeded.optimal_input)
+        assert gap <= 1e-9 + 1e-12
+        assert lower == pytest.approx(seeded.capacity, abs=1e-12)
+        assert seeded.capacity == pytest.approx(blahut_arimoto(m).capacity, abs=1e-9)
+
+    def test_iterate_with_an_unreached_output_diverges_and_ba_certifies(self, monkeypatch):
+        m = validate_channel([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+        seen = self.record_divergences(monkeypatch)
+        est = blahut_arimoto(m, start=[1.0, 0.0, 0.0])
+        # the hint, the Newton solve's start and its first iterate: q = (1, 0, 0)
+        for q, d in seen[:3]:
+            assert list(q) == [1.0, 0.0, 0.0]
+            assert list(d) == [0.0, math.inf, math.inf]
+        lower, gap = certified_bracket(m, est.optimal_input)
+        assert est.gap <= 1e-9 and gap <= 1e-9 + 1e-12
+        assert est.capacity == pytest.approx(1.0, abs=1e-9)
 
 
 class TestClosedFormStart:
@@ -361,7 +429,7 @@ class TestClosedFormStart:
                     assert err.gap == est.gap
                 assert math.copysign(1.0, est.capacity) == 1.0  # not -0.0 either
                 p = est.optimal_input
-                lower, gap = _bracket(p, _divergence_terms(m.entries, neg_ent, p))
+                lower, gap = _bracket(p, _divergence_terms(m.entries, neg_ent, p)[0])
                 assert est.capacity == max(lower, 0.0)
                 assert est.capacity + est.gap == max(lower + gap, 0.0)  # same top
 
