@@ -209,11 +209,22 @@ def mutual_information(matrix: ChannelMatrix, p) -> float:
 def load_matrix_csv(source) -> ChannelMatrix:
     """Read the shared matrix CSV format (n lines of n comma-separated reals).
 
-    ``source`` is a path or a text stream. Parse errors carry 1-based
-    row/column locations; a non-ASCII byte in a file, its 0-based offset.
+    ``source`` is a path or a text stream, and its text must be ASCII: the
+    error names a file's first non-ASCII byte offset, or a stream's character
+    offset. Trailing blank lines are dropped. Well-formed text is parsed in C
+    by ``np.loadtxt``. Text it refuses, or could read differently, goes
+    through a per-field ``float()`` walk, which decides the result, names the
+    1-based row and column of a field it cannot parse, and also accepts the
+    spellings ``float()`` takes and ``loadtxt`` does not, such as ``1_0``.
     """
     if hasattr(source, "read"):
         text = source.read()
+        try:
+            text.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise MatrixFormatError(
+                f"character offset {exc.start}: U+{ord(text[exc.start]):04X} is not ASCII"
+            ) from None
     else:
         try:
             with open(source, "r", encoding="ascii") as fh:
@@ -228,6 +239,16 @@ def load_matrix_csv(source) -> ChannelMatrix:
         lines.pop()
     if not lines:
         raise MatrixFormatError("empty matrix file")
+    # loadtxt strips the ASCII separators 0x1c-0x1f from a field's ends,
+    # where float() refuses the field: the walk decides such text.
+    if not any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+        try:
+            raw = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if raw.shape[0] == len(lines):  # loadtxt skips blank lines
+                return validate_channel(raw)
     rows = []
     for r, line in enumerate(lines):
         fields = line.split(",")

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dmcbounds.matrix
 from dmcbounds import (
     ConvergenceFailure,
+    DmcError,
     InvalidPmf,
     MatrixFormatError,
     NegativeEntry,
@@ -56,6 +58,44 @@ def validate_by_loops(raw):
         if not abs(sums[i] - 1.0) <= 1e-9:
             return (RowSumViolation, i)
     return entries
+
+
+def walk_reference(text):
+    """The per-field walk that load_matrix_csv ran on every text before
+    np.loadtxt became its fast path: the reference the loader must match."""
+    lines = text.split("\n")
+    while lines and lines[-1].strip() == "":
+        lines.pop()
+    if not lines:
+        raise MatrixFormatError("empty matrix file")
+    rows = []
+    for r, line in enumerate(lines):
+        fields = line.split(",")
+        try:
+            rows.append(list(map(float, fields)))
+        except ValueError:
+            for c, field in enumerate(fields):
+                try:
+                    float(field)
+                except ValueError:
+                    raise MatrixFormatError(
+                        f"row {r + 1}, column {c + 1}: cannot parse {field.strip()!r}"
+                    ) from None
+    width = len(rows[0])
+    for r, row in enumerate(rows):
+        if len(row) != width:
+            raise NotSquare(f"row {r + 1} has {len(row)} fields, expected {width}")
+    return validate_channel(rows)
+
+
+def outcome(load, source):
+    """The entries' shape and bytes (bit-for-bit, -0.0 included), or the
+    error's type and message."""
+    try:
+        entries = load(source).entries
+    except DmcError as exc:
+        return type(exc), str(exc)
+    return entries.shape, entries.tobytes()
 
 
 def assert_backward_stable_sigma_min(m, sv_ref):
@@ -360,6 +400,75 @@ class TestMutualInformation:
         assert -1e-12 <= value <= math.log2(n) + 1e-12
 
 
+@pytest.fixture
+def validated(monkeypatch):
+    """Types of the raw arrays load_matrix_csv hands to validate_channel:
+    np.ndarray from the np.loadtxt fast path, list from the per-field walk."""
+    seen = []
+
+    def spy(raw):
+        seen.append(type(raw))
+        return validate_channel(raw)
+
+    monkeypatch.setattr(dmcbounds.matrix, "validate_channel", spy)
+    return seen
+
+
+# Edge texts for the loader; each is ASCII, so a stream and a file both parse it.
+LOADER_EDGE_TEXTS = [
+    # well formed, with the spellings and spacing every loader must keep
+    "0.9,0.1\n0.2,0.8\n",
+    "0.9,0.1\n0.2,0.8",
+    " 0.9 ,\t0.1\n0.2,0.8 \n",
+    "-0,1\n1,-0\n",
+    "-1e-13,1\n1,0\n",
+    ".5,5e-1\n0.5E0,+0.5\n",
+    "-0.5,1.5\n0,1\n",
+    # blank lines: interior, whitespace-only, leading and trailing
+    "1,0\n\n0,1\n",
+    "1,0\n  \n0,1\n",
+    "\n1,0\n0,1\n",
+    "1,0\n0,1\n\n\n",
+    "1,0\n0,1\n \t\n\r\n",
+    # comments, trailing commas and empty fields
+    "#c\n1,0\n0,1\n",
+    "1,0 # c\n0,1\n",
+    "1,0,\n0,1,\n",
+    "1,\n0,1\n",
+    # line ends and ASCII control characters
+    "1,0\r\n0,1\r\n",
+    "1\r,0\n0,1\n",
+    "1,0\r\r\n0,1\n",
+    "1,\x0b0\n0,1\n",
+    "1,0\x0c\n0,1\n",
+    "1,0\x1c\n0,1\n",
+    "\x1f1,0\n0,1\n",
+    "1,0\n0,1\n\x1c\n",
+    # spellings float() and np.loadtxt may judge differently
+    "0x1,0\n0,1\n",
+    "1d0,0\n0,1\n",
+    "1_0,0\n0,1\n",
+    "0.2_5,0.7_5\n0,1\n",
+    "--1,0\n0,1\n",
+    '"1",0\n0,1\n',
+    "1;0\n0;1\n",
+    "nan,0.5\n0.5,0.5\n",
+    "inf,0\n0,1\n",
+    "Infinity,0\n0,1\n",
+    "-inf,1\n0,1\n",
+    "1e999,0\n0,1\n",
+    # shapes
+    "1\n0\n",
+    "1\n",
+    "1",
+    "1,0\n0,0.5,0.5\n",
+    "1,0,0\n0,1,0\n",
+    "",
+    "\n\n",
+    "  \n",
+]
+
+
 class TestCsvFormat:
     def test_round_trip_is_bit_exact(self, ex4, tmp_path):
         path = tmp_path / "m.csv"
@@ -401,3 +510,75 @@ class TestCsvFormat:
         with pytest.raises(MatrixFormatError) as err:
             load_matrix_csv(path)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("١,٠\n٠,١\n", "character offset 0: U+0661 is not ASCII"),
+            ("0.9,0.1\n0.2,0.8\u2028\n", "character offset 15: U+2028 is not ASCII"),
+            ("1,0\x85\n0,1\n", "character offset 3: U+0085 is not ASCII"),
+        ],
+    )
+    def test_non_ascii_character_in_a_stream_is_a_format_error_at_its_offset(
+        self, text, message
+    ):
+        with pytest.raises(MatrixFormatError) as err:
+            load_matrix_csv(io.StringIO(text))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    @pytest.mark.parametrize("ratio", [1.5, 3.0, 10.0])
+    def test_round_trip_at_benchmark_sizes_takes_the_fast_path(
+        self, n, ratio, tmp_path, validated
+    ):
+        m = random_sdd_positive(n, ratio, 1000 * n + int(10 * ratio))
+        path = tmp_path / "m.csv"
+        text = dump_matrix_csv(m, path)
+        for source in (path, io.StringIO(text)):
+            again = load_matrix_csv(source)
+            assert again.entries.tobytes() == m.entries.tobytes()
+        assert validated == [np.ndarray, np.ndarray]
+
+
+class TestLoaderMatchesWalk:
+    """load_matrix_csv gives the per-field walk's entries bit for bit, or its
+    error type and message, whichever path it takes."""
+
+    @pytest.mark.parametrize("text", LOADER_EDGE_TEXTS)
+    def test_stream(self, text):
+        assert outcome(load_matrix_csv, io.StringIO(text)) == outcome(walk_reference, text)
+
+    @pytest.mark.parametrize("text", LOADER_EDGE_TEXTS)
+    def test_file(self, text, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("ascii"))
+        # text mode reads "\r\n" and a lone "\r" as "\n", as the loader does
+        expected = outcome(walk_reference, path.read_text(encoding="ascii"))
+        assert outcome(load_matrix_csv, path) == expected
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ("0.9,0.1\n0.2,0.8\n", np.ndarray),
+            ("1,0\r\n0,1\r\n", np.ndarray),
+            ("-0.5,1.5\n0,1\n", np.ndarray),  # rejected by validate_channel
+            ("0.2_5,0.7_5\n0,1\n", list),
+            ("1,0\n0,1\n\x1c\n", list),
+        ],
+    )
+    def test_path_taken(self, text, path, validated):
+        try:
+            load_matrix_csv(io.StringIO(text))
+        except DmcError:
+            pass
+        assert validated == [path]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(list("0123456789.,+-eE_# \t\r\n\x0b\x0c\x1c\x1f") + ["nan", "inf"]),
+            max_size=30,
+        ).map("".join)
+    )
+    def test_random_texts(self, text):
+        assert outcome(load_matrix_csv, io.StringIO(text)) == outcome(walk_reference, text)
