@@ -240,8 +240,10 @@ def load_matrix_csv(source) -> ChannelMatrix:
     if not lines:
         raise MatrixFormatError("empty matrix file")
     # loadtxt strips the ASCII separators 0x1c-0x1f from a field's ends,
-    # where float() refuses the field: the walk decides such text.
-    if not any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+    # where float() refuses the field, and its tokenizer takes "\r" for a line
+    # end, so a row split there could cancel a skipped blank line in the count
+    # below: the walk decides such text. A path read in text mode holds no "\r".
+    if not any(c in text for c in "\r\x1c\x1d\x1e\x1f"):
         try:
             raw = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
         except ValueError:

@@ -439,6 +439,9 @@ LOADER_EDGE_TEXTS = [
     "1,0\r\n0,1\r\n",
     "1\r,0\n0,1\n",
     "1,0\r\r\n0,1\n",
+    # a lone "\r" that a row-splitting reader would count as a row, beside a blank line
+    "\n1,0\r0,1\n",
+    "\n1\r0",
     "1,\x0b0\n0,1\n",
     "1,0\x0c\n0,1\n",
     "1,0\x1c\n0,1\n",
@@ -560,7 +563,7 @@ class TestLoaderMatchesWalk:
         "text, path",
         [
             ("0.9,0.1\n0.2,0.8\n", np.ndarray),
-            ("1,0\r\n0,1\r\n", np.ndarray),
+            ("1,0\r\n0,1\r\n", list),
             ("-0.5,1.5\n0,1\n", np.ndarray),  # rejected by validate_channel
             ("0.2_5,0.7_5\n0,1\n", list),
             ("1,0\n0,1\n\x1c\n", list),
@@ -572,6 +575,25 @@ class TestLoaderMatchesWalk:
         except DmcError:
             pass
         assert validated == [path]
+
+    def test_crlf_file_takes_the_fast_path(self, tmp_path, validated):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"1,0\r\n0,1\r\n")
+        assert load_matrix_csv(path).n == 2
+        assert validated == [np.ndarray]
+
+    @pytest.mark.parametrize("text", ["\n1,0\r0,1\n", "\n1\r0", "1,0\r0,1\n\n0,1\n"])
+    def test_reader_that_splits_rows_at_a_lone_cr(self, text, monkeypatch):
+        """A reader that ends a row at a lone "\r" inside a list element and
+        skips blank rows lets one split row cancel one blank line in the row
+        count: the loader must still give the walk's outcome."""
+
+        def splitting_loadtxt(lines, **kwargs):
+            rows = [part for line in lines for part in line.split("\r")]
+            return np.array([list(map(float, row.split(","))) for row in rows if row.strip()])
+
+        monkeypatch.setattr(np, "loadtxt", splitting_loadtxt)
+        assert outcome(load_matrix_csv, io.StringIO(text)) == outcome(walk_reference, text)
 
     @settings(max_examples=300, deadline=None)
     @given(
