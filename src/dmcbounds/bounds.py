@@ -8,9 +8,13 @@ inverse), the optimizing output pmf is
     q*_j = 2^(-K_j) / sum_i 2^(-K_i),
 
 the matching input is p* = inv(A)^T q* (rows of inv(A) sum to 1, so p* sums
-to 1 but may go negative), and
+to 1 but may go negative), and the bound is the dual value at q*,
 
-    C <= H(q*) + sum_ij p*_i A_ij log2 A_ij.
+    C <= U(q*) = max_i D(A_i || q*).
+
+U(q) bounds C for every output pmf q, so U(q*) is valid for whatever q* the
+computed inverse produced, and it is +inf where q* underflows to 0 at some
+output. In exact arithmetic every D(A_i || q*) equals log2 sum_j 2^(-K_j).
 
 Where A is too close to singular to invert, the same formula with the
 Moore-Penrose pseudo-inverse pinv(A) in place of inv(A) still gives an input
@@ -44,13 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositive, PreconditionNotMet
-from .matrix import (
-    ChannelMatrix,
-    InverseAnalysis,
-    analyze_inverse,
-    entropy_bits,
-    row_entropies,
-)
+from .matrix import ChannelMatrix, InverseAnalysis, analyze_inverse, row_entropies
+from .reference import _divergence_terms
 
 FEASIBILITY_TOL = -1e-10
 
@@ -228,7 +227,7 @@ def capacity_upper_bound(
 ) -> BoundReport:
     """Full closed-form report for an invertible positive channel matrix.
 
-    The bound H(q*) + sum_ij p*_i A_ij log2 A_ij is reported even when p* is
+    The bound U(q*) = max_i D(A_i || q*) is reported even when p* is
     infeasible (it stays a valid upper bound; the flag records feasibility).
     """
     if analysis is None:
@@ -236,7 +235,7 @@ def capacity_upper_bound(
     if not analysis.is_positive:
         raise NotPositive("the closed-form bound requires a strictly positive matrix")
     k, q_star, p_star = _kkt_closed_form(analysis.inverse, analysis.row_entropies)
-    upper = entropy_bits(q_star) - float(p_star @ analysis.row_entropies)
+    upper = float(_divergence_terms(matrix.entries, -analysis.row_entropies, q_star).max())
     spectral, v = check_spectral_condition(matrix, analysis)
     if _dominant_positive(analysis):
         sigma_star, h_max_star = spectral_surrogates(matrix, analysis)

@@ -228,7 +228,7 @@ def sweep_svg(records: list[SweepRecord], family: str) -> str:
         pts = []
         for r in records:
             y = getter(r)
-            if y is not None and not math.isnan(y):
+            if y is not None and math.isfinite(y):
                 pts.append((r.parameter, y))
         return pts
 

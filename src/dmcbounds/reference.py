@@ -66,20 +66,25 @@ class CapacityEstimate:
     method: str  # "blahut-arimoto" or "grid-oracle"
 
 
-def _divergence_terms(
-    entries: np.ndarray, neg_ent: np.ndarray, p: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(D, q): D_i = sum_j A_ij log2(A_ij/q_j) with q = A^T p; zero entries drop out.
+def _divergence_terms(entries: np.ndarray, neg_ent: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """D_i = D(A_i || q) = -H(A_i) - sum_j A_ij log2 q_j in bits; zero entries drop out.
 
-    A row with A_ij > 0 at an output with q_j = 0 diverges: its D_i is +inf.
+    ``neg_ent`` holds -H(A_i). A row with A_ij > 0 at an output with q_j = 0
+    diverges: its D_i is +inf.
     """
-    q = entries.T @ p
     if q.min() > 0.0:
-        return neg_ent - entries @ np.log2(q), q
+        return neg_ent - entries @ np.log2(q)
     unreached = q <= 0.0
     d = neg_ent - entries @ np.log2(np.where(unreached, 1.0, q))
     d[(entries[:, unreached] > 0.0).any(axis=1)] = np.inf
-    return d, q
+    return d
+
+
+def dual_bound(matrix: ChannelMatrix, q: np.ndarray) -> float:
+    """U(q) = max_i D(A_i || q) in bits, an upper bound on capacity for every
+    output pmf q (Chiang & Boyd, 2004); +inf where q misses an output that
+    some row reaches."""
+    return float(_divergence_terms(matrix.entries, -row_entropies(matrix)[0], q).max())
 
 
 def _bracket(p: np.ndarray, d: np.ndarray) -> tuple[float, float]:
@@ -134,7 +139,8 @@ def _newton_on_support(
     Returns ``(p, steps)``: p is a pmf whose full-alphabet bracket is at most
     ``tol``, or None if a step failed or ``budget`` steps ran out.
     """
-    d, q = _divergence_terms(entries, neg_ent, p)
+    q = entries.T @ p
+    d = _divergence_terms(entries, neg_ent, q)
     lower, _ = _bracket(p, d)
     support = p > 0.0
     for step in range(1, budget + 1):
@@ -155,7 +161,8 @@ def _newton_on_support(
             if blocked:
                 trial[idx[leaving]] = 0.0
             trial /= trial.sum()
-            trial_d, trial_q = _divergence_terms(entries, neg_ent, trial)
+            trial_q = entries.T @ trial
+            trial_d = _divergence_terms(entries, neg_ent, trial_q)
             trial_lower, gap = _bracket(trial, trial_d)
             if trial_lower >= lower - 1e-15:
                 break
@@ -244,7 +251,7 @@ def blahut_arimoto(
     iterations = 0
     since_newton = NEWTON_EVERY if seeded else 0
     while True:
-        d, _ = _divergence_terms(entries, neg_ent, p)
+        d = _divergence_terms(entries, neg_ent, entries.T @ p)
         lower, gap = _bracket(p, d)
         if gap <= tol:
             return _estimate(lower, gap, p, iterations)
@@ -301,25 +308,14 @@ def grid_oracle(matrix: ChannelMatrix, resolution: int) -> CapacityEstimate:
     neg_ent = -row_entropies(matrix)[0]
     mi = h_out + pmfs @ neg_ent
     best = int(np.argmax(mi))
-    p_best = pmfs[best]
-    d, _ = _divergence_terms(matrix.entries, neg_ent, p_best)
-    gap = max(float(d.max()) - float(mi[best]), 0.0)
-    return CapacityEstimate(float(mi[best]), p_best, len(pmfs), gap, "grid-oracle")
+    upper = float(_divergence_terms(matrix.entries, neg_ent, q[best]).max())
+    gap = max(upper - float(mi[best]), 0.0)
+    return CapacityEstimate(float(mi[best]), pmfs[best], len(pmfs), gap, "grid-oracle")
 
 
 def arimoto_upper_bound(matrix: ChannelMatrix) -> float:
-    """log2(n) + max over rows of sum_j A_ij log2(A_ij / column_sum_j).
-
-    The max term is nonpositive (it is -log2(n) plus a divergence from the
-    uniform-input output distribution).
-    """
-    entries = matrix.entries
-    n = matrix.n
-    col = entries.sum(axis=0)
-    mask = entries > 0.0
-    ratio = np.where(mask, entries / np.where(mask, col[np.newaxis, :], 1.0), 1.0)
-    terms = (np.where(mask, entries * np.log2(ratio), 0.0)).sum(axis=1)
-    return float(np.log2(n) + terms.max())
+    """U(colsum/n): the dual bound at the output pmf of the uniform input."""
+    return dual_bound(matrix, matrix.entries.sum(axis=0) / matrix.n)
 
 
 def boyd_chiang_upper_bound(matrix: ChannelMatrix, orientation: str = "column-max") -> float:

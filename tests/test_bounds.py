@@ -175,6 +175,41 @@ class TestCapacityUpperBound:
             assert objective(q) <= base + 1e-8
 
 
+def dual_by_loops(matrix, q):
+    """max_i D(A_i || q) in bits, entry by entry: +inf where a row reaches an
+    output that q misses."""
+    best = -math.inf
+    for row in matrix.entries:
+        d = 0.0
+        for aij, qj in zip(row, q):
+            if aij > 0.0:
+                d += math.inf if qj == 0.0 else aij * math.log2(aij / qj)
+        best = max(best, d)
+    return best
+
+
+class TestUpperBoundIsTheDualAtQStar:
+    """The printed bound is U(q*) = max_i D(A_i || q*) at the q* the inverse
+    produced, so it stays a valid bound where the inverse has lost its digits."""
+
+    @pytest.mark.parametrize(
+        "n, steps, i",
+        [(30, 13, 6), (30, 13, 7), (60, 25, 6), (60, 25, 8)],
+        ids=["n30-0.26", "n30-0.30", "n60-0.14", "n60-0.18"],
+    )
+    def test_ill_conditioned_relay_sweep_points(self, n, steps, i):
+        alpha = 0.02 + i * (0.50 - 0.02) / (steps - 1)  # the CLI's grid point
+        m = relay_miso(n, alpha)
+        report = capacity_upper_bound(m)
+        expected = dual_by_loops(m, report.q_star)
+        if math.isinf(expected):
+            assert report.upper_bound == math.inf
+        else:
+            assert report.upper_bound == pytest.approx(expected, rel=1e-12, abs=0)
+        capacity = blahut_arimoto(m, 1e-9, start=report.p_star).capacity
+        assert report.upper_bound >= capacity - 1e-9
+
+
 class TestFeasibilityCondition:
     def test_reliable_example_holds(self, ex1, an1):
         k = inverse_row_entropies(ex1, an1)

@@ -262,6 +262,25 @@ class TestSweep:
         polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
         assert len(polylines) == 5  # every series has at least one defined point
 
+    def test_relay30_chart_plots_only_finite_values(self, tmp_path):
+        # the closed form is inf at alpha = 0.30, and NA where A is singular
+        svg = tmp_path / "s.svg"
+        args = ["sweep", "--family", "relay-miso", "--n", "30", "--range", "0.02:0.50",
+                "--steps", "13", "--out", str(tmp_path / "s.csv"), "--svg", str(svg)]
+        assert main(args) == 0
+        numbers = []
+        for element in ET.parse(svg).getroot().iter():
+            attrib = element.attrib
+            numbers += [attrib[k] for k in ("x", "y", "x1", "y1", "x2", "y2") if k in attrib]
+            numbers += attrib.get("points", "").replace(",", " ").split()
+            try:  # a tick label; a title, an axis label or a series name is a word
+                float(element.text or "")
+            except ValueError:
+                continue
+            numbers.append(element.text)
+        assert len(numbers) > 100
+        assert all(math.isfinite(float(v)) for v in numbers), numbers
+
     def test_relay3_midrange_capacity_is_rounded_correctly(self, capsys):
         # the 50-digit capacity at alpha = 0.48 and 0.52 is
         # 0.0034578579582157203; BA seeded with p* certifies a lower end that

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmcbounds import (
     FamilySpec,
@@ -17,6 +19,7 @@ from dmcbounds import (
     boyd_chiang_upper_bound,
     build_family,
     capacity_upper_bound,
+    dual_bound,
     fixed_example,
     grid_oracle,
     pseudo_inverse_input,
@@ -157,7 +160,7 @@ class TestDivergenceTerms:
     def test_unreached_output_diverges_and_certifies_nothing(self):
         m = validate_channel(Z_CHANNEL)
         p = np.array([1.0, 0.0])
-        d = _divergence_terms(m.entries, -row_entropies(m)[0], p)[0]
+        d = _divergence_terms(m.entries, -row_entropies(m)[0], m.entries.T @ p)
         assert list(d) == [0.0, math.inf]
         assert _bracket(p, d) == (0.0, math.inf)
 
@@ -165,7 +168,7 @@ class TestDivergenceTerms:
         neg_ent = -row_entropies(ex4)[0]
         for p in ([0.2, 0.3, 0.5], [0.0, 0.4, 0.6], [1.0, 0.0, 0.0]):
             p = np.array(p)
-            got = _bracket(p, _divergence_terms(ex4.entries, neg_ent, p)[0])
+            got = _bracket(p, _divergence_terms(ex4.entries, neg_ent, ex4.entries.T @ p))
             assert got == pytest.approx(certified_bracket(ex4, p), abs=1e-12)
 
     def test_z_channel_capacity(self):
@@ -259,10 +262,10 @@ class TestUnreachedOutputs:
     def record_divergences(monkeypatch):
         seen = []
 
-        def recording(entries, neg_ent, p):
-            d, q = _divergence_terms(entries, neg_ent, p)
+        def recording(entries, neg_ent, q):
+            d = _divergence_terms(entries, neg_ent, q)
             seen.append((q.copy(), d.copy()))
-            return d, q
+            return d
 
         monkeypatch.setattr("dmcbounds.reference._divergence_terms", recording)
         return seen
@@ -429,7 +432,7 @@ class TestClosedFormStart:
                     assert err.gap == est.gap
                 assert math.copysign(1.0, est.capacity) == 1.0  # not -0.0 either
                 p = est.optimal_input
-                lower, gap = _bracket(p, _divergence_terms(m.entries, neg_ent, p)[0])
+                lower, gap = _bracket(p, _divergence_terms(m.entries, neg_ent, m.entries.T @ p))
                 assert est.capacity == max(lower, 0.0)
                 assert est.capacity + est.gap == max(lower + gap, 0.0)  # same top
 
@@ -497,6 +500,30 @@ class TestArimotoUpperBound:
     def test_correction_term_is_nonpositive(self, ex1, ex3, ex4):
         for m in (ex1, ex3, ex4):
             assert arimoto_upper_bound(m) <= math.log2(m.n) + 1e-12
+
+
+class TestDualBound:
+    def test_at_the_capacity_achieving_output_it_is_the_capacity(self, ex4):
+        est = blahut_arimoto(ex4, 1e-12)
+        q = ex4.entries.T @ est.optimal_input
+        assert dual_bound(ex4, q) == pytest.approx(est.capacity, abs=1e-11)
+
+    def test_output_that_q_misses_gives_inf(self, ex1):
+        assert dual_bound(ex1, np.array([0.5, 0.5, 0.0])) == math.inf
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        ratio=st.sampled_from([1.5, 3.0, 10.0]),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_bounds_capacity_at_every_pmf(self, n, ratio, seed, data):
+        m = random_sdd_positive(n, ratio, seed)
+        weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        q = np.array(weights) + (0.0 if sum(weights) > 0.0 else 1.0)
+        q /= q.sum()
+        assert dual_bound(m, q) >= blahut_arimoto(m).capacity - 1e-9
 
 
 class TestBoydChiangUpperBound:
