@@ -26,18 +26,22 @@ class NotSquare(InputError):
 
 
 class RowSumViolation(InputError):
+    """``row`` is 0-based; the message counts rows from 1, as the loader does."""
+
     def __init__(self, row: int, total: float):
         self.row = row
         self.total = total
-        super().__init__(f"row {row} sums to {total!r}, expected 1 within 1e-9")
+        super().__init__(f"row {row + 1} sums to {total!r}, expected 1 within 1e-9")
 
 
 class NegativeEntry(InputError):
+    """``row`` and ``col`` are 0-based; the message counts from 1, as the loader does."""
+
     def __init__(self, row: int, col: int, value: float):
         self.row = row
         self.col = col
         self.value = value
-        super().__init__(f"entry ({row}, {col}) = {value!r} is negative")
+        super().__init__(f"row {row + 1}, column {col + 1}: {value!r} is negative")
 
 
 class MatrixFormatError(InputError):

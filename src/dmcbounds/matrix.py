@@ -40,6 +40,7 @@ NEGATIVE_CLAMP = 1e-12
 # inverse-based result survive, so the matrix is treated as singular.
 COND_LIMIT = 1e13
 DOMINANCE_MARGIN = 1e-12
+FLOAT_WHITESPACE = " \t\n\r\v\f"  # the ASCII whitespace float() ignores
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +95,7 @@ def validate_channel(raw) -> ChannelMatrix:
     bad = np.argwhere(entries < -NEGATIVE_CLAMP)  # row-major order
     if bad.size:
         i, j = (int(k) for k in bad[0])
-        raise NegativeEntry(i, j, entries[i, j])
+        raise NegativeEntry(i, j, float(entries[i, j]))
     entries[entries < 0.0] = 0.0
     sums = entries.sum(axis=1)
     bad_rows = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))  # NaN is bad too
@@ -261,8 +262,11 @@ def load_matrix_csv(source) -> ChannelMatrix:
                 try:
                     float(field)
                 except ValueError:
+                    # strip only what float() ignores: str.strip() would also
+                    # drop the 0x1c-0x1f separators that made float() refuse it
                     raise MatrixFormatError(
-                        f"row {r + 1}, column {c + 1}: cannot parse {field.strip()!r}"
+                        f"row {r + 1}, column {c + 1}: cannot parse "
+                        f"{field.strip(FLOAT_WHITESPACE)!r}"
                     ) from None
     width = len(rows[0])
     for r, row in enumerate(rows):

@@ -106,7 +106,13 @@ class TestAnalyze:
         path = tmp_path / "bad.csv"
         path.write_text("0.5,0.4\n0.5,0.5\n")
         assert main(["analyze", str(path)]) == 2
-        assert "row 0 sums to" in capsys.readouterr().err
+        assert "row 1 sums to" in capsys.readouterr().err
+
+    def test_negative_entry_exits_2_naming_it_from_1(self, tmp_path, capsys):
+        path = tmp_path / "neg.csv"
+        path.write_text("1.5,-0.5\n0.5,0.5\n")
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == "error: row 1, column 2: -0.5 is negative\n"
 
     def test_unparseable_field_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -119,7 +125,7 @@ class TestAnalyze:
         path.write_text("nan,0.5\n0.5,0.5\n")
         for command in ("analyze", "compare"):
             assert main([command, str(path)]) == 2
-            assert capsys.readouterr().err.startswith("error: row 0 sums to nan")
+            assert capsys.readouterr().err.startswith("error: row 1 sums to nan")
 
     def test_non_ascii_byte_exits_2_without_a_traceback(self, tmp_path):
         path = tmp_path / "accent.csv"

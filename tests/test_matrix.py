@@ -32,6 +32,7 @@ from dmcbounds import (
 from conftest import entropy2
 
 EPS = np.finfo(float).eps
+SPACES = " \t\n\r\v\f"  # what float() strips from an ASCII field
 
 
 def mp_singular_values(entries, dps=60):
@@ -79,7 +80,7 @@ def walk_reference(text):
                     float(field)
                 except ValueError:
                     raise MatrixFormatError(
-                        f"row {r + 1}, column {c + 1}: cannot parse {field.strip()!r}"
+                        f"row {r + 1}, column {c + 1}: cannot parse {field.strip(SPACES)!r}"
                     ) from None
     width = len(rows[0])
     for r, row in enumerate(rows):
@@ -120,6 +121,7 @@ class TestValidate:
             validate_channel([[0.5, 0.4], [0.5, 0.5]])
         assert err.value.row == 0
         assert err.value.total == pytest.approx(0.9)
+        assert str(err.value) == "row 1 sums to 0.9, expected 1 within 1e-9"
 
     def test_rectangular_rejected(self):
         with pytest.raises(NotSquare):
@@ -139,6 +141,8 @@ class TestValidate:
         with pytest.raises(NegativeEntry) as err:
             validate_channel(raw)
         assert (err.value.row, err.value.col, err.value.value) == (1, 2, -0.2)
+        assert type(err.value.value) is float  # repr -0.2, not np.float64(-0.2)
+        assert str(err.value) == "row 2, column 3: -0.2 is negative"
 
     def test_nan_row_is_a_row_sum_violation(self):
         with pytest.raises(RowSumViolation) as err:
@@ -494,6 +498,18 @@ class TestCsvFormat:
             load_matrix_csv(io.StringIO("1,0\n0,x"))
         assert "row 2" in str(err.value)
         assert "column 2" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,0\x1c\n0,1\n", "row 1, column 2: cannot parse '0\\x1c'"),
+            ("1,0\n\x1f 0 ,1\n", "row 2, column 1: cannot parse '\\x1f 0'"),
+        ],
+    )
+    def test_parse_error_quotes_the_separator_that_float_refuses(self, text, message):
+        with pytest.raises(MatrixFormatError) as err:
+            load_matrix_csv(io.StringIO(text))
+        assert str(err.value) == message
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(NotSquare):
