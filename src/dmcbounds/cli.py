@@ -224,13 +224,9 @@ def sweep_csv(records: list[SweepRecord]) -> str:
 
 
 def sweep_svg(records: list[SweepRecord], family: str) -> str:
-    def points(getter):
-        pts = []
-        for r in records:
-            y = getter(r)
-            if y is not None and math.isfinite(y):
-                pts.append((r.parameter, y))
-        return pts
+    def points(getter):  # NA and inf have no place on the chart
+        values = ((r.parameter, getter(r)) for r in records)
+        return [(x, y) for x, y in values if y is not None and math.isfinite(y)]
 
     series = [
         ("upper_bound", points(lambda r: r.upper_bound)),
@@ -266,15 +262,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    matrix = load_matrix_csv(args.matrix)
-    report = capacity_upper_bound(matrix)
-    est = blahut_arimoto(matrix, args.tol, args.max_iter, start=report.p_star)
+    doc = _analyze_document(load_matrix_csv(args.matrix), args.tol, args.max_iter)
     row = {
-        "upper_bound": report.upper_bound,
-        "ba_capacity": est.capacity,
-        "arimoto": arimoto_upper_bound(matrix),
-        "boyd_chiang_col": boyd_chiang_upper_bound(matrix, "column-max"),
-        "boyd_chiang_row": boyd_chiang_upper_bound(matrix, "row-max"),
+        "upper_bound": doc["upper_bound"],
+        "ba_capacity": doc["ba_capacity"],
+        "arimoto": doc["arimoto_bound"],
+        "boyd_chiang_col": doc["boyd_chiang_col"],
+        "boyd_chiang_row": doc["boyd_chiang_row"],
     }
     names = {"upper_bound": "closed-form", "arimoto": "arimoto",
              "boyd_chiang_col": "boyd-chiang-col", "boyd_chiang_row": "boyd-chiang-row"}

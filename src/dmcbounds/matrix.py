@@ -40,7 +40,9 @@ NEGATIVE_CLAMP = 1e-12
 # inverse-based result survive, so the matrix is treated as singular.
 COND_LIMIT = 1e13
 DOMINANCE_MARGIN = 1e-12
-FLOAT_WHITESPACE = " \t\n\r\v\f"  # the ASCII whitespace float() ignores
+# What float() ignores around a number; str.strip() also drops 0x1c-0x1f,
+# which float() refuses, so an error quoting a field strips only these.
+FLOAT_WHITESPACE = " \t\n\r\v\f"
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,8 +264,6 @@ def load_matrix_csv(source) -> ChannelMatrix:
                 try:
                     float(field)
                 except ValueError:
-                    # strip only what float() ignores: str.strip() would also
-                    # drop the 0x1c-0x1f separators that made float() refuse it
                     raise MatrixFormatError(
                         f"row {r + 1}, column {c + 1}: cannot parse "
                         f"{field.strip(FLOAT_WHITESPACE)!r}"
