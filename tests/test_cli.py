@@ -108,12 +108,6 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 2
         assert "row 1 sums to" in capsys.readouterr().err
 
-    def test_negative_entry_exits_2_naming_it_from_1(self, tmp_path, capsys):
-        path = tmp_path / "neg.csv"
-        path.write_text("1.5,-0.5\n0.5,0.5\n")
-        assert main(["analyze", str(path)]) == 2
-        assert capsys.readouterr().err == "error: row 1, column 2: -0.5 is negative\n"
-
     def test_unparseable_field_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("0.5,0.5\n0.5,oops\n")
