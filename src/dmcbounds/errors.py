@@ -67,11 +67,12 @@ class TooLarge(InputError):
 
 
 class SingularMatrix(NumericError):
-    """cond(A) = sigma_max/sigma_min is at least 1e13 (inf when sigma_min = 0)."""
+    """cond(A) = sigma_max/sigma_min is at least 1e13 (inf when sigma_min = 0).
+    The message omits ``cond``: at an exactly singular A its digits are noise."""
 
     def __init__(self, cond: float):
         self.cond = cond
-        super().__init__(f"singular matrix: condition number {cond:.3e} is at least 1e13")
+        super().__init__("singular matrix: condition number is at least 1e13")
 
 
 class ConvergenceFailure(NumericError):

@@ -40,9 +40,6 @@ NEGATIVE_CLAMP = 1e-12
 # inverse-based result survive, so the matrix is treated as singular.
 COND_LIMIT = 1e13
 DOMINANCE_MARGIN = 1e-12
-# What float() ignores around a number; str.strip() also drops 0x1c-0x1f,
-# which float() refuses, so an error quoting a field strips only these.
-FLOAT_WHITESPACE = " \t\n\r\v\f"
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,70 +206,72 @@ def mutual_information(matrix: ChannelMatrix, p) -> float:
     return entropy_bits(q) - float(p @ ent)
 
 
+def _loadtxt(lines: list[str]) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+
+
+def _reads_one_row(line: str) -> bool:
+    try:
+        return bool(line) and _loadtxt([line]).shape[0] == 1  # loadtxt skips a blank line
+    except ValueError:
+        return False
+
+
+def _refusal(lines: list[str]) -> MatrixFormatError | NotSquare:
+    """Why ``_loadtxt(lines)`` gave no row per line: the first field, row by
+    row, that it does not read as one number, else the first ragged row."""
+    for r, line in enumerate(lines):
+        for c, field in enumerate([] if _reads_one_row(line) else line.split(",")):
+            if not _reads_one_row(field):
+                return MatrixFormatError(
+                    f"row {r + 1}, column {c + 1}: cannot parse {field.strip()!r}"
+                )
+    widths = [line.count(",") + 1 for line in lines]
+    for r, width in enumerate(widths):
+        if width != widths[0]:
+            return NotSquare(f"row {r + 1} has {width} fields, expected {widths[0]}")
+    raise AssertionError(f"np.loadtxt refused lines whose every field it reads: {lines!r}")
+
+
 def load_matrix_csv(source) -> ChannelMatrix:
     """Read the shared matrix CSV format (n lines of n comma-separated reals).
 
-    ``source`` is a path or a text stream, and its text must be ASCII: the
-    error names a file's first non-ASCII byte offset, or a stream's character
-    offset. Trailing blank lines are dropped. Well-formed text is parsed in C
-    by ``np.loadtxt``. Text it refuses, or could read differently, goes
-    through a per-field ``float()`` walk, which decides the result, names the
-    1-based row and column of a field it cannot parse, and also accepts the
-    spellings ``float()`` takes and ``loadtxt`` does not, such as ``1_0``.
+    ``source`` is a path or a text stream of ASCII text without the separators
+    0x1c-0x1f; the error names a refused byte's offset in a file, or its
+    character offset in a stream. "\\r\\n" and a lone "\\r" end a line, and
+    trailing blank lines are dropped. ``np.loadtxt(delimiter=",",
+    comments=None)`` alone decides what loads: it must read each line as one
+    row. Else the error names the 1-based row and column of the first field
+    it does not read as one number, or the first ragged row (NotSquare).
     """
     if hasattr(source, "read"):
-        text = source.read()
-        try:
-            text.encode("ascii")
-        except UnicodeEncodeError as exc:
-            raise MatrixFormatError(
-                f"character offset {exc.start}: U+{ord(text[exc.start]):04X} is not ASCII"
-            ) from None
+        text, unit, code = source.read(), "character", "U+{:04X}"
     else:
-        try:
-            with open(source, "r", encoding="ascii") as fh:
-                text = fh.read()
-        except UnicodeDecodeError as exc:
-            # read() decodes the whole file in one call: exc.start is a file offset
-            raise MatrixFormatError(
-                f"byte offset {exc.start}: {exc.object[exc.start]:#04x} is not ASCII"
-            ) from None
+        with open(source, "rb") as fh:  # latin-1: one character per byte, at its offset
+            text = fh.read().decode("latin-1")
+        unit, code = "byte", "{:#04x}"
+    # np.loadtxt would strip the ASCII separators 0x1c-0x1f from a field's ends
+    refused = [k for k in map(text.find, "\x1c\x1d\x1e\x1f") if k >= 0]
+    if not text.isascii():
+        refused.append(next(k for k, c in enumerate(text) if not c.isascii()))
+    if refused:
+        k = min(refused)
+        what = "an ASCII separator" if text[k].isascii() else "not ASCII"
+        raise MatrixFormatError(f"{unit} offset {k}: {code.format(ord(text[k]))} is {what}")
+    if "\r" in text:  # a substring test costs far less than replace()
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
     while lines and lines[-1].strip() == "":
         lines.pop()
     if not lines:
         raise MatrixFormatError("empty matrix file")
-    # loadtxt strips the ASCII separators 0x1c-0x1f from a field's ends,
-    # where float() refuses the field, and its tokenizer takes "\r" for a line
-    # end, so a row split there could cancel a skipped blank line in the count
-    # below: the walk decides such text. A path read in text mode holds no "\r".
-    if not any(c in text for c in "\r\x1c\x1d\x1e\x1f"):
-        try:
-            raw = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if raw.shape[0] == len(lines):  # loadtxt skips blank lines
-                return validate_channel(raw)
-    rows = []
-    for r, line in enumerate(lines):
-        fields = line.split(",")
-        try:
-            rows.append(list(map(float, fields)))
-        except ValueError:
-            for c, field in enumerate(fields):
-                try:
-                    float(field)
-                except ValueError:
-                    raise MatrixFormatError(
-                        f"row {r + 1}, column {c + 1}: cannot parse "
-                        f"{field.strip(FLOAT_WHITESPACE)!r}"
-                    ) from None
-    width = len(rows[0])
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise NotSquare(f"row {r + 1} has {len(row)} fields, expected {width}")
-    return validate_channel(rows)
+    try:
+        raw = _loadtxt(lines)
+    except ValueError:
+        raw = None
+    if raw is None or raw.shape[0] != len(lines):  # loadtxt skips a blank line
+        raise _refusal(lines)
+    return validate_channel(raw)
 
 
 def dump_matrix_csv(matrix: ChannelMatrix, dest=None) -> str:

@@ -1,3 +1,10 @@
+import contextlib
+import io
+import json
+import os
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -49,3 +56,33 @@ def entropy2(values) -> float:
     v = np.asarray(values, dtype=float)
     v = v[v > 0]
     return float(-(v * np.log2(v)).sum())
+
+
+def build_key() -> dict:
+    """What fixes the last bits of a floating-point result: numpy, its BLAS,
+    and the CPU features that pick numpy's SIMD loops and OpenBLAS's
+    DYNAMIC_ARCH kernel (which the OPENBLAS_CORETYPE variable can override)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas.get('version', '')}".strip()
+    except TypeError:  # numpy < 1.26 prints its configuration only
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            np.show_config()
+        blas = " ".join(re.findall(r"OpenBLAS \S+|openblas\S*|mkl\S*", text.getvalue())[:2])
+    return {
+        "numpy": np.__version__,
+        "blas": blas,
+        "cpu_features": sorted(k for k, on in __cpu_features__.items() if on),
+        "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE"),
+    }
+
+
+def recorded_build() -> dict:
+    """The build key of the build that wrote the golden corpus."""
+    path = Path(__file__).resolve().parent / "golden" / "BUILD.json"
+    return json.loads(path.read_text(encoding="ascii"))

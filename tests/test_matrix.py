@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dmcbounds.matrix
 from dmcbounds import (
     ConvergenceFailure,
     DmcError,
@@ -32,7 +32,6 @@ from dmcbounds import (
 from conftest import entropy2
 
 EPS = np.finfo(float).eps
-SPACES = " \t\n\r\v\f"  # what float() strips from an ASCII field
 
 
 def mp_singular_values(entries, dps=60):
@@ -59,34 +58,6 @@ def validate_by_loops(raw):
         if not abs(sums[i] - 1.0) <= 1e-9:
             return (RowSumViolation, i)
     return entries
-
-
-def walk_reference(text):
-    """The per-field walk that load_matrix_csv ran on every text before
-    np.loadtxt became its fast path: the reference the loader must match."""
-    lines = text.split("\n")
-    while lines and lines[-1].strip() == "":
-        lines.pop()
-    if not lines:
-        raise MatrixFormatError("empty matrix file")
-    rows = []
-    for r, line in enumerate(lines):
-        fields = line.split(",")
-        try:
-            rows.append(list(map(float, fields)))
-        except ValueError:
-            for c, field in enumerate(fields):
-                try:
-                    float(field)
-                except ValueError:
-                    raise MatrixFormatError(
-                        f"row {r + 1}, column {c + 1}: cannot parse {field.strip(SPACES)!r}"
-                    ) from None
-    width = len(rows[0])
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise NotSquare(f"row {r + 1} has {len(row)} fields, expected {width}")
-    return validate_channel(rows)
 
 
 def outcome(load, source):
@@ -404,76 +375,102 @@ class TestMutualInformation:
         assert -1e-12 <= value <= math.log2(n) + 1e-12
 
 
-@pytest.fixture
-def validated(monkeypatch):
-    """Types of the raw arrays load_matrix_csv hands to validate_channel:
-    np.ndarray from the np.loadtxt fast path, list from the per-field walk."""
-    seen = []
-
-    def spy(raw):
-        seen.append(type(raw))
-        return validate_channel(raw)
-
-    monkeypatch.setattr(dmcbounds.matrix, "validate_channel", spy)
-    return seen
+def loaded(rows):
+    """The outcome of a load that gives ``rows``."""
+    entries = np.array(rows, dtype=float)
+    return entries.shape, entries.tobytes()
 
 
-# Edge texts for the loader; each is ASCII, so a stream and a file both parse it.
-LOADER_EDGE_TEXTS = [
+I2 = loaded([[1.0, 0.0], [0.0, 1.0]])
+BLANK_ROW_2 = (MatrixFormatError, "row 2, column 1: cannot parse ''")
+
+# Edge texts for the loader, each with its outcome by stream. Each is ASCII, and
+# a file holding it gives the same outcome, but for the separators' messages
+# (FILE_OUTCOMES). The texts marked "changed" had another outcome while a
+# per-field float() walk could also accept a text; the rest keep theirs.
+LOADER_EDGE_TEXTS = {
     # well formed, with the spellings and spacing every loader must keep
-    "0.9,0.1\n0.2,0.8\n",
-    "0.9,0.1\n0.2,0.8",
-    " 0.9 ,\t0.1\n0.2,0.8 \n",
-    "-0,1\n1,-0\n",
-    "-1e-13,1\n1,0\n",
-    ".5,5e-1\n0.5E0,+0.5\n",
-    "-0.5,1.5\n0,1\n",
+    "0.9,0.1\n0.2,0.8\n": loaded([[0.9, 0.1], [0.2, 0.8]]),
+    "0.9,0.1\n0.2,0.8": loaded([[0.9, 0.1], [0.2, 0.8]]),
+    " 0.9 ,\t0.1\n0.2,0.8 \n": loaded([[0.9, 0.1], [0.2, 0.8]]),
+    "-0,1\n1,-0\n": loaded([[-0.0, 1.0], [1.0, -0.0]]),
+    "-1e-13,1\n1,0\n": loaded([[0.0, 1.0], [1.0, 0.0]]),
+    ".5,5e-1\n0.5E0,+0.5\n": loaded([[0.5, 0.5], [0.5, 0.5]]),
+    "-0.5,1.5\n0,1\n": (NegativeEntry, "row 1, column 1: -0.5 is negative"),
     # blank lines: interior, whitespace-only, leading and trailing
-    "1,0\n\n0,1\n",
-    "1,0\n  \n0,1\n",
-    "\n1,0\n0,1\n",
-    "1,0\n0,1\n\n\n",
-    "1,0\n0,1\n \t\n\r\n",
+    "1,0\n\n0,1\n": BLANK_ROW_2,
+    "1,0\n  \n0,1\n": BLANK_ROW_2,
+    "\n1,0\n0,1\n": (MatrixFormatError, "row 1, column 1: cannot parse ''"),
+    "1,0\n0,1\n\n\n": I2,
+    "1,0\n0,1\n \t\n\r\n": I2,
     # comments, trailing commas and empty fields
-    "#c\n1,0\n0,1\n",
-    "1,0 # c\n0,1\n",
-    "1,0,\n0,1,\n",
-    "1,\n0,1\n",
-    # line ends and ASCII control characters
-    "1,0\r\n0,1\r\n",
-    "1\r,0\n0,1\n",
-    "1,0\r\r\n0,1\n",
-    # a lone "\r" that a row-splitting reader would count as a row, beside a blank line
-    "\n1,0\r0,1\n",
-    "\n1\r0",
-    "1,\x0b0\n0,1\n",
-    "1,0\x0c\n0,1\n",
-    "1,0\x1c\n0,1\n",
-    "\x1f1,0\n0,1\n",
-    "1,0\n0,1\n\x1c\n",
+    "#c\n1,0\n0,1\n": (MatrixFormatError, "row 1, column 1: cannot parse '#c'"),
+    "1,0 # c\n0,1\n": (MatrixFormatError, "row 1, column 2: cannot parse '0 # c'"),
+    "1,0,\n0,1,\n": (MatrixFormatError, "row 1, column 3: cannot parse ''"),
+    "1,\n0,1\n": (MatrixFormatError, "row 1, column 2: cannot parse ''"),
+    # line ends: "\r\n" and a lone "\r" end a line, in a stream as in a file
+    "1,0\r\n0,1\r\n": I2,
+    "1\r,0\n0,1\n": BLANK_ROW_2,  # changed: loaded by stream
+    "1,0\r\r\n0,1\n": BLANK_ROW_2,  # changed: loaded by stream
+    "\n1,0\r0,1\n": (MatrixFormatError, "row 1, column 1: cannot parse ''"),
+    "\n1\r0": (MatrixFormatError, "row 1, column 1: cannot parse ''"),
+    # ASCII control characters: loadtxt strips \v and \f from a field's ends
+    "1,\x0b0\n0,1\n": I2,
+    "1,0\x0c\n0,1\n": I2,
+    # the separators 0x1c-0x1f are refused at their offset (changed: a field holding
+    # one could not be parsed, and a line of one was a trailing blank line)
+    "1,0\x1c\n0,1\n": (MatrixFormatError, "character offset 3: U+001C is an ASCII separator"),
+    "\x1f1,0\n0,1\n": (MatrixFormatError, "character offset 0: U+001F is an ASCII separator"),
+    "1,0\n0,1\n\x1c\n": (MatrixFormatError, "character offset 8: U+001C is an ASCII separator"),
     # spellings float() and np.loadtxt may judge differently
-    "0x1,0\n0,1\n",
-    "1d0,0\n0,1\n",
-    "1_0,0\n0,1\n",
-    "0.2_5,0.7_5\n0,1\n",
-    "--1,0\n0,1\n",
-    '"1",0\n0,1\n',
-    "1;0\n0;1\n",
-    "nan,0.5\n0.5,0.5\n",
-    "inf,0\n0,1\n",
-    "Infinity,0\n0,1\n",
-    "-inf,1\n0,1\n",
-    "1e999,0\n0,1\n",
+    "0x1,0\n0,1\n": (MatrixFormatError, "row 1, column 1: cannot parse '0x1'"),
+    "1d0,0\n0,1\n": (MatrixFormatError, "row 1, column 1: cannot parse '1d0'"),
+    # changed: float() read 10 and 0.25
+    "1_0,0\n0,1\n": (MatrixFormatError, "row 1, column 1: cannot parse '1_0'"),
+    "0.2_5,0.7_5\n0,1\n": (MatrixFormatError, "row 1, column 1: cannot parse '0.2_5'"),
+    "--1,0\n0,1\n": (MatrixFormatError, "row 1, column 1: cannot parse '--1'"),
+    '"1",0\n0,1\n': (MatrixFormatError, """row 1, column 1: cannot parse '"1"'"""),
+    "1;0\n0;1\n": (MatrixFormatError, "row 1, column 1: cannot parse '1;0'"),
+    "nan,0.5\n0.5,0.5\n": (RowSumViolation, "row 1 sums to nan, expected 1 within 1e-9"),
+    "inf,0\n0,1\n": (RowSumViolation, "row 1 sums to inf, expected 1 within 1e-9"),
+    "Infinity,0\n0,1\n": (RowSumViolation, "row 1 sums to inf, expected 1 within 1e-9"),
+    "-inf,1\n0,1\n": (NegativeEntry, "row 1, column 1: -inf is negative"),
+    "1e999,0\n0,1\n": (RowSumViolation, "row 1 sums to inf, expected 1 within 1e-9"),
     # shapes
-    "1\n0\n",
-    "1\n",
-    "1",
-    "1,0\n0,0.5,0.5\n",
-    "1,0,0\n0,1,0\n",
-    "",
-    "\n\n",
-    "  \n",
-]
+    "1\n0\n": (NotSquare, "expected a square matrix, got shape (2, 1)"),
+    "1\n": (NotSquare, "alphabet size must be at least 2, got 1"),
+    "1": (NotSquare, "alphabet size must be at least 2, got 1"),
+    "1,0\n0,0.5,0.5\n": (NotSquare, "row 2 has 3 fields, expected 2"),
+    "1,0,0\n0,1,0\n": (NotSquare, "expected a square matrix, got shape (2, 3)"),
+    "": (MatrixFormatError, "empty matrix file"),
+    "\n\n": (MatrixFormatError, "empty matrix file"),
+    "  \n": (MatrixFormatError, "empty matrix file"),
+}
+FILE_OUTCOMES = {
+    "1,0\x1c\n0,1\n": (MatrixFormatError, "byte offset 3: 0x1c is an ASCII separator"),
+    "\x1f1,0\n0,1\n": (MatrixFormatError, "byte offset 0: 0x1f is an ASCII separator"),
+    "1,0\n0,1\n\x1c\n": (MatrixFormatError, "byte offset 8: 0x1c is an ASCII separator"),
+}
+EDGE_TOKENS = [*"0123456789.,+-eE_# \t\r\n\x0b\x0c\x1c\x1f", "nan", "inf"]
+
+
+@st.composite
+def edge_texts(draw):
+    """Edge tokens at random, or a matrix text with up to three of them inserted."""
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(st.sampled_from(EDGE_TOKENS), max_size=30)))
+    bases = ["1,0\n0,1\n", "0.5,0.5\n0.25,0.75", " .9 ,\t0.1\r\n0.2,8e-1\n\n"]
+    text = draw(st.sampled_from(bases))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(text)))
+        text = text[:k] + draw(st.sampled_from(EDGE_TOKENS)) + text[k:]
+    return text
+
+
+# A refusal after np.loadtxt refuses the lines, or skips one: it names the place.
+LOCATED_REFUSAL = re.compile(
+    r"row \d+, column \d+: cannot parse .*|row \d+ has \d+ fields, expected \d+"
+)
 
 
 class TestCsvFormat:
@@ -502,11 +499,12 @@ class TestCsvFormat:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("1,0\x1c\n0,1\n", "row 1, column 2: cannot parse '0\\x1c'"),
-            ("1,0\n\x1f 0 ,1\n", "row 2, column 1: cannot parse '\\x1f 0'"),
+            ("1,0\n\x1f 0 ,1\n", "character offset 4: U+001F is an ASCII separator"),
+            ("1,0\x1d\n0,1\u00e9\n", "character offset 3: U+001D is an ASCII separator"),
+            ("1,0\u00e9\n0,1\x1e\n", "character offset 3: U+00E9 is not ASCII"),
         ],
     )
-    def test_parse_error_quotes_the_separator_that_float_refuses(self, text, message):
+    def test_first_refused_character_is_named_at_its_offset(self, text, message):
         with pytest.raises(MatrixFormatError) as err:
             load_matrix_csv(io.StringIO(text))
         assert str(err.value) == message
@@ -547,76 +545,52 @@ class TestCsvFormat:
 
     @pytest.mark.parametrize("n", [16, 64, 128])
     @pytest.mark.parametrize("ratio", [1.5, 3.0, 10.0])
-    def test_round_trip_at_benchmark_sizes_takes_the_fast_path(
-        self, n, ratio, tmp_path, validated
-    ):
+    def test_round_trip_at_benchmark_sizes_takes_the_fast_path(self, n, ratio, tmp_path):
         m = random_sdd_positive(n, ratio, 1000 * n + int(10 * ratio))
         path = tmp_path / "m.csv"
         text = dump_matrix_csv(m, path)
         for source in (path, io.StringIO(text)):
             again = load_matrix_csv(source)
             assert again.entries.tobytes() == m.entries.tobytes()
-        assert validated == [np.ndarray, np.ndarray]
 
 
 class TestLoaderMatchesWalk:
-    """load_matrix_csv gives the per-field walk's entries bit for bit, or its
-    error type and message, whichever path it takes."""
+    """The loader's outcome on each edge text, by stream and by file: the
+    entries' bytes, or the error's type and message. These are the outcomes of
+    the per-field float() walk that once decided every text, but for the
+    texts marked "changed" in LOADER_EDGE_TEXTS."""
 
     @pytest.mark.parametrize("text", LOADER_EDGE_TEXTS)
     def test_stream(self, text):
-        assert outcome(load_matrix_csv, io.StringIO(text)) == outcome(walk_reference, text)
+        assert outcome(load_matrix_csv, io.StringIO(text)) == LOADER_EDGE_TEXTS[text]
 
     @pytest.mark.parametrize("text", LOADER_EDGE_TEXTS)
     def test_file(self, text, tmp_path):
         path = tmp_path / "m.csv"
         path.write_bytes(text.encode("ascii"))
-        # text mode reads "\r\n" and a lone "\r" as "\n", as the loader does
-        expected = outcome(walk_reference, path.read_text(encoding="ascii"))
+        expected = FILE_OUTCOMES.get(text, LOADER_EDGE_TEXTS[text])
         assert outcome(load_matrix_csv, path) == expected
 
-    @pytest.mark.parametrize(
-        "text, path",
-        [
-            ("0.9,0.1\n0.2,0.8\n", np.ndarray),
-            ("1,0\r\n0,1\r\n", list),
-            ("-0.5,1.5\n0,1\n", np.ndarray),  # rejected by validate_channel
-            ("0.2_5,0.7_5\n0,1\n", list),
-            ("1,0\n0,1\n\x1c\n", list),
-        ],
-    )
-    def test_path_taken(self, text, path, validated):
-        try:
-            load_matrix_csv(io.StringIO(text))
-        except DmcError:
-            pass
-        assert validated == [path]
-
-    def test_crlf_file_takes_the_fast_path(self, tmp_path, validated):
-        path = tmp_path / "m.csv"
-        path.write_bytes(b"1,0\r\n0,1\r\n")
-        assert load_matrix_csv(path).n == 2
-        assert validated == [np.ndarray]
-
-    @pytest.mark.parametrize("text", ["\n1,0\r0,1\n", "\n1\r0", "1,0\r0,1\n\n0,1\n"])
-    def test_reader_that_splits_rows_at_a_lone_cr(self, text, monkeypatch):
-        """A reader that ends a row at a lone "\r" inside a list element and
-        skips blank rows lets one split row cancel one blank line in the row
-        count: the loader must still give the walk's outcome."""
-
-        def splitting_loadtxt(lines, **kwargs):
-            rows = [part for line in lines for part in line.split("\r")]
-            return np.array([list(map(float, row.split(","))) for row in rows if row.strip()])
-
-        monkeypatch.setattr(np, "loadtxt", splitting_loadtxt)
-        assert outcome(load_matrix_csv, io.StringIO(text)) == outcome(walk_reference, text)
-
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(
-            st.sampled_from(list("0123456789.,+-eE_# \t\r\n\x0b\x0c\x1c\x1f") + ["nan", "inf"]),
-            max_size=30,
-        ).map("".join)
-    )
+    @given(edge_texts())
     def test_random_texts(self, text):
-        assert outcome(load_matrix_csv, io.StringIO(text)) == outcome(walk_reference, text)
+        """Every text loads to exactly what np.loadtxt reads from its lines, or
+        raises a DmcError that names the place; none reaches a fall-through."""
+        got = outcome(load_matrix_csv, io.StringIO(text))
+        sep = next((k for k, c in enumerate(text) if c in "\x1c\x1f"), None)
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").rstrip().split("\n")
+        if sep is not None:
+            message = f"character offset {sep}: U+{ord(text[sep]):04X} is an ASCII separator"
+            assert got == (MatrixFormatError, message)
+        elif lines == [""]:
+            assert got == (MatrixFormatError, "empty matrix file")
+        else:
+            try:
+                read = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+            except ValueError:
+                read = np.empty((0, 0))
+            if read.shape[0] == len(lines):
+                assert got == outcome(validate_channel, read)
+            else:  # loadtxt refused the lines, or skipped a blank one
+                assert got[0] in (MatrixFormatError, NotSquare), got
+                assert LOCATED_REFUSAL.fullmatch(got[1]), got
