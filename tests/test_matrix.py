@@ -499,6 +499,7 @@ class TestCsvFormat:
     @pytest.mark.parametrize(
         "text, message",
         [
+            ("1,0\x1c\n0,1\n", "character offset 3: U+001C is an ASCII separator"),
             ("1,0\n\x1f 0 ,1\n", "character offset 4: U+001F is an ASCII separator"),
             ("1,0\x1d\n0,1\u00e9\n", "character offset 3: U+001D is an ASCII separator"),
             ("1,0\u00e9\n0,1\x1e\n", "character offset 3: U+00E9 is not ASCII"),
