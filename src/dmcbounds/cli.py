@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .bounds import Condition, capacity_upper_bound, pseudo_inverse_input
 from .errors import (
@@ -41,35 +40,6 @@ from .reference import (
     boyd_chiang_upper_bound,
 )
 from .svg import render_line_chart
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """One grid point of a parameter sweep; None marks unavailable values."""
-
-    parameter: float
-    upper_bound: float | None
-    ba_capacity: float | None
-    arimoto: float
-    boyd_col: float
-    boyd_row: float
-    spectral: Condition | None
-    gershgorin: Condition | None
-    feasible: bool | None
-
-    def columns(self) -> dict:
-        """CSV header name -> value, in column order."""
-        return {
-            "parameter": self.parameter,
-            "upper_bound": self.upper_bound,
-            "ba_capacity": self.ba_capacity,
-            "arimoto": self.arimoto,
-            "boyd_chiang_col": self.boyd_col,
-            "boyd_chiang_row": self.boyd_row,
-            "prop3": self.spectral,
-            "cor2": self.gershgorin,
-            "feasible": self.feasible,
-        }
 
 
 def _cell(value) -> str:
@@ -152,8 +122,9 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def sweep_record(spec: FamilySpec, tol: float, max_iter: int) -> SweepRecord:
-    """Evaluate one grid point; numeric failures turn into NA columns."""
+def sweep_record(spec: FamilySpec, tol: float, max_iter: int) -> dict:
+    """Evaluate one grid point as its sweep CSV row: header name -> value, in
+    column order; numeric failures turn into NA (None) cells."""
     matrix = build_family(spec)
     upper = feasible = start = None
     spectral = gershgorin = None
@@ -177,17 +148,17 @@ def sweep_record(spec: FamilySpec, tol: float, max_iter: int) -> SweepRecord:
         ba = blahut_arimoto(matrix, tol, max_iter, start=start).capacity
     except NumericError:
         ba = None
-    return SweepRecord(
-        parameter=spec.parameter,
-        upper_bound=upper,
-        ba_capacity=ba,
-        arimoto=arimoto_upper_bound(matrix),
-        boyd_col=boyd_chiang_upper_bound(matrix, "column-max"),
-        boyd_row=boyd_chiang_upper_bound(matrix, "row-max"),
-        spectral=spectral,
-        gershgorin=gershgorin,
-        feasible=feasible,
-    )
+    return {
+        "parameter": spec.parameter,
+        "upper_bound": upper,
+        "ba_capacity": ba,
+        "arimoto": arimoto_upper_bound(matrix),
+        "boyd_chiang_col": boyd_chiang_upper_bound(matrix, "column-max"),
+        "boyd_chiang_row": boyd_chiang_upper_bound(matrix, "row-max"),
+        "prop3": spectral,
+        "cor2": gershgorin,
+        "feasible": feasible,
+    }
 
 
 def run_sweep(
@@ -199,7 +170,7 @@ def run_sweep(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     seed: int | None = None,
-) -> list[SweepRecord]:
+) -> list[dict]:
     family = canonical_family(family)
     if steps < 2:
         raise InvalidRange(f"steps must be at least 2, got {steps}")
@@ -219,22 +190,18 @@ def run_sweep(
     return records
 
 
-def sweep_csv(records: list[SweepRecord]) -> str:
-    return _csv([r.columns() for r in records])
+def sweep_csv(records: list[dict]) -> str:
+    """The sweep CSV; the benchmark's trace times this name as formatting."""
+    return _csv(records)
 
 
-def sweep_svg(records: list[SweepRecord], family: str) -> str:
-    def points(getter):  # NA and inf have no place on the chart
-        values = ((r.parameter, getter(r)) for r in records)
+def sweep_svg(records: list[dict], family: str) -> str:
+    def points(name):  # NA and inf have no place on the chart
+        values = ((r["parameter"], r[name]) for r in records)
         return [(x, y) for x, y in values if y is not None and math.isfinite(y)]
 
-    series = [
-        ("upper_bound", points(lambda r: r.upper_bound)),
-        ("ba_capacity", points(lambda r: r.ba_capacity)),
-        ("arimoto", points(lambda r: r.arimoto)),
-        ("boyd_chiang_col", points(lambda r: r.boyd_col)),
-        ("boyd_chiang_row", points(lambda r: r.boyd_row)),
-    ]
+    names = ("upper_bound", "ba_capacity", "arimoto", "boyd_chiang_col", "boyd_chiang_row")
+    series = [(name, points(name)) for name in names]
     return render_line_chart(
         series, "parameter", "bits", f"capacity and upper bounds ({family})"
     )

@@ -213,13 +213,7 @@ def random_sdd_positive(n: int, min_ratio: float, seed: int) -> ChannelMatrix:
         off_mass = 1.0 / (1.0 + ratio)
         weights = np.array([0.1 + rng.next_float() for _ in range(n - 1)])
         weights *= off_mass / weights.sum()
-        k = 0
-        for j in range(n):
-            if j == i:
-                a[i, j] = 1.0 - off_mass
-            else:
-                a[i, j] = weights[k]
-                k += 1
+        a[i] = np.insert(weights, i, 1.0 - off_mass)
     return validate_channel(a)
 
 

@@ -68,11 +68,15 @@ class InverseAnalysis:
     h_max: float
 
 
+def _entropies(x: np.ndarray) -> np.ndarray:
+    """-sum x log2 x along the last axis, in bits; entries <= 0 contribute 0."""
+    pos = x > 0.0
+    return -np.where(pos, x * np.log2(np.where(pos, x, 1.0)), 0.0).sum(axis=-1)
+
+
 def entropy_bits(v: np.ndarray) -> float:
     """Shannon entropy of a nonnegative vector in bits; terms <= 0 contribute 0."""
-    v = np.asarray(v, dtype=float)
-    pos = v > 0.0
-    return float(-(v[pos] * np.log2(v[pos])).sum())
+    return float(_entropies(np.asarray(v, dtype=float)))
 
 
 def validate_channel(raw) -> ChannelMatrix:
@@ -161,9 +165,7 @@ def min_singular_value(matrix: ChannelMatrix) -> float:
 
 def row_entropies(matrix: ChannelMatrix) -> tuple[np.ndarray, float]:
     """Entropy of each row in bits, and the maximum over rows."""
-    a = matrix.entries
-    pos = a > 0.0
-    ent = -np.where(pos, a * np.log2(np.where(pos, a, 1.0)), 0.0).sum(axis=1)
+    ent = _entropies(matrix.entries)
     return ent, float(ent.max())
 
 
@@ -197,6 +199,8 @@ def mutual_information(matrix: ChannelMatrix, p) -> float:
     p = np.asarray(p, dtype=float)
     if p.shape != (matrix.n,):
         raise InvalidPmf(f"pmf must have shape ({matrix.n},), got {p.shape}")
+    if not np.isfinite(p).all():
+        raise InvalidPmf(f"pmf has non-finite entries {p.tolist()!r}")
     if p.min() < -ROW_SUM_TOL:
         raise InvalidPmf(f"pmf has negative entry {p.min()!r}")
     if abs(p.sum() - 1.0) > ROW_SUM_TOL:

@@ -45,11 +45,12 @@ maximizer as its certified gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .errors import InvalidParameter, InvalidPmf, NotConverged, TooLarge
-from .matrix import ChannelMatrix, row_entropies
+from .matrix import ChannelMatrix, _entropies, row_entropies
 
 GRID_MAX_N = 4
 DEFAULT_TOL = 1e-9
@@ -225,7 +226,7 @@ def blahut_arimoto(
     discarded. ``iterations`` counts updates and Newton steps alike. Raises
     NotConverged (carrying the running estimate) if the bracket gap stays
     above ``tol`` after ``max_iter`` iterations, and InvalidParameter unless
-    ``tol`` is positive and finite and ``max_iter`` is at least 0.
+    ``tol`` is positive and finite and ``max_iter`` is an integer of at least 0.
 
     ``start`` is an optional hint of shape (n,), such as the closed form's p*.
     Clipped at 0 and renormalized, it is returned at iteration 0 if its
@@ -239,6 +240,8 @@ def blahut_arimoto(
     """
     if not 0.0 < tol < np.inf:
         raise InvalidParameter(f"tolerance must be positive and finite, got {tol!r}")
+    if not isinstance(max_iter, Integral):
+        raise InvalidParameter(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 0:
         raise InvalidParameter(f"max_iter must be at least 0, got {max_iter!r}")
     entries = matrix.entries
@@ -299,14 +302,14 @@ def grid_oracle(matrix: ChannelMatrix, resolution: int) -> CapacityEstimate:
     n = matrix.n
     if n > GRID_MAX_N:
         raise TooLarge(n, GRID_MAX_N)
+    if not isinstance(resolution, Integral):
+        raise InvalidParameter(f"resolution must be an integer, got {resolution!r}")
     if resolution < 10:
         raise InvalidParameter(f"resolution must be at least 10, got {resolution}")
     pmfs = _simplex_lattice(resolution, n).astype(float) / resolution
     q = pmfs @ matrix.entries
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h_out = -np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q, 1.0)), 0.0).sum(axis=1)
     neg_ent = -row_entropies(matrix)[0]
-    mi = h_out + pmfs @ neg_ent
+    mi = _entropies(q) + pmfs @ neg_ent
     best = int(np.argmax(mi))
     upper = float(_divergence_terms(matrix.entries, neg_ent, q[best]).max())
     gap = max(upper - float(mi[best]), 0.0)

@@ -77,27 +77,27 @@ def check_bound_ordering(records, build, name, problems):
     there)."""
     feasible, tighter = [], []
     for r in records:
-        if r.upper_bound is None:
+        if r["upper_bound"] is None:
             continue
-        at = f"{name}={r.parameter:.2f}"
-        if r.ba_capacity is None:
+        at = f"{name}={r['parameter']:.2f}"
+        if r["ba_capacity"] is None:
             problems.append(f"{at}: capacity undefined")
-        elif not r.upper_bound >= r.ba_capacity - 1e-6:
+        elif not r["upper_bound"] >= r["ba_capacity"] - 1e-6:
             problems.append(
-                f"{at}: {r.upper_bound:.5f} below capacity {r.ba_capacity:.5f}"
+                f"{at}: {r['upper_bound']:.5f} below capacity {r['ba_capacity']:.5f}"
             )
-        tightest_other = min(r.arimoto, r.boyd_col)
-        if r.feasible:
-            feasible.append(r.parameter)
-            if not r.upper_bound <= tightest_other + 1e-9:
-                problems.append(f"{at}: {r.upper_bound:.5f} > {tightest_other:.5f}")
+        tightest_other = min(r["arimoto"], r["boyd_chiang_col"])
+        if r["feasible"]:
+            feasible.append(r["parameter"])
+            if not r["upper_bound"] <= tightest_other + 1e-9:
+                problems.append(f"{at}: {r['upper_bound']:.5f} > {tightest_other:.5f}")
             continue
-        matrix = build(r.parameter)
+        matrix = build(r["parameter"])
         certificate = dual_certificate(matrix, capacity_upper_bound(matrix).q_star)
-        if not abs(r.upper_bound - certificate) <= 1e-9 * abs(certificate):
-            problems.append(f"{at}: {r.upper_bound!r} != dual {certificate!r}")
-        if tightest_other < r.upper_bound:
-            tighter.append(f"{r.parameter:.2f}")
+        if not abs(r["upper_bound"] - certificate) <= 1e-9 * abs(certificate):
+            problems.append(f"{at}: {r['upper_bound']!r} != dual {certificate!r}")
+        if tightest_other < r["upper_bound"]:
+            tighter.append(f"{r['parameter']:.2f}")
     return feasible, tighter
 
 
@@ -193,12 +193,12 @@ def test_criterion_3_unreliable_channel(ex4):
 def test_criterion_4a_relay_sweep_edge_exactness(relay_sweep):
     problems = []
     for r in relay_sweep:
-        if r.parameter <= 0.1 or r.parameter >= 0.9:
-            if r.upper_bound is None or r.ba_capacity is None:
-                problems.append(f"alpha={r.parameter:.2f} undefined")
-            elif abs(r.upper_bound - r.ba_capacity) > 1e-4:
+        if r["parameter"] <= 0.1 or r["parameter"] >= 0.9:
+            if r["upper_bound"] is None or r["ba_capacity"] is None:
+                problems.append(f"alpha={r['parameter']:.2f} undefined")
+            elif abs(r["upper_bound"] - r["ba_capacity"]) > 1e-4:
                 problems.append(
-                    f"alpha={r.parameter:.2f} gap={r.upper_bound - r.ba_capacity:.2e}"
+                    f"alpha={r['parameter']:.2f} gap={r['upper_bound'] - r['ba_capacity']:.2e}"
                 )
     check("4a: relay sweep, bound equals capacity near the edges", problems)
 
@@ -212,8 +212,8 @@ def test_criterion_4b_relay_sweep_tightness(relay_sweep):
     if not feasible:
         problems.append("no point with p* feasible")
     for r in relay_sweep:
-        if (r.parameter <= 0.1 or r.parameter >= 0.9) and r.parameter not in feasible:
-            problems.append(f"alpha={r.parameter:.2f} (checked by 4a) not feasible")
+        if (r["parameter"] <= 0.1 or r["parameter"] >= 0.9) and r["parameter"] not in feasible:
+            problems.append(f"alpha={r['parameter']:.2f} (checked by 4a) not feasible")
     check(
         "4b: relay sweep, bound valid everywhere, tighter than both competitors "
         "where p* is feasible, equal to its dual certificate elsewhere",
@@ -224,21 +224,21 @@ def test_criterion_4b_relay_sweep_tightness(relay_sweep):
 def test_criterion_5a_beta_sweep_exactness_and_validity(beta_sweep):
     problems = []
     for r in beta_sweep:
-        if r.upper_bound is None or r.ba_capacity is None:
-            problems.append(f"beta={r.parameter:.2f} undefined")
+        if r["upper_bound"] is None or r["ba_capacity"] is None:
+            problems.append(f"beta={r['parameter']:.2f} undefined")
             continue
-        if r.parameter <= 0.6 and abs(r.upper_bound - r.ba_capacity) > 1e-4:
+        if r["parameter"] <= 0.6 and abs(r["upper_bound"] - r["ba_capacity"]) > 1e-4:
             problems.append(
-                f"beta={r.parameter:.2f} gap={r.upper_bound - r.ba_capacity:.2e}"
+                f"beta={r['parameter']:.2f} gap={r['upper_bound'] - r['ba_capacity']:.2e}"
             )
-        if r.parameter > 0.6 and r.upper_bound < r.ba_capacity - 1e-6:
-            problems.append(f"beta={r.parameter:.2f} bound below capacity")
+        if r["parameter"] > 0.6 and r["upper_bound"] < r["ba_capacity"] - 1e-6:
+            problems.append(f"beta={r['parameter']:.2f} bound below capacity")
     check("5a: beta sweep, exact for beta <= 0.6 and valid beyond", problems)
 
 
 def test_criterion_5b_beta_sweep_tightness(beta_sweep):
     problems = []
-    beyond = [r for r in beta_sweep if r.parameter > 0.6]
+    beyond = [r for r in beta_sweep if r["parameter"] > 0.6]
     feasible, tighter = check_bound_ordering(beyond, beta_family, "beta", problems)
     info_tighter("5b", tighter)
     if not feasible:

@@ -209,28 +209,30 @@ class TestSweep:
     def test_capacity_below_bounds_in_every_row(self):
         records = run_sweep("beta", None, 0.1, 0.9, 9)
         for r in records:
-            assert r.ba_capacity is not None
-            for bound in (r.upper_bound, r.arimoto, r.boyd_col, r.boyd_row):
+            assert r["ba_capacity"] is not None
+            for bound in (r["upper_bound"], r["arimoto"],
+                          r["boyd_chiang_col"], r["boyd_chiang_row"]):
                 if bound is not None:
-                    assert r.ba_capacity <= bound + 1e-6
+                    assert r["ba_capacity"] <= bound + 1e-6
 
     def test_singular_grid_point_turns_na(self):
         records = run_sweep("relay-miso", 3, 0.4, 0.6, 3)  # middle point is 0.5
         mid = records[1]
-        assert mid.parameter == pytest.approx(0.5)
-        assert mid.upper_bound is None
-        assert mid.feasible is None
-        assert mid.spectral.value == "precondition-not-met"
-        assert mid.ba_capacity is not None  # iterative capacity needs no inverse
+        assert mid["parameter"] == pytest.approx(0.5)
+        assert mid["upper_bound"] is None
+        assert mid["feasible"] is None
+        assert mid["prop3"].value == "precondition-not-met"
+        assert mid["ba_capacity"] is not None  # iterative capacity needs no inverse
         text = sweep_csv(records)
+        assert text.split("\n")[0] == ",".join(mid) == SWEEP_HEADER  # the row's keys
         assert ",NA," in text.split("\n")[2]
         assert text.split("\n")[2].split(",")[2] == "0"  # C = 0: rank 1
 
     def test_nonpositive_endpoint_turns_na(self):
         records = run_sweep("relay-miso", 3, 0.0, 0.2, 3)
         first = records[0]  # alpha = 0: identity channel
-        assert first.upper_bound is None
-        assert first.ba_capacity == pytest.approx(2.0, abs=1e-9)
+        assert first["upper_bound"] is None
+        assert first["ba_capacity"] == pytest.approx(2.0, abs=1e-9)
 
     def test_gamma_range_must_stay_inside_open_domain(self):
         assert main(["sweep", "--family", "gamma", "--range", "0:0.5",
@@ -319,9 +321,9 @@ class TestSweepRecordStart:
         spec = FamilySpec("relay-miso", 30, alpha, None)
         record = sweep_record(spec, 1e-9, 100_000)
         assert np.array_equal(calls[0]["start"], pseudo_inverse_input(build_family(spec)))
-        assert record.upper_bound is None  # the hint is not a bound
+        assert record["upper_bound"] is None  # the hint is not a bound
         assert sweep_csv([record]).split("\n")[1].split(",")[1] == "NA"
-        assert record.ba_capacity == pytest.approx(0.683040186, abs=1e-9)
+        assert record["ba_capacity"] == pytest.approx(0.683040186, abs=1e-9)
 
     def test_non_positive_point_starts_from_uniform(self, calls):
         sweep_record(FamilySpec("relay-miso", 3, 0.0, None), 1e-9, 100_000)

@@ -361,6 +361,12 @@ class TestMutualInformation:
         with pytest.raises(InvalidPmf):
             mutual_information(bsc01, [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("p", [[math.nan, math.nan], [math.nan, 1.0]])
+    def test_rejects_nan_pmf(self, bsc01, p):
+        # NaN compares false, so it slips past the sign and sum checks
+        with pytest.raises(InvalidPmf):
+            mutual_information(bsc01, p)
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),

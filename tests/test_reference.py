@@ -155,6 +155,15 @@ class TestBlahutArimoto:
             blahut_arimoto(bsc01, 1e-9, -3)
         assert blahut_arimoto(bsc01, 1e-9, 0).iterations == 0
 
+    @pytest.mark.parametrize("max_iter", [60.0, 2.5, "60"])
+    def test_rejects_non_integer_max_iter(self, max_iter):
+        # 2.5 used to run 3 iterations, past the cap; 60.0 escaped as TypeError
+        with pytest.raises(InvalidParameter):
+            blahut_arimoto(relay_miso(30, 0.14), 1e-9, max_iter)
+
+    def test_accepts_numpy_integer_max_iter(self, bsc01):
+        assert blahut_arimoto(bsc01, 1e-9, np.int64(0)).iterations == 0
+
 
 class TestDivergenceTerms:
     def test_unreached_output_diverges_and_certifies_nothing(self):
@@ -492,6 +501,12 @@ class TestGridOracle:
     def test_resolution_floor(self, bsc01):
         with pytest.raises(InvalidParameter):
             grid_oracle(bsc01, 9)
+
+    @pytest.mark.parametrize("resolution", [12.0, 12.5])
+    def test_rejects_non_integer_resolution(self, bsc01, resolution):
+        with pytest.raises(InvalidParameter):
+            grid_oracle(bsc01, resolution)
+        assert grid_oracle(bsc01, np.int64(12)).iterations == 13
 
 
 class TestArimotoUpperBound:
