@@ -87,10 +87,6 @@ class NotPositive(NumericError):
     pass
 
 
-class PreconditionNotMet(NumericError):
-    pass
-
-
 class NotConverged(NumericError):
     """Iteration hit its cap; the best estimate rides along on the error."""
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from numbers import Integral
 
 import numpy as np
 
@@ -202,11 +203,13 @@ def random_sdd_positive(n: int, min_ratio: float, seed: int) -> ChannelMatrix:
     1/(1+r_i) and the diagonal takes the remainder, so the realized ratio is
     exactly r_i and c_min >= min_ratio by construction.
     """
-    if n < 2:
-        raise InvalidParameter(f"n must be at least 2, got {n!r}")
+    if not isinstance(n, Integral) or n < 2:
+        raise InvalidParameter(f"n must be an integer of at least 2, got {n!r}")
+    if not isinstance(seed, Integral):
+        raise InvalidParameter(f"seed must be an integer, got {seed!r}")
     if not min_ratio > 1.0:
         raise InvalidParameter(f"min_ratio must exceed 1, got {min_ratio!r}")
-    rng = SplitMix64(seed)
+    rng = SplitMix64(int(seed))  # a numpy integer would overflow in the mixing
     a = np.zeros((n, n))
     for i in range(n):
         ratio = min_ratio * (1.0 + rng.next_float())

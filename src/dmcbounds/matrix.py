@@ -141,6 +141,11 @@ def invert(matrix: ChannelMatrix) -> np.ndarray:
     return _checked_inverse(a, _singular_values(a))
 
 
+def _dominance_ratios(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """diag / off entrywise, +inf where the off-diagonal sum ``off`` is not positive."""
+    return np.where(off > 0.0, diag / np.where(off > 0.0, off, 1.0), np.inf)
+
+
 def gershgorin(matrix: ChannelMatrix) -> tuple[np.ndarray, float]:
     """Per-row Gershgorin ratios and their minimum.
 
@@ -149,9 +154,7 @@ def gershgorin(matrix: ChannelMatrix) -> tuple[np.ndarray, float]:
     """
     a = matrix.entries
     diag = np.diag(a)
-    radii = a.sum(axis=1) - diag
-    with np.errstate(divide="ignore"):
-        ratios = np.where(radii > 0.0, diag / np.where(radii > 0.0, radii, 1.0), np.inf)
+    ratios = _dominance_ratios(diag, a.sum(axis=1) - diag)
     return ratios, float(ratios.min())
 
 
@@ -194,17 +197,24 @@ def analyze_inverse(matrix: ChannelMatrix) -> InverseAnalysis:
     )
 
 
-def mutual_information(matrix: ChannelMatrix, p) -> float:
-    """I(X;Y) in bits for input pmf p: H(A^T p) minus the p-weighted row entropy."""
+def _checked_pmf(p, n: int) -> np.ndarray:
+    """``p`` as a float array, or InvalidPmf unless it has shape (n,), finite
+    entries none below -1e-9, and a sum within 1e-9 of 1."""
     p = np.asarray(p, dtype=float)
-    if p.shape != (matrix.n,):
-        raise InvalidPmf(f"pmf must have shape ({matrix.n},), got {p.shape}")
+    if p.shape != (n,):
+        raise InvalidPmf(f"pmf must have shape ({n},), got {p.shape}")
     if not np.isfinite(p).all():
         raise InvalidPmf(f"pmf has non-finite entries {p.tolist()!r}")
     if p.min() < -ROW_SUM_TOL:
         raise InvalidPmf(f"pmf has negative entry {p.min()!r}")
     if abs(p.sum() - 1.0) > ROW_SUM_TOL:
         raise InvalidPmf(f"pmf sums to {p.sum()!r}")
+    return p
+
+
+def mutual_information(matrix: ChannelMatrix, p) -> float:
+    """I(X;Y) in bits for input pmf p: H(A^T p) minus the p-weighted row entropy."""
+    p = _checked_pmf(p, matrix.n)
     q = matrix.entries.T @ p
     ent, _ = row_entropies(matrix)
     return entropy_bits(q) - float(p @ ent)

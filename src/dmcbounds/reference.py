@@ -50,7 +50,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import InvalidParameter, InvalidPmf, NotConverged, TooLarge
-from .matrix import ChannelMatrix, _entropies, row_entropies
+from .matrix import ChannelMatrix, _checked_pmf, _entropies, row_entropies
 
 GRID_MAX_N = 4
 DEFAULT_TOL = 1e-9
@@ -81,11 +81,16 @@ def _divergence_terms(entries: np.ndarray, neg_ent: np.ndarray, q: np.ndarray) -
     return d
 
 
-def dual_bound(matrix: ChannelMatrix, q: np.ndarray) -> float:
+def _dual(matrix: ChannelMatrix, q: np.ndarray) -> float:
+    """U(q) with no pmf check, for an output pmf built here (up to rounding)."""
+    return float(_divergence_terms(matrix.entries, -row_entropies(matrix)[0], q).max())
+
+
+def dual_bound(matrix: ChannelMatrix, q) -> float:
     """U(q) = max_i D(A_i || q) in bits, an upper bound on capacity for every
     output pmf q (Chiang & Boyd, 2004); +inf where q misses an output that
-    some row reaches."""
-    return float(_divergence_terms(matrix.entries, -row_entropies(matrix)[0], q).max())
+    some row reaches. Raises InvalidPmf unless q is a pmf of length n."""
+    return _dual(matrix, _checked_pmf(q, matrix.n))
 
 
 def _bracket(p: np.ndarray, d: np.ndarray) -> tuple[float, float]:
@@ -318,7 +323,7 @@ def grid_oracle(matrix: ChannelMatrix, resolution: int) -> CapacityEstimate:
 
 def arimoto_upper_bound(matrix: ChannelMatrix) -> float:
     """U(colsum/n): the dual bound at the output pmf of the uniform input."""
-    return dual_bound(matrix, matrix.entries.sum(axis=0) / matrix.n)
+    return _dual(matrix, matrix.entries.sum(axis=0) / matrix.n)
 
 
 def boyd_chiang_upper_bound(matrix: ChannelMatrix, orientation: str = "column-max") -> float:

@@ -27,7 +27,6 @@ import pytest
 from dmcbounds import (
     Condition,
     SplitMix64,
-    analyze_inverse,
     arimoto_upper_bound,
     beta_family,
     blahut_arimoto,
@@ -35,11 +34,9 @@ from dmcbounds import (
     capacity_upper_bound,
     fixed_example,
     grid_oracle,
-    inverse_row_entropies,
     random_sdd_positive,
     relay_miso,
     relay_miso_explicit3,
-    spectral_surrogates,
     validate_channel,
 )
 from dmcbounds.cli import main, run_sweep
@@ -256,7 +253,8 @@ def test_criterion_6_property_suite():
     assert len(params) == 200
     for n, min_ratio, seed in params:
         m = random_sdd_positive(n, min_ratio, seed)
-        a = analyze_inverse(m)
+        report = capacity_upper_bound(m)
+        a = report.analysis
         inv, c = a.inverse, a.c_min
         tag = f"(n={n},r={min_ratio},s={seed})"
 
@@ -288,13 +286,11 @@ def test_criterion_6_property_suite():
             problems.append(f"inverse row sums {tag}")
 
         if c > n - 1:
-            sigma_star, h_max_star = spectral_surrogates(m, a)
-            if sigma_star > a.sigma_min + 1e-8:
+            if report.sigma_star > a.sigma_min + 1e-8:
                 problems.append(f"sigma surrogate {tag}")
-            if a.h_max > h_max_star + 1e-8:
+            if a.h_max > report.h_max_star + 1e-8:
                 problems.append(f"entropy surrogate {tag}")
 
-        report = capacity_upper_bound(m, a)
         ba = blahut_arimoto(m, 1e-9).capacity
         if report.upper_bound < ba - 1e-6:
             problems.append(f"bound below capacity {tag}")

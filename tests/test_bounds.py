@@ -10,50 +10,28 @@ from hypothesis.extra.numpy import arrays
 from dmcbounds import (
     Condition,
     NotPositive,
-    PreconditionNotMet,
     analyze_inverse,
     blahut_arimoto,
     capacity_upper_bound,
-    check_coarse_condition,
-    check_feasibility_condition,
-    check_gershgorin_condition,
-    check_spectral_condition,
     entropy_bits,
-    inverse_row_entropies,
     mutual_information,
     optimal_output_distribution,
     relay_miso,
-    spectral_surrogates,
     validate_channel,
 )
 from conftest import entropy2
-
-
-@pytest.fixture(scope="module")
-def an1(ex1):
-    return analyze_inverse(ex1)
-
-
-@pytest.fixture(scope="module")
-def an3(ex3):
-    return analyze_inverse(ex3)
-
-
-@pytest.fixture(scope="module")
-def an4(ex4):
-    return analyze_inverse(ex4)
 
 
 class TestInverseRowEntropies:
     def test_bsc_by_hand(self, bsc01):
         # inverse rows are (1.125, -0.125) and both channel rows have the
         # same entropy, so K_j collapses to H(0.1) itself
-        k = inverse_row_entropies(bsc01, analyze_inverse(bsc01))
+        k = capacity_upper_bound(bsc01).inverse_entropies
         assert k == pytest.approx([entropy2([0.9, 0.1])] * 2, abs=1e-12)
         assert k == pytest.approx([0.469, 0.469], abs=1e-3)
 
-    def test_permutation_rows_give_equal_entries(self, ex3, an3):
-        k = inverse_row_entropies(ex3, an3)
+    def test_permutation_rows_give_equal_entries(self, ex3):
+        k = capacity_upper_bound(ex3).inverse_entropies
         assert np.allclose(k, k[0], atol=1e-12)
 
     def test_symmetric_positive_definite_channel(self):
@@ -62,13 +40,13 @@ class TestInverseRowEntropies:
         m = validate_channel(
             [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]
         )
-        k = inverse_row_entropies(m, analyze_inverse(m))
+        k = capacity_upper_bound(m).inverse_entropies
         assert np.allclose(k, k[0], atol=1e-12)
 
     def test_requires_positive_matrix(self):
         m = validate_channel(np.eye(2))
         with pytest.raises(NotPositive):
-            inverse_row_entropies(m, analyze_inverse(m))
+            capacity_upper_bound(m).inverse_entropies
 
 
 class TestOptimalOutputDistribution:
@@ -76,8 +54,8 @@ class TestOptimalOutputDistribution:
         q = optimal_output_distribution(np.zeros(4))
         assert q == pytest.approx([0.25] * 4, abs=0)
 
-    def test_reported_output_vector(self, ex1, an1):
-        k = inverse_row_entropies(ex1, an1)
+    def test_reported_output_vector(self, ex1):
+        k = capacity_upper_bound(ex1).inverse_entropies
         q = optimal_output_distribution(k)
         assert q == pytest.approx([0.33087, 0.32806, 0.34107], abs=1e-4)
 
@@ -154,14 +132,13 @@ class TestCapacityUpperBound:
                 mi = mutual_information(m, r.p_star)
                 assert r.upper_bound == pytest.approx(mi, abs=1e-9)
 
-    def test_stationarity_of_q_star(self, ex1, an1):
+    def test_stationarity_of_q_star(self, ex1):
         # no simplex direction of size 1e-4 from q* may gain more than 1e-8
-        r = capacity_upper_bound(ex1, an1)
+        r = capacity_upper_bound(ex1)
+        a = r.analysis
 
         def objective(q):
-            return entropy_bits(q) - float(
-                (an1.inverse.T @ q) @ an1.row_entropies
-            )
+            return entropy_bits(q) - float((a.inverse.T @ q) @ a.row_entropies)
 
         base = objective(r.q_star)
         rng = np.random.default_rng(11)
@@ -211,101 +188,91 @@ class TestUpperBoundIsTheDualAtQStar:
 
 
 class TestFeasibilityCondition:
-    def test_reliable_example_holds(self, ex1, an1):
-        k = inverse_row_entropies(ex1, an1)
-        assert check_feasibility_condition(ex1, an1, k) is Condition.HOLDS
+    def test_reliable_example_holds(self, ex1):
+        assert capacity_upper_bound(ex1).feasibility_condition is Condition.HOLDS
 
-    def test_unreliable_example_precondition(self, ex4, an4):
-        k = inverse_row_entropies(ex4, an4)
+    def test_unreliable_example_precondition(self, ex4):
         assert (
-            check_feasibility_condition(ex4, an4, k)
+            capacity_upper_bound(ex4).feasibility_condition
             is Condition.PRECONDITION_NOT_MET
         )
 
     def test_bsc_by_hand(self, bsc01):
         # inverse column ratios are 1.125/0.125 = 9, the spread of K is zero,
         # so the threshold is (n-1) * 2^0 = 1
-        an = analyze_inverse(bsc01)
-        k = inverse_row_entropies(bsc01, an)
-        assert check_feasibility_condition(bsc01, an, k) is Condition.HOLDS
+        assert capacity_upper_bound(bsc01).feasibility_condition is Condition.HOLDS
 
 
 class TestSpectralCondition:
-    def test_reliable_example_holds(self, ex1, an1):
-        cond, v = check_spectral_condition(ex1, an1)
-        assert cond is Condition.HOLDS
-        assert v == pytest.approx(19.0 / 18.0, abs=1e-12)
+    def test_reliable_example_holds(self, ex1):
+        r = capacity_upper_bound(ex1)
+        assert r.spectral_condition is Condition.HOLDS
+        assert r.root_exponent == pytest.approx(19.0 / 18.0, abs=1e-12)
 
-    def test_unreliable_example_precondition(self, ex4, an4):
-        cond, v = check_spectral_condition(ex4, an4)
-        assert cond is Condition.PRECONDITION_NOT_MET
-        assert math.isnan(v)
+    def test_unreliable_example_precondition(self, ex4):
+        r = capacity_upper_bound(ex4)
+        assert r.spectral_condition is Condition.PRECONDITION_NOT_MET
+        assert math.isnan(r.root_exponent)
 
     def test_relay_midrange_fails_and_edge_holds(self):
         # dominance holds at alpha=0.2 but the inequality does not; very
         # reliable uplinks (alpha=0.01) satisfy it outright
-        m = relay_miso(3, 0.2)
-        cond, _ = check_spectral_condition(m, analyze_inverse(m))
-        assert cond is Condition.FAILS
-        m = relay_miso(3, 0.01)
-        cond, _ = check_spectral_condition(m, analyze_inverse(m))
-        assert cond is Condition.HOLDS
+        assert capacity_upper_bound(relay_miso(3, 0.2)).spectral_condition is Condition.FAILS
+        assert capacity_upper_bound(relay_miso(3, 0.01)).spectral_condition is Condition.HOLDS
 
 
 class TestCoarseCondition:
-    def test_reliable_example_fails(self, ex1, an1):
+    def test_reliable_example_fails(self, ex1):
         # (c_min-1)/(n-1)^2 = 4.5 while the right side is 2^(6 log2 3 / 0.924)
-        assert check_coarse_condition(ex1, an1) is Condition.FAILS
+        assert capacity_upper_bound(ex1).coarse_condition is Condition.FAILS
 
-    def test_unreliable_example_precondition(self, ex4, an4):
-        assert check_coarse_condition(ex4, an4) is Condition.PRECONDITION_NOT_MET
+    def test_unreliable_example_precondition(self, ex4):
+        assert capacity_upper_bound(ex4).coarse_condition is Condition.PRECONDITION_NOT_MET
 
     def test_near_noiseless_binary_holds(self):
         eps = 1e-6
         m = validate_channel([[1 - eps, eps], [eps, 1 - eps]])
-        assert check_coarse_condition(m, analyze_inverse(m)) is Condition.HOLDS
+        assert capacity_upper_bound(m).coarse_condition is Condition.HOLDS
 
 
 class TestSpectralSurrogates:
-    def test_reliable_example(self, ex1, an1):
-        sigma_star, h_max_star = spectral_surrogates(ex1, an1)
-        assert sigma_star == pytest.approx(0.875, abs=1e-9)
-        assert h_max_star == pytest.approx(0.3364, abs=1e-3)
+    def test_reliable_example(self, ex1):
+        r = capacity_upper_bound(ex1)
+        assert r.sigma_star == pytest.approx(0.875, abs=1e-9)
+        assert r.h_max_star == pytest.approx(0.3364, abs=1e-3)
 
-    def test_permutation_row_example(self, ex3, an3):
-        sigma_star, h_max_star = spectral_surrogates(ex3, an3)
-        assert sigma_star == pytest.approx(0.825, abs=1e-3)
-        assert h_max_star == pytest.approx(0.43592, abs=1e-3)
+    def test_permutation_row_example(self, ex3):
+        r = capacity_upper_bound(ex3)
+        assert r.sigma_star == pytest.approx(0.825, abs=1e-3)
+        assert r.h_max_star == pytest.approx(0.43592, abs=1e-3)
 
-    def test_arithmetic_identity(self, ex1, an1):
+    def test_arithmetic_identity(self, ex1):
         # c_min = 19, n = 3: (19 - 1.5) / 20
-        sigma_star, _ = spectral_surrogates(ex1, an1)
-        assert sigma_star == (an1.c_min - 1.5) / (an1.c_min + 1.0)
+        r = capacity_upper_bound(ex1)
+        assert r.sigma_star == (r.analysis.c_min - 1.5) / (r.analysis.c_min + 1.0)
 
-    def test_requires_dominance(self, ex4, an4):
-        with pytest.raises(PreconditionNotMet):
-            spectral_surrogates(ex4, an4)
+    def test_requires_dominance(self, ex4):
+        r = capacity_upper_bound(ex4)
+        assert math.isnan(r.sigma_star) and math.isnan(r.h_max_star)
 
 
 class TestGershgorinCondition:
-    def test_reliable_example_holds(self, ex1, an1):
-        assert check_gershgorin_condition(ex1, an1) is Condition.HOLDS
+    def test_reliable_example_holds(self, ex1):
+        assert capacity_upper_bound(ex1).gershgorin_condition is Condition.HOLDS
 
-    def test_permutation_row_example_fails(self, ex3, an3):
+    def test_permutation_row_example_fails(self, ex3):
         # the surrogate substitution costs too much here: the true-spectrum
         # test holds with margin 1.4971 vs 1.4673, but n*H*_max/sigma* rises
         # to 1.5852 and the inequality flips
-        assert check_gershgorin_condition(ex3, an3) is Condition.FAILS
-        assert check_spectral_condition(ex3, an3)[0] is Condition.HOLDS
+        r = capacity_upper_bound(ex3)
+        assert r.gershgorin_condition is Condition.FAILS
+        assert r.spectral_condition is Condition.HOLDS
 
     def test_small_ratio_hits_sigma_star_guard(self):
         from dmcbounds import beta_family
 
         m = beta_family(0.4)  # c_min = 1.5 <= n/2 = 2, sigma* <= 0
-        assert (
-            check_gershgorin_condition(m, analyze_inverse(m))
-            is Condition.PRECONDITION_NOT_MET
-        )
+        assert capacity_upper_bound(m).gershgorin_condition is Condition.PRECONDITION_NOT_MET
 
 
 class TestPropertySuite:
@@ -337,8 +304,8 @@ class TestPropertySuite:
 
     def test_entropy_spread_bound(self, sdd_fixtures):
         for _, _, seed, m in sdd_fixtures[::5]:
-            a = analyze_inverse(m)
-            k = inverse_row_entropies(m, a)
+            r = capacity_upper_bound(m)
+            a, k = r.analysis, r.inverse_entropies
             v = a.c_min / (a.c_min - 1.0)
             limit = m.n * a.h_max * v / a.sigma_min + 1e-8
             assert k.max() - k.min() <= limit, seed

@@ -259,6 +259,17 @@ class TestRandomSddPositive:
         with pytest.raises(InvalidParameter):
             random_sdd_positive(3, 1.0, 0)
 
+    @pytest.mark.parametrize(
+        "n, seed", [(4.0, 1), (4, 1.5), (4, "1")], ids=["float-n", "float-seed", "str-seed"]
+    )
+    def test_rejects_non_integer_n_or_seed(self, n, seed):
+        with pytest.raises(InvalidParameter):
+            random_sdd_positive(n, 3.0, seed)
+
+    def test_accepts_numpy_integers(self):
+        a = random_sdd_positive(np.int64(4), 3.0, np.int64(7))
+        assert np.array_equal(a.entries, random_sdd_positive(4, 3.0, 7).entries)
+
 
 class TestBuildFamily:
     def test_aliases_resolve(self):

@@ -536,6 +536,20 @@ class TestDualBound:
     def test_output_that_q_misses_gives_inf(self, ex1):
         assert dual_bound(ex1, np.array([0.5, 0.5, 0.0])) == math.inf
 
+    @pytest.mark.parametrize(
+        "q",
+        [[1.0, 1.0], [math.nan, 0.5], [1.5, -0.5], [0.2, 0.3, 0.5]],
+        ids=["sum-2", "nan", "negative", "length-3"],
+    )
+    def test_rejects_an_output_vector_that_is_not_a_pmf(self, bsc01, q):
+        # [1, 1] would give 1 - H(0.1) - 1 = -0.469, below the capacity 0.531
+        with pytest.raises(InvalidPmf):
+            dual_bound(bsc01, np.array(q))
+
+    def test_accepts_a_list(self, bsc01):
+        expected = 1.0 - entropy2([0.9, 0.1])
+        assert dual_bound(bsc01, [0.5, 0.5]) == pytest.approx(expected, abs=1e-12)
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(2, 8),
