@@ -94,10 +94,6 @@ class BoundReport:
     root_exponent: float
     analysis: InverseAnalysis
 
-    @property
-    def n(self) -> int:
-        return len(self.q_star)
-
 
 def optimal_output_distribution(k: np.ndarray) -> np.ndarray:
     """Softmax of -K. Shifting by K_min first keeps the powers in range;

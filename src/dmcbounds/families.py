@@ -7,13 +7,19 @@ positive matrices for property testing.
 
 The random generator uses splitmix64 so fixtures are reproducible bit-for-bit
 from the seed alone, in any language with 64-bit integers.
+
+``build_family``, ``parameter_domain`` and ``canonical_family`` dispatch on a
+family name through one table, ``_PARAMETRIC``: each parametric family's
+generator, its parameter domain and whether it needs n. The fixed examples,
+which take no parameter, are the tuple ``_FIXED``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, inf
 from numbers import Integral
 
 import numpy as np
@@ -30,7 +36,7 @@ class SplitMix64:
     """splitmix64: 64-bit state, golden-gamma increment, two xor-shift mixes."""
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._state = operator.index(seed) & _MASK64
 
     def next_uint64(self) -> int:
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
@@ -77,21 +83,6 @@ def bsc(crossover: float) -> ChannelMatrix:
     return validate_channel([[1.0 - p, p], [p, 1.0 - p]])
 
 
-def relay_miso_explicit3(alpha: float) -> np.ndarray:
-    """The 4x4 relay summation matrix for three uplinks, written out term by
-    term. Ground truth for the general generator's index convention."""
-    a = alpha
-    b = 1.0 - alpha
-    return np.array(
-        [
-            [b**3, 3 * b * b * a, 3 * b * a * a, a**3],
-            [a * b * b, 2 * a * a * b + b**3, 2 * b * b * a + a**3, b * a * a],
-            [b * a * a, 2 * b * b * a + a**3, 2 * a * a * b + b**3, a * b * b],
-            [a**3, 3 * b * a * a, 3 * b * b * a, b**3],
-        ]
-    )
-
-
 @lru_cache(maxsize=2)
 def _relay_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Row r (0-indexed) means r of the n binary uplinks carry a one; each
@@ -131,19 +122,6 @@ def _relay_entries(n: int, alpha: float) -> np.ndarray:
     return np.bincount(cell, terms, minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
 
 
-@lru_cache(maxsize=1)
-def _relay_convention_check() -> bool:
-    # The binomial indexing admits several readings; only the one matching the
-    # explicit 4x4 matrix is acceptable. Checked once per process.
-    for alpha in (0.0, 0.17, 0.5, 0.83, 1.0):
-        diff = np.abs(_relay_entries(3, alpha) - relay_miso_explicit3(alpha)).max()
-        if diff > 1e-12:
-            raise AssertionError(
-                f"relay generator convention mismatch at alpha={alpha}: {diff:.3e}"
-            )
-    return True
-
-
 def relay_miso(n: int, alpha: float) -> ChannelMatrix:
     """(n+1)-ary channel of n binary uplinks with flip probability alpha,
     summed at the receiver."""
@@ -153,7 +131,6 @@ def relay_miso(n: int, alpha: float) -> ChannelMatrix:
         raise InvalidParameter(f"n must be at most {RELAY_MAX_N}, got {n}")
     if not 0.0 <= alpha <= 1.0:
         raise InvalidParameter(f"alpha must be in [0, 1], got {alpha!r}")
-    _relay_convention_check()
     return validate_channel(_relay_entries(int(n), float(alpha)))
 
 
@@ -209,7 +186,7 @@ def random_sdd_positive(n: int, min_ratio: float, seed: int) -> ChannelMatrix:
         raise InvalidParameter(f"seed must be an integer, got {seed!r}")
     if not min_ratio > 1.0:
         raise InvalidParameter(f"min_ratio must exceed 1, got {min_ratio!r}")
-    rng = SplitMix64(int(seed))  # a numpy integer would overflow in the mixing
+    rng = SplitMix64(seed)
     a = np.zeros((n, n))
     for i in range(n):
         ratio = min_ratio * (1.0 + rng.next_float())
@@ -236,21 +213,25 @@ _ALIASES = {
     "example-3-fixed": "example-3",
 }
 
-FAMILY_NAMES = (
-    "relay-miso",
-    "gamma",
-    "beta",
-    "example-1",
-    "example-3",
-    "example-4",
-    "bsc",
-    "random-sdd",
-)
+_FIXED = ("example-1", "example-3", "example-4")
+
+# family: (generator of a FamilySpec, (lo, hi, endpoints included), needs n)
+_PARAMETRIC = {
+    "relay-miso": (lambda spec: relay_miso(spec.n, spec.parameter), (0.0, 1.0, True), True),
+    "gamma": (lambda spec: gamma_family(spec.parameter), (0.0, 1.0, False), False),
+    "beta": (lambda spec: beta_family(spec.parameter), (0.0, 1.0, True), False),
+    "bsc": (lambda spec: bsc(spec.parameter), (0.0, 1.0, True), False),
+    "random-sdd": (
+        lambda spec: random_sdd_positive(spec.n, spec.parameter, spec.seed or 0),
+        (1.0, inf, False),
+        True,
+    ),
+}
 
 
 def canonical_family(name: str) -> str:
     name = _ALIASES.get(name, name)
-    if name not in FAMILY_NAMES:
+    if name not in _FIXED and name not in _PARAMETRIC:
         raise InvalidParameter(f"unknown family {name!r}")
     return name
 
@@ -258,35 +239,19 @@ def canonical_family(name: str) -> str:
 def parameter_domain(family: str) -> tuple[float, float, bool]:
     """(lo, hi, endpoints_included) of the family's parameter."""
     family = canonical_family(family)
-    if family == "gamma":
-        return 0.0, 1.0, False
-    if family in ("relay-miso", "beta", "bsc"):
-        return 0.0, 1.0, True
-    if family == "random-sdd":
-        return 1.0, float("inf"), False
-    raise InvalidParameter(f"family {family!r} takes no parameter")
+    if family in _FIXED:
+        raise InvalidParameter(f"family {family!r} takes no parameter")
+    return _PARAMETRIC[family][1]
 
 
 def build_family(spec: FamilySpec) -> ChannelMatrix:
     """Dispatch a FamilySpec to its generator, checking required fields."""
     family = canonical_family(spec.family)
-    if family in ("example-1", "example-3", "example-4"):
+    if family in _FIXED:
         return fixed_example(family)
-
     if spec.parameter is None:
         raise InvalidParameter(f"family {family!r} requires a parameter")
-    if family == "bsc":
-        return bsc(spec.parameter)
-    if family == "gamma":
-        return gamma_family(spec.parameter)
-    if family == "beta":
-        return beta_family(spec.parameter)
-    if family == "relay-miso":
-        if spec.n is None:
-            raise InvalidParameter("relay-miso requires n")
-        return relay_miso(spec.n, spec.parameter)
-    if family == "random-sdd":
-        if spec.n is None:
-            raise InvalidParameter("random-sdd requires n")
-        return random_sdd_positive(spec.n, spec.parameter, spec.seed or 0)
-    raise InvalidParameter(f"unknown family {family!r}")
+    generate, _, needs_n = _PARAMETRIC[family]
+    if needs_n and spec.n is None:
+        raise InvalidParameter(f"{family} requires n")
+    return generate(spec)

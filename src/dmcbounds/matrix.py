@@ -60,7 +60,6 @@ class InverseAnalysis:
     inverse: np.ndarray
     is_positive: bool
     is_sdd: bool
-    gershgorin_ratios: np.ndarray
     c_min: float
     sigma_min: float
     cond: float
@@ -182,14 +181,12 @@ def analyze_inverse(matrix: ChannelMatrix) -> InverseAnalysis:
     inverse = _checked_inverse(a, sv)
     diag = np.diag(a)
     off = a.sum(axis=1) - diag
-    ratios, c_min = gershgorin(matrix)
     ent, h_max = row_entropies(matrix)
     return InverseAnalysis(
         inverse=inverse,
         is_positive=bool(a.min() > 0.0),
         is_sdd=bool(((diag - off) > DOMINANCE_MARGIN).all()),
-        gershgorin_ratios=ratios,
-        c_min=c_min,
+        c_min=float(_dominance_ratios(diag, off).min()),
         sigma_min=float(sv[-1]),
         cond=_condition_number(sv),
         row_entropies=ent,

@@ -31,6 +31,21 @@ def bsc01():
     return validate_channel([[0.9, 0.1], [0.1, 0.9]])
 
 
+def relay_miso_explicit3(alpha: float) -> np.ndarray:
+    """The 4x4 relay summation matrix for three uplinks, written out term by
+    term. Ground truth for the general generator's index convention."""
+    a = alpha
+    b = 1.0 - alpha
+    return np.array(
+        [
+            [b**3, 3 * b * b * a, 3 * b * a * a, a**3],
+            [a * b * b, 2 * a * a * b + b**3, 2 * b * b * a + a**3, b * a * a],
+            [b * a * a, 2 * b * b * a + a**3, 2 * a * a * b + b**3, a * b * b],
+            [a**3, 3 * b * a * a, 3 * b * b * a, b**3],
+        ]
+    )
+
+
 def sdd_fixture_params():
     """The 200 deterministic SDD-positive property fixtures: every
     (n, min_ratio) combination over n in 2..6 and four ratios, 10 seeds each."""

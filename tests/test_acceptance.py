@@ -36,12 +36,11 @@ from dmcbounds import (
     grid_oracle,
     random_sdd_positive,
     relay_miso,
-    relay_miso_explicit3,
     validate_channel,
 )
 from dmcbounds.cli import main, run_sweep
 from dmcbounds.families import _relay_entries
-from conftest import entropy2, sdd_fixture_params
+from conftest import entropy2, relay_miso_explicit3, sdd_fixture_params
 
 
 def check(label, problems):

@@ -209,6 +209,10 @@ class TestSweep:
         assert main(["sweep", "--family", "gamma", "--range", "0:0.5",
                      "--steps", "3"]) == 2
 
+    def test_fixed_example_takes_no_parameter_range(self, capsys):
+        assert main(["sweep", "--family", "example-1", "--range", "0:1", "--steps", "2"]) == 2
+        assert "takes no parameter" in capsys.readouterr().err
+
     def test_step_and_range_validation(self):
         assert main(["sweep", "--family", "bsc", "--range", "0.1:0.4",
                      "--steps", "1"]) == 2

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,10 +22,10 @@ from dmcbounds import (
     gamma_family,
     random_sdd_positive,
     relay_miso,
-    relay_miso_explicit3,
     validate_channel,
 )
-from dmcbounds.families import _relay_entries, _relay_table
+from dmcbounds.families import _relay_entries, _relay_table, canonical_family, parameter_domain
+from conftest import relay_miso_explicit3
 
 
 def relay_comb_products(n):
@@ -74,6 +76,19 @@ class TestSplitMix64:
             3203168211198807973,
             9817491932198370423,
         ]
+
+    @pytest.mark.parametrize("seed", [np.int64(1), np.uint64(2**63 + 5)], ids=["int64", "uint64"])
+    def test_numpy_integer_seed_draws_the_python_int_stream(self, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = SplitMix64(seed)
+            draws = [g.next_uint64() for _ in range(3)] + [g.next_float()]
+        expected = SplitMix64(int(seed))
+        assert draws == [expected.next_uint64() for _ in range(3)] + [expected.next_float()]
+
+    def test_float_seed_is_refused(self):
+        with pytest.raises(TypeError):
+            SplitMix64(1.5)
 
     def test_floats_are_in_unit_interval(self):
         g = SplitMix64(99)
@@ -297,3 +312,34 @@ class TestBuildFamily:
         a = build_family(FamilySpec("random-sdd", n=3, parameter=2.0, seed=5))
         b = random_sdd_positive(3, 2.0, 5)
         assert np.array_equal(a.entries, b.entries)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: parameter_domain("relay-miso"), (0.0, 1.0, True)),
+        (lambda: parameter_domain("gamma"), (0.0, 1.0, False)),
+        (lambda: parameter_domain("beta"), (0.0, 1.0, True)),
+        (lambda: parameter_domain("bsc"), (0.0, 1.0, True)),
+        (lambda: parameter_domain("random-sdd"), (1.0, math.inf, False)),
+        (lambda: parameter_domain("example-1"), "family 'example-1' takes no parameter"),
+        (lambda: build_family(FamilySpec("beta")), "family 'beta' requires a parameter"),
+        (lambda: build_family(FamilySpec("relay-miso", parameter=0.3)), "relay-miso requires n"),
+        (lambda: build_family(FamilySpec("random-sdd", parameter=2.0)), "random-sdd requires n"),
+        (lambda: canonical_family("quaternary-erasure"), "unknown family 'quaternary-erasure'"),
+        (lambda: build_family(FamilySpec("gamma", parameter=1.5)), "gamma must be in (0, 1), got 1.5"),
+    ],
+    ids=[
+        "domain-relay-miso", "domain-gamma", "domain-beta", "domain-bsc", "domain-random-sdd",
+        "no-parameter", "requires-parameter", "relay-requires-n", "sdd-requires-n", "unknown",
+        "generator-domain",
+    ],
+)
+def test_dispatch_contract(call, expected):
+    """Each parametric family's domain, and the message of each refusal, in
+    the order build_family checks: the family, the parameter, n, the domain."""
+    if isinstance(expected, str):
+        with pytest.raises(InvalidParameter, match=f"^{re.escape(expected)}$"):
+            call()
+    else:
+        assert call() == expected
