@@ -10,11 +10,12 @@ inverse), the optimizing output pmf is
 the matching input is p* = inv(A)^T q* (rows of inv(A) sum to 1, so p* sums
 to 1 but may go negative), and the bound is the dual value at q*,
 
-    C <= U(q*) = max_i D(A_i || q*).
+    C <= U(q*) = max_i D(A_i || q*),
 
-U(q) bounds C for every output pmf q, so U(q*) is valid for whatever q* the
-computed inverse produced, and it is +inf where q* underflows to 0 at some
-output. In exact arithmetic every D(A_i || q*) equals log2 sum_j 2^(-K_j).
+taken by ``reference._dual``, the package's one U(q) kernel. U(q) bounds C
+for every output pmf q, so U(q*) is valid for whatever q* the computed
+inverse produced, and it is +inf where q* underflows to 0 at some output. In
+exact arithmetic every D(A_i || q*) equals log2 sum_j 2^(-K_j).
 
 Where A is too close to singular to invert, the same formula with the
 Moore-Penrose pseudo-inverse pinv(A) in place of inv(A) still gives an input
@@ -58,7 +59,7 @@ from .matrix import (
     analyze_inverse,
     row_entropies,
 )
-from .reference import _divergence_terms
+from .reference import _dual
 
 FEASIBILITY_TOL = -1e-10
 
@@ -186,12 +187,11 @@ def capacity_upper_bound(matrix: ChannelMatrix) -> BoundReport:
     if not analysis.is_positive:
         raise NotPositive("the closed-form bound requires a strictly positive matrix")
     k, q_star, p_star = _kkt_closed_form(analysis.inverse, analysis.row_entropies)
-    upper = float(_divergence_terms(matrix.entries, -analysis.row_entropies, q_star).max())
     return BoundReport(
         inverse_entropies=k,
         q_star=q_star,
         p_star=p_star,
-        upper_bound=upper,
+        upper_bound=_dual(matrix.entries, -analysis.row_entropies, q_star),
         p_star_feasible=bool((p_star >= FEASIBILITY_TOL).all()),
         analysis=analysis,
         **_exactness_ladder(matrix.n, analysis, k),

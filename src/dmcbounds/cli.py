@@ -22,7 +22,6 @@ import sys
 from .bounds import Condition, capacity_upper_bound, pseudo_inverse_input
 from .errors import (
     ConvergenceFailure,
-    DmcError,
     InputError,
     InvalidRange,
     NotPositive,
@@ -293,18 +292,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DmcError as exc:  # any stragglers count as input problems
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def entrypoint() -> None:

@@ -285,20 +285,17 @@ def load_matrix_csv(source) -> ChannelMatrix:
     return validate_channel(raw)
 
 
-def dump_matrix_csv(matrix: ChannelMatrix, dest=None) -> str:
+def dump_matrix_csv(matrix: ChannelMatrix, path=None) -> str:
     """Write the matrix in the shared CSV format at 17 significant digits.
 
-    Returns the text; if ``dest`` (path or stream) is given, also writes it.
+    Returns the text; if a file ``path`` is given, also writes it there.
     """
     buf = io.StringIO()
     for row in matrix.entries:
         buf.write(",".join(format(v, ".17g") for v in row))
         buf.write("\n")
     text = buf.getvalue()
-    if dest is not None:
-        if hasattr(dest, "write"):
-            dest.write(text)
-        else:
-            with open(dest, "w", encoding="ascii") as fh:
-                fh.write(text)
+    if path is not None:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
     return text

@@ -1,5 +1,11 @@
 """Reference capacities and the two competing published upper bounds.
 
+One kernel scores an output pmf q: ``_dual`` takes U(q) = max_i D(A_i || q)
+from -H(A_i), computed once per matrix. Every dual bound here, the closed
+form's and the grid oracle's gap included, is ``_dual``. One evaluation,
+``_evaluate``, scores an input pmf p for the iterative solver and its Newton
+steps: q = A^T p, then D at q, then the bracket described below at p.
+
 The iterative solver is the classic alternating maximization: with
 D_i = sum_j A_ij log2(A_ij / q_j) and q = A^T p, update
 p_i <- p_i 2^(D_i) / sum_k p_k 2^(D_k). At every step
@@ -45,6 +51,7 @@ maximizer as its certified gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations
 from numbers import Integral
 
 import numpy as np
@@ -64,7 +71,6 @@ class CapacityEstimate:
     optimal_input: np.ndarray
     iterations: int
     gap: float
-    method: str  # "blahut-arimoto" or "grid-oracle"
 
 
 def _divergence_terms(entries: np.ndarray, neg_ent: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -81,27 +87,31 @@ def _divergence_terms(entries: np.ndarray, neg_ent: np.ndarray, q: np.ndarray) -
     return d
 
 
-def _dual(matrix: ChannelMatrix, q: np.ndarray) -> float:
-    """U(q) with no pmf check, for an output pmf built here (up to rounding)."""
-    return float(_divergence_terms(matrix.entries, -row_entropies(matrix)[0], q).max())
+def _dual(entries: np.ndarray, neg_ent: np.ndarray, q: np.ndarray) -> float:
+    """U(q) = max_i D_i with no pmf check, for an output pmf built here (up to
+    rounding); ``neg_ent`` holds -H(A_i) as in ``_divergence_terms``."""
+    return float(_divergence_terms(entries, neg_ent, q).max())
 
 
 def dual_bound(matrix: ChannelMatrix, q) -> float:
     """U(q) = max_i D(A_i || q) in bits, an upper bound on capacity for every
     output pmf q (Chiang & Boyd, 2004); +inf where q misses an output that
     some row reaches. Raises InvalidPmf unless q is a pmf of length n."""
-    return _dual(matrix, _checked_pmf(q, matrix.n))
+    return _dual(matrix.entries, -row_entropies(matrix)[0], _checked_pmf(q, matrix.n))
 
 
-def _bracket(p: np.ndarray, d: np.ndarray) -> tuple[float, float]:
-    """(I(p), max_i D_i - I(p)); unused inputs carry no weight, even at D_i = inf.
+def _evaluate(entries: np.ndarray, neg_ent: np.ndarray, p: np.ndarray) -> tuple:
+    """(q, D, I(p), max_i D_i - I(p)) at the input pmf p, with q = A^T p and
+    D_i = D(A_i || q); unused inputs carry no weight, even at D_i = inf.
 
     The gap is clamped at 0: a negative value is rounding, and the clamp only
     widens the bracket.
     """
+    q = entries.T @ p
+    d = _divergence_terms(entries, neg_ent, q)
     used = p > 0.0
     lower = float(p[used] @ d[used])
-    return lower, max(float(d.max()) - lower, 0.0)
+    return q, d, lower, max(float(d.max()) - lower, 0.0)
 
 
 def _newton_direction(
@@ -132,22 +142,20 @@ def _newton_direction(
 
 
 def _newton_on_support(
-    entries: np.ndarray, neg_ent: np.ndarray, p: np.ndarray, tol: float, budget: int
+    entries: np.ndarray, neg_ent: np.ndarray, p: np.ndarray, at_p: tuple, tol: float, budget: int
 ) -> tuple[np.ndarray | None, int]:
     """Active-set Newton solve of the KKT system D_i = C (i in S), sum_S p_i = 1.
 
-    S starts as the support of ``p``. Each step goes along the Newton direction
-    as far as p >= 0 allows (ratio test), halving the step until I(p) does not
-    drop; when the full ratio-test step is taken, the input it drives to zero
-    leaves S. Once D is flat on S, the worst off-support input with
-    D_i > I(p) joins S.
+    ``at_p`` is ``_evaluate`` at ``p``, and S starts as the support of ``p``.
+    Each step goes along the Newton direction as far as p >= 0 allows (ratio
+    test), halving the step until I(p) does not drop; when the full ratio-test
+    step is taken, the input it drives to zero leaves S. Once D is flat on S,
+    the worst off-support input with D_i > I(p) joins S.
 
     Returns ``(p, steps)``: p is a pmf whose full-alphabet bracket is at most
     ``tol``, or None if a step failed or ``budget`` steps ran out.
     """
-    q = entries.T @ p
-    d = _divergence_terms(entries, neg_ent, q)
-    lower, _ = _bracket(p, d)
+    q, d, lower, _ = at_p
     support = p > 0.0
     for step in range(1, budget + 1):
         idx = support.nonzero()[0]
@@ -167,9 +175,7 @@ def _newton_on_support(
             if blocked:
                 trial[idx[leaving]] = 0.0
             trial /= trial.sum()
-            trial_q = entries.T @ trial
-            trial_d = _divergence_terms(entries, neg_ent, trial_q)
-            trial_lower, gap = _bracket(trial, trial_d)
+            trial_q, trial_d, trial_lower, gap = _evaluate(entries, neg_ent, trial)
             if trial_lower >= lower - 1e-15:
                 break
             t *= 0.5
@@ -199,7 +205,7 @@ def _estimate(lower: float, gap: float, p: np.ndarray, iterations: int) -> Capac
     """
     if lower <= 0.0:
         lower, gap = 0.0, max(gap + lower, 0.0)
-    return CapacityEstimate(lower, p, iterations, gap, "blahut-arimoto")
+    return CapacityEstimate(lower, p, iterations, gap)
 
 
 def _seed_pmf(start, n: int) -> np.ndarray | None:
@@ -259,8 +265,8 @@ def blahut_arimoto(
     iterations = 0
     since_newton = NEWTON_EVERY if seeded else 0
     while True:
-        d = _divergence_terms(entries, neg_ent, entries.T @ p)
-        lower, gap = _bracket(p, d)
+        at_p = _evaluate(entries, neg_ent, p)
+        _, d, lower, gap = at_p
         if gap <= tol:
             return _estimate(lower, gap, p, iterations)
         if iterations >= max_iter:
@@ -269,7 +275,7 @@ def blahut_arimoto(
         if since_newton == NEWTON_EVERY:
             since_newton = 0
             budget = min(max_iter - iterations, matrix.n + NEWTON_EVERY)
-            solved, steps = _newton_on_support(entries, neg_ent, p, tol, budget)
+            solved, steps = _newton_on_support(entries, neg_ent, p, at_p, tol, budget)
             iterations += steps
             if solved is not None:
                 p = solved
@@ -285,15 +291,14 @@ def blahut_arimoto(
 
 
 def _simplex_lattice(total: int, parts: int) -> np.ndarray:
-    """All nonnegative integer vectors of length ``parts`` summing to ``total``."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    blocks = []
-    for first in range(total + 1):
-        rest = _simplex_lattice(total - first, parts - 1)
-        head = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack([head, rest]))
-    return np.vstack(blocks)
+    """All nonnegative integer vectors of length ``parts`` >= 2 summing to
+    ``total``, in lexicographic order: stars and bars, where the gaps between
+    ``parts - 1`` bars among ``total + parts - 1`` slots are the parts."""
+    slots = total + parts - 1
+    bars = np.fromiter(
+        chain.from_iterable(combinations(range(slots), parts - 1)), dtype=np.int64
+    ).reshape(-1, parts - 1)
+    return np.diff(bars, axis=1, prepend=-1, append=slots) - 1
 
 
 def grid_oracle(matrix: ChannelMatrix, resolution: int) -> CapacityEstimate:
@@ -301,7 +306,7 @@ def grid_oracle(matrix: ChannelMatrix, resolution: int) -> CapacityEstimate:
 
     ``iterations`` reports the number of lattice points evaluated; ``gap`` is
     the certified bracket max_i D_i - I at the lattice maximizer, so the true
-    capacity lies within [capacity, capacity + gap]. As in ``_bracket``, the
+    capacity lies within [capacity, capacity + gap]. As in ``_evaluate``, the
     gap is clamped at 0: a negative value is rounding.
     """
     n = matrix.n
@@ -316,14 +321,14 @@ def grid_oracle(matrix: ChannelMatrix, resolution: int) -> CapacityEstimate:
     neg_ent = -row_entropies(matrix)[0]
     mi = _entropies(q) + pmfs @ neg_ent
     best = int(np.argmax(mi))
-    upper = float(_divergence_terms(matrix.entries, neg_ent, q[best]).max())
-    gap = max(upper - float(mi[best]), 0.0)
-    return CapacityEstimate(float(mi[best]), pmfs[best], len(pmfs), gap, "grid-oracle")
+    gap = max(_dual(matrix.entries, neg_ent, q[best]) - float(mi[best]), 0.0)
+    return CapacityEstimate(float(mi[best]), pmfs[best], len(pmfs), gap)
 
 
 def arimoto_upper_bound(matrix: ChannelMatrix) -> float:
     """U(colsum/n): the dual bound at the output pmf of the uniform input."""
-    return _dual(matrix, matrix.entries.sum(axis=0) / matrix.n)
+    entries = matrix.entries
+    return _dual(entries, -row_entropies(matrix)[0], entries.sum(axis=0) / matrix.n)
 
 
 def boyd_chiang_upper_bound(matrix: ChannelMatrix, orientation: str = "column-max") -> float:

@@ -205,6 +205,13 @@ class TestSweep:
         assert first["upper_bound"] is None
         assert first["ba_capacity"] == pytest.approx(2.0, abs=1e-9)
 
+    def test_point_whose_ba_cannot_certify_turns_na(self):
+        record = sweep_record(FamilySpec("relay-miso", 30, 0.3, None), 1e-9, 0)
+        assert record["ba_capacity"] is None
+        cells = sweep_csv([record]).split("\n")[1].split(",")
+        assert cells[2] == "NA"
+        assert "NA" not in cells[:2] + cells[3:]  # every other column still prints
+
     def test_gamma_range_must_stay_inside_open_domain(self):
         assert main(["sweep", "--family", "gamma", "--range", "0:0.5",
                      "--steps", "3"]) == 2
@@ -304,6 +311,21 @@ class TestSweepRecordStart:
         sweep_record(FamilySpec("relay-miso", 3, 0.0, None), 1e-9, 100_000)
         assert calls[0]["start"] is None
 
+    def test_failed_svd_turns_the_closed_form_na_and_starts_from_uniform(
+        self, calls, monkeypatch
+    ):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        record = sweep_record(FamilySpec("relay-miso", 3, 0.3, None), 1e-9, 100_000)
+        assert calls[0]["start"] is None
+        for name in ("upper_bound", "prop3", "cor2", "feasible"):
+            assert record[name] is None
+        cells = sweep_csv([record]).split("\n")[1].split(",")
+        assert [cells[i] for i in (1, 6, 7, 8)] == ["NA"] * 4
+        assert cells[2] == "0.30532577"
+
 
 class TestCompare:
     def test_unreliable_example_tightest_is_arimoto(self, ex4_file, capsys):
@@ -371,9 +393,7 @@ class TestInfiniteGap:
     def infinite_gap(self, monkeypatch):
         def uncertified(matrix, tol, max_iter, **kwargs):
             est = blahut_arimoto(matrix, tol, max_iter, **kwargs)
-            return CapacityEstimate(
-                est.capacity, est.optimal_input, est.iterations, math.inf, est.method
-            )
+            return CapacityEstimate(est.capacity, est.optimal_input, est.iterations, math.inf)
 
         monkeypatch.setattr("dmcbounds.cli.blahut_arimoto", uncertified)
 

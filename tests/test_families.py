@@ -328,11 +328,12 @@ class TestBuildFamily:
         (lambda: build_family(FamilySpec("random-sdd", parameter=2.0)), "random-sdd requires n"),
         (lambda: canonical_family("quaternary-erasure"), "unknown family 'quaternary-erasure'"),
         (lambda: build_family(FamilySpec("gamma", parameter=1.5)), "gamma must be in (0, 1), got 1.5"),
+        (lambda: build_family(FamilySpec("beta", parameter=1.5)), "beta must be in [0, 1], got 1.5"),
     ],
     ids=[
         "domain-relay-miso", "domain-gamma", "domain-beta", "domain-bsc", "domain-random-sdd",
         "no-parameter", "requires-parameter", "relay-requires-n", "sdd-requires-n", "unknown",
-        "generator-domain",
+        "generator-domain", "closed-generator-domain",
     ],
 )
 def test_dispatch_contract(call, expected):

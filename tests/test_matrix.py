@@ -98,6 +98,13 @@ class TestValidate:
         with pytest.raises(NotSquare):
             validate_channel([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
 
+    @pytest.mark.parametrize(
+        "raw", [[["a", "b"], ["c", "d"]], [[1.0], [0.5, 0.5]]], ids=["non-numeric", "ragged"]
+    )
+    def test_non_numeric_or_ragged_rejected(self, raw):
+        with pytest.raises(NotSquare, match="^expected a square numeric matrix: "):
+            validate_channel(raw)
+
     def test_one_by_one_rejected(self):
         with pytest.raises(NotSquare):
             validate_channel([[1.0]])
