@@ -18,12 +18,16 @@ drops below the tolerance and the lower end is reported as the capacity.
 When the optimal input is sparse, that update crawls: the unused inputs
 decay only geometrically. So every 50 updates an active-set Newton solve of
 the KKT system (D_i = C on the support S, sum_S p_i = 1) runs from the
-current p. Its ratio test drops the input that would turn negative, and once
-the face is solved the worst off-support input with D_i > I(p) joins S. A
-failed solve is discarded and the updates resume where they were. Each
-Newton step counts as one iteration, and the stopping rule is unchanged: the
-full-alphabet bracket above, so a wrong support guess can cost time but can
-never certify a wrong capacity.
+current p. Its ratio test drops the input that would turn negative. Once
+the spread of D on S is at most half of max(tol, gap), with gap the bracket
+width above, the worst off-support input with D_i > I(p) joins S: the face
+is solved only as far as the gap needs, not to the tolerance. An input that
+joined while the spread was above tol/2 and that the next ratio test would
+shrink at once leaves S again, and the next input then waits for a spread of
+at most tol/2. A failed solve is discarded and the updates resume where they
+were. Each Newton step counts as one iteration, and the stopping rule is
+unchanged: the full-alphabet bracket above, so a wrong support guess can
+cost time but can never certify a wrong capacity.
 
 The solver can also start from a hint. The CLI passes the closed form's
 p* = inv(A)^T q*, which solves the KKT system in closed form and is the
@@ -143,20 +147,32 @@ def _newton_direction(
 
 def _newton_on_support(
     entries: np.ndarray, neg_ent: np.ndarray, p: np.ndarray, at_p: tuple, tol: float, budget: int
-) -> tuple[np.ndarray | None, int]:
+) -> tuple[tuple | None, int]:
     """Active-set Newton solve of the KKT system D_i = C (i in S), sum_S p_i = 1.
 
     ``at_p`` is ``_evaluate`` at ``p``, and S starts as the support of ``p``.
     Each step goes along the Newton direction as far as p >= 0 allows (ratio
     test), halving the step until I(p) does not drop; when the full ratio-test
-    step is taken, the input it drives to zero leaves S. Once D is flat on S,
-    the worst off-support input with D_i > I(p) joins S.
+    step is taken, the input it drives to zero leaves S. After any other step,
+    once the spread of D on S is at most half of max(tol, gap), with gap the
+    full-alphabet gap max_i D_i - I(p), the worst off-support input with
+    D_i > I(p) joins S, so that the face is solved only as far as the gap
+    needs before S grows again.
 
-    Returns ``(p, steps)``: p is a pmf whose full-alphabet bracket is at most
-    ``tol``, or None if a step failed or ``budget`` steps ran out.
+    An input that joined while the spread was above tol/2 retreats if the
+    next ratio test would shrink it at once (t <= 0): it leaves S again, that
+    step counts, and the next input joins only once the spread is at most
+    tol/2. An input that joined at a spread of at most tol/2 and would shrink
+    at once fails the solve.
+
+    Returns ``(solved, steps)``: ``solved`` is ``(p, _evaluate at p)`` for a
+    pmf p whose full-alphabet bracket is at most ``tol``, or None if a step
+    failed or ``budget`` steps ran out.
     """
     q, d, lower, _ = at_p
     support = p > 0.0
+    may_retreat = False  # the input that just joined did so at a spread above tol/2
+    waiting = False  # after a retreat, the next input joins at a spread of at most tol/2
     for step in range(1, budget + 1):
         idx = support.nonzero()[0]
         dp = _newton_direction(entries, p, q, d, idx)
@@ -167,7 +183,12 @@ def _newton_on_support(
         leaving = int(ratios.argmin())
         t = min(1.0, float(ratios[leaving]))
         if t <= 0.0:  # the input that just joined S would shrink at once
-            return None, step
+            if not may_retreat:
+                return None, step
+            support[entering] = False
+            may_retreat, waiting = False, True
+            continue
+        may_retreat = False
         blocked = t < 1.0
         while True:
             trial = p.copy()
@@ -184,16 +205,18 @@ def _newton_on_support(
                 return None, step
         p, q, d, lower = trial, trial_q, trial_d, trial_lower
         if gap <= tol:
-            return p, step
+            return (p, (q, d, lower, gap)), step
         support = p > 0.0
         face = d[support]
-        if blocked or face.max() - face.min() > 0.5 * tol:
+        spread = face.max() - face.min()
+        if blocked or spread > 0.5 * (tol if waiting else max(tol, gap)):
             continue
         outside = np.where(support, -np.inf, d)
         entering = int(np.argmax(outside))
         if not (np.isfinite(outside[entering]) and outside[entering] > lower):
             return None, step
         support[entering] = True
+        may_retreat, waiting = spread > 0.5 * tol, False
     return None, budget
 
 
@@ -264,8 +287,8 @@ def blahut_arimoto(
         p = uniform
     iterations = 0
     since_newton = NEWTON_EVERY if seeded else 0
+    at_p = _evaluate(entries, neg_ent, p)
     while True:
-        at_p = _evaluate(entries, neg_ent, p)
         _, d, lower, gap = at_p
         if gap <= tol:
             return _estimate(lower, gap, p, iterations)
@@ -278,14 +301,16 @@ def blahut_arimoto(
             solved, steps = _newton_on_support(entries, neg_ent, p, at_p, tol, budget)
             iterations += steps
             if solved is not None:
-                p = solved
+                p, at_p = solved
             elif seeded:
                 p = uniform
+                at_p = _evaluate(entries, neg_ent, p)
             seeded = False
             continue
         top = d[p > 0.0].max()
         w = p * np.exp2(np.minimum(d - top, 0.0))
         p = w / w.sum()
+        at_p = _evaluate(entries, neg_ent, p)
         iterations += 1
         since_newton += 1
 
