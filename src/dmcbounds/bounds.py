@@ -52,13 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositive
-from .matrix import (
-    ChannelMatrix,
-    InverseAnalysis,
-    _dominance_ratios,
-    analyze_inverse,
-    row_entropies,
-)
+from .matrix import ChannelMatrix, InverseAnalysis, _dominance_ratios, analyze_inverse
 from .reference import _dual
 
 FEASIBILITY_TOL = -1e-10
@@ -105,11 +99,11 @@ def optimal_output_distribution(k: np.ndarray) -> np.ndarray:
 
 
 def _kkt_closed_form(
-    inverse: np.ndarray, entropies: np.ndarray
+    inverse: np.ndarray, matrix: ChannelMatrix
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(K, q*, p*) of the KKT closed form from an inverse of A and A's row
-    entropies: K = inverse @ H, q* = softmax(-K), p* = inverse^T q*."""
-    k = inverse @ entropies
+    entropies H: K = inverse @ H, q* = softmax(-K), p* = inverse^T q*."""
+    k = inverse @ -matrix.neg_entropies
     q_star = optimal_output_distribution(k)
     return k, q_star, inverse.T @ q_star
 
@@ -125,7 +119,7 @@ def pseudo_inverse_input(matrix: ChannelMatrix) -> np.ndarray | None:
         pinv = np.linalg.pinv(matrix.entries)
     except np.linalg.LinAlgError:
         return None
-    return _kkt_closed_form(pinv, row_entropies(matrix)[0])[2]
+    return _kkt_closed_form(pinv, matrix)[2]
 
 
 def _verdict(ok: bool) -> Condition:
@@ -186,12 +180,12 @@ def capacity_upper_bound(matrix: ChannelMatrix) -> BoundReport:
     analysis = analyze_inverse(matrix)
     if not analysis.is_positive:
         raise NotPositive("the closed-form bound requires a strictly positive matrix")
-    k, q_star, p_star = _kkt_closed_form(analysis.inverse, analysis.row_entropies)
+    k, q_star, p_star = _kkt_closed_form(analysis.inverse, matrix)
     return BoundReport(
         inverse_entropies=k,
         q_star=q_star,
         p_star=p_star,
-        upper_bound=_dual(matrix.entries, -analysis.row_entropies, q_star),
+        upper_bound=_dual(matrix, q_star),
         p_star_feasible=bool((p_star >= FEASIBILITY_TOL).all()),
         analysis=analysis,
         **_exactness_ladder(matrix.n, analysis, k),

@@ -178,7 +178,8 @@ def random_sdd_positive(n: int, min_ratio: float, seed: int) -> ChannelMatrix:
     ratio r_i = min_ratio*(1+u), then n-1 uniforms giving off-diagonal
     weights 0.1+u in column order. Off-diagonal mass is normalized to
     1/(1+r_i) and the diagonal takes the remainder, so the realized ratio is
-    exactly r_i and c_min >= min_ratio by construction.
+    exactly r_i and c_min >= min_ratio by construction. A ``min_ratio`` that
+    makes some r_i overflow to inf is refused with InvalidParameter.
     """
     if not isinstance(n, Integral) or n < 2:
         raise InvalidParameter(f"n must be an integer of at least 2, got {n!r}")
@@ -190,6 +191,8 @@ def random_sdd_positive(n: int, min_ratio: float, seed: int) -> ChannelMatrix:
     a = np.zeros((n, n))
     for i in range(n):
         ratio = min_ratio * (1.0 + rng.next_float())
+        if not ratio < np.inf:
+            raise InvalidParameter(f"min_ratio {min_ratio!r} gives row {i} an infinite ratio")
         off_mass = 1.0 / (1.0 + ratio)
         weights = np.array([0.1 + rng.next_float() for _ in range(n - 1)])
         weights *= off_mass / weights.sum()

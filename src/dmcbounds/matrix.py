@@ -3,7 +3,8 @@
 A channel matrix A is square with A[i][j] = P(output j | input i), so every
 row is a probability vector. Everything downstream (closed-form bounds,
 reference capacities) consumes the ``ChannelMatrix`` produced by
-``validate_channel`` or the bundled ``InverseAnalysis`` diagnostics:
+``validate_channel``, which also computes each row's negated entropy
+-H(A_i) once, or the bundled ``InverseAnalysis`` diagnostics:
 
 - inverse of A, by LAPACK solve of A X = I, refused as singular when the
   2-norm condition number sigma_max/sigma_min reaches 1e13;
@@ -11,7 +12,7 @@ reference capacities) consumes the ``ChannelMatrix`` produced by
   minimum c_min (+inf when every off-diagonal sum is zero);
 - minimum singular value and condition number, from one LAPACK SVD of A
   (not of A^T A);
-- row entropies in bits and their maximum.
+- the maximum row entropy H_max in bits.
 
 All logarithms are base 2 and 0*log(0) = 0 throughout.
 """
@@ -44,9 +45,12 @@ DOMINANCE_MARGIN = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class ChannelMatrix:
-    """Validated square row-stochastic matrix. Construct via validate_channel."""
+    """Validated square row-stochastic matrix and, one per row, its negated
+    entropy -H(A_i) = sum_j A_ij log2 A_ij in bits; both arrays are read-only.
+    Construct via validate_channel."""
 
     entries: np.ndarray
+    neg_entropies: np.ndarray
 
     @property
     def n(self) -> int:
@@ -63,7 +67,6 @@ class InverseAnalysis:
     c_min: float
     sigma_min: float
     cond: float
-    row_entropies: np.ndarray
     h_max: float
 
 
@@ -105,7 +108,9 @@ def validate_channel(raw) -> ChannelMatrix:
         i = int(bad_rows[0])
         raise RowSumViolation(i, float(sums[i]))
     entries.setflags(write=False)
-    return ChannelMatrix(entries)
+    neg_entropies = -_entropies(entries)
+    neg_entropies.setflags(write=False)
+    return ChannelMatrix(entries, neg_entropies)
 
 
 def _singular_values(a: np.ndarray) -> np.ndarray:
@@ -167,7 +172,7 @@ def min_singular_value(matrix: ChannelMatrix) -> float:
 
 def row_entropies(matrix: ChannelMatrix) -> tuple[np.ndarray, float]:
     """Entropy of each row in bits, and the maximum over rows."""
-    ent = _entropies(matrix.entries)
+    ent = -matrix.neg_entropies
     return ent, float(ent.max())
 
 
@@ -181,7 +186,6 @@ def analyze_inverse(matrix: ChannelMatrix) -> InverseAnalysis:
     inverse = _checked_inverse(a, sv)
     diag = np.diag(a)
     off = a.sum(axis=1) - diag
-    ent, h_max = row_entropies(matrix)
     return InverseAnalysis(
         inverse=inverse,
         is_positive=bool(a.min() > 0.0),
@@ -189,8 +193,7 @@ def analyze_inverse(matrix: ChannelMatrix) -> InverseAnalysis:
         c_min=float(_dominance_ratios(diag, off).min()),
         sigma_min=float(sv[-1]),
         cond=_condition_number(sv),
-        row_entropies=ent,
-        h_max=h_max,
+        h_max=float(-matrix.neg_entropies.min()),
     )
 
 
@@ -213,8 +216,7 @@ def mutual_information(matrix: ChannelMatrix, p) -> float:
     """I(X;Y) in bits for input pmf p: H(A^T p) minus the p-weighted row entropy."""
     p = _checked_pmf(p, matrix.n)
     q = matrix.entries.T @ p
-    ent, _ = row_entropies(matrix)
-    return entropy_bits(q) - float(p @ ent)
+    return entropy_bits(q) + float(p @ matrix.neg_entropies)
 
 
 def _loadtxt(lines: list[str]) -> np.ndarray:

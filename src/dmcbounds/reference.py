@@ -1,10 +1,11 @@
 """Reference capacities and the two competing published upper bounds.
 
 One kernel scores an output pmf q: ``_dual`` takes U(q) = max_i D(A_i || q)
-from -H(A_i), computed once per matrix. Every dual bound here, the closed
-form's and the grid oracle's gap included, is ``_dual``. One evaluation,
-``_evaluate``, scores an input pmf p for the iterative solver and its Newton
-steps: q = A^T p, then D at q, then the bracket described below at p.
+from the matrix's ``neg_entropies``, the -H(A_i) that ``validate_channel``
+computes once. Every dual bound here, the closed form's and the grid
+oracle's gap included, is ``_dual``. One evaluation, ``_evaluate``, scores
+an input pmf p for the iterative solver and its Newton steps: q = A^T p,
+then D at q, then the bracket described below at p.
 
 The iterative solver is the classic alternating maximization: with
 D_i = sum_j A_ij log2(A_ij / q_j) and q = A^T p, update
@@ -56,12 +57,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import InvalidParameter, InvalidPmf, NotConverged, TooLarge
-from .matrix import ChannelMatrix, _checked_pmf, _entropies, row_entropies
+from .matrix import ChannelMatrix, _checked_pmf, _entropies
 
 GRID_MAX_N = 4
 DEFAULT_TOL = 1e-9
@@ -77,42 +78,42 @@ class CapacityEstimate:
     gap: float
 
 
-def _divergence_terms(entries: np.ndarray, neg_ent: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _divergence_terms(matrix: ChannelMatrix, q: np.ndarray) -> np.ndarray:
     """D_i = D(A_i || q) = -H(A_i) - sum_j A_ij log2 q_j in bits; zero entries drop out.
 
-    ``neg_ent`` holds -H(A_i). A row with A_ij > 0 at an output with q_j = 0
-    diverges: its D_i is +inf.
+    A row with A_ij > 0 at an output with q_j = 0 diverges: its D_i is +inf.
     """
+    entries = matrix.entries
     if q.min() > 0.0:
-        return neg_ent - entries @ np.log2(q)
+        return matrix.neg_entropies - entries @ np.log2(q)
     unreached = q <= 0.0
-    d = neg_ent - entries @ np.log2(np.where(unreached, 1.0, q))
+    d = matrix.neg_entropies - entries @ np.log2(np.where(unreached, 1.0, q))
     d[(entries[:, unreached] > 0.0).any(axis=1)] = np.inf
     return d
 
 
-def _dual(entries: np.ndarray, neg_ent: np.ndarray, q: np.ndarray) -> float:
+def _dual(matrix: ChannelMatrix, q: np.ndarray) -> float:
     """U(q) = max_i D_i with no pmf check, for an output pmf built here (up to
-    rounding); ``neg_ent`` holds -H(A_i) as in ``_divergence_terms``."""
-    return float(_divergence_terms(entries, neg_ent, q).max())
+    rounding)."""
+    return float(_divergence_terms(matrix, q).max())
 
 
 def dual_bound(matrix: ChannelMatrix, q) -> float:
     """U(q) = max_i D(A_i || q) in bits, an upper bound on capacity for every
     output pmf q (Chiang & Boyd, 2004); +inf where q misses an output that
     some row reaches. Raises InvalidPmf unless q is a pmf of length n."""
-    return _dual(matrix.entries, -row_entropies(matrix)[0], _checked_pmf(q, matrix.n))
+    return _dual(matrix, _checked_pmf(q, matrix.n))
 
 
-def _evaluate(entries: np.ndarray, neg_ent: np.ndarray, p: np.ndarray) -> tuple:
+def _evaluate(matrix: ChannelMatrix, p: np.ndarray) -> tuple:
     """(q, D, I(p), max_i D_i - I(p)) at the input pmf p, with q = A^T p and
     D_i = D(A_i || q); unused inputs carry no weight, even at D_i = inf.
 
     The gap is clamped at 0: a negative value is rounding, and the clamp only
     widens the bracket.
     """
-    q = entries.T @ p
-    d = _divergence_terms(entries, neg_ent, q)
+    q = matrix.entries.T @ p
+    d = _divergence_terms(matrix, q)
     used = p > 0.0
     lower = float(p[used] @ d[used])
     return q, d, lower, max(float(d.max()) - lower, 0.0)
@@ -146,7 +147,7 @@ def _newton_direction(
 
 
 def _newton_on_support(
-    entries: np.ndarray, neg_ent: np.ndarray, p: np.ndarray, at_p: tuple, tol: float, budget: int
+    matrix: ChannelMatrix, p: np.ndarray, at_p: tuple, tol: float, budget: int
 ) -> tuple[tuple | None, int]:
     """Active-set Newton solve of the KKT system D_i = C (i in S), sum_S p_i = 1.
 
@@ -175,7 +176,7 @@ def _newton_on_support(
     waiting = False  # after a retreat, the next input joins at a spread of at most tol/2
     for step in range(1, budget + 1):
         idx = support.nonzero()[0]
-        dp = _newton_direction(entries, p, q, d, idx)
+        dp = _newton_direction(matrix.entries, p, q, d, idx)
         if dp is None:
             return None, step
         p_face = p[idx]
@@ -196,7 +197,7 @@ def _newton_on_support(
             if blocked:
                 trial[idx[leaving]] = 0.0
             trial /= trial.sum()
-            trial_q, trial_d, trial_lower, gap = _evaluate(entries, neg_ent, trial)
+            trial_q, trial_d, trial_lower, gap = _evaluate(matrix, trial)
             if trial_lower >= lower - 1e-15:
                 break
             t *= 0.5
@@ -260,7 +261,7 @@ def blahut_arimoto(
     discarded. ``iterations`` counts updates and Newton steps alike. Raises
     NotConverged (carrying the running estimate) if the bracket gap stays
     above ``tol`` after ``max_iter`` iterations, and InvalidParameter unless
-    ``tol`` is positive and finite and ``max_iter`` is an integer of at least 0.
+    ``tol`` is a positive finite real and ``max_iter`` is an integer of at least 0.
 
     ``start`` is an optional hint of shape (n,), such as the closed form's p*.
     Clipped at 0 and renormalized, it is returned at iteration 0 if its
@@ -272,14 +273,12 @@ def blahut_arimoto(
     lower end below 0 is rounding, so it is reported as 0 and the gap shrinks
     by the same amount.
     """
-    if not 0.0 < tol < np.inf:
+    if not (isinstance(tol, Real) and 0.0 < tol < np.inf):
         raise InvalidParameter(f"tolerance must be positive and finite, got {tol!r}")
     if not isinstance(max_iter, Integral):
         raise InvalidParameter(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 0:
         raise InvalidParameter(f"max_iter must be at least 0, got {max_iter!r}")
-    entries = matrix.entries
-    neg_ent = -row_entropies(matrix)[0]
     uniform = np.full(matrix.n, 1.0 / matrix.n)
     p = _seed_pmf(start, matrix.n)
     seeded = p is not None
@@ -287,7 +286,7 @@ def blahut_arimoto(
         p = uniform
     iterations = 0
     since_newton = NEWTON_EVERY if seeded else 0
-    at_p = _evaluate(entries, neg_ent, p)
+    at_p = _evaluate(matrix, p)
     while True:
         _, d, lower, gap = at_p
         if gap <= tol:
@@ -298,19 +297,19 @@ def blahut_arimoto(
         if since_newton == NEWTON_EVERY:
             since_newton = 0
             budget = min(max_iter - iterations, matrix.n + NEWTON_EVERY)
-            solved, steps = _newton_on_support(entries, neg_ent, p, at_p, tol, budget)
+            solved, steps = _newton_on_support(matrix, p, at_p, tol, budget)
             iterations += steps
             if solved is not None:
                 p, at_p = solved
             elif seeded:
                 p = uniform
-                at_p = _evaluate(entries, neg_ent, p)
+                at_p = _evaluate(matrix, p)
             seeded = False
             continue
         top = d[p > 0.0].max()
         w = p * np.exp2(np.minimum(d - top, 0.0))
         p = w / w.sum()
-        at_p = _evaluate(entries, neg_ent, p)
+        at_p = _evaluate(matrix, p)
         iterations += 1
         since_newton += 1
 
@@ -343,17 +342,15 @@ def grid_oracle(matrix: ChannelMatrix, resolution: int) -> CapacityEstimate:
         raise InvalidParameter(f"resolution must be at least 10, got {resolution}")
     pmfs = _simplex_lattice(resolution, n).astype(float) / resolution
     q = pmfs @ matrix.entries
-    neg_ent = -row_entropies(matrix)[0]
-    mi = _entropies(q) + pmfs @ neg_ent
+    mi = _entropies(q) + pmfs @ matrix.neg_entropies
     best = int(np.argmax(mi))
-    gap = max(_dual(matrix.entries, neg_ent, q[best]) - float(mi[best]), 0.0)
+    gap = max(_dual(matrix, q[best]) - float(mi[best]), 0.0)
     return CapacityEstimate(float(mi[best]), pmfs[best], len(pmfs), gap)
 
 
 def arimoto_upper_bound(matrix: ChannelMatrix) -> float:
     """U(colsum/n): the dual bound at the output pmf of the uniform input."""
-    entries = matrix.entries
-    return _dual(entries, -row_entropies(matrix)[0], entries.sum(axis=0) / matrix.n)
+    return _dual(matrix, matrix.entries.sum(axis=0) / matrix.n)
 
 
 def boyd_chiang_upper_bound(matrix: ChannelMatrix, orientation: str = "column-max") -> float:

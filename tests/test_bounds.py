@@ -138,7 +138,7 @@ class TestCapacityUpperBound:
         a = r.analysis
 
         def objective(q):
-            return entropy_bits(q) - float((a.inverse.T @ q) @ a.row_entropies)
+            return entropy_bits(q) + float((a.inverse.T @ q) @ ex1.neg_entropies)
 
         base = objective(r.q_star)
         rng = np.random.default_rng(11)

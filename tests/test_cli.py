@@ -18,6 +18,7 @@ from dmcbounds import (
     pseudo_inverse_input,
     validate_channel,
 )
+import dmcbounds.matrix
 from dmcbounds.cli import main, run_sweep, sweep_csv, sweep_record
 
 SWEEP_HEADER = (
@@ -161,6 +162,13 @@ class TestGenerate:
 
     def test_bad_parameter_exits_2(self):
         assert main(["generate", "--family", "gamma", "--param", "1.5"]) == 2
+
+    @pytest.mark.parametrize("ratio", ["inf", "1e308"])
+    def test_random_sdd_ratio_that_overflows_exits_2(self, ratio, capsys):
+        args = ["generate", "--family", "random-sdd", "--n", "3", "--param", ratio,
+                "--seed", "1"]
+        assert main(args) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestSweep:
@@ -325,6 +333,35 @@ class TestSweepRecordStart:
         cells = sweep_csv([record]).split("\n")[1].split(",")
         assert [cells[i] for i in (1, 6, 7, 8)] == ["NA"] * 4
         assert cells[2] == "0.30532577"
+
+
+class TestRowEntropiesComputedOnce:
+    """validate_channel computes a matrix's row entropies; nothing else does."""
+
+    @staticmethod
+    def count_square_entropies(monkeypatch):
+        shapes = []
+        entropies = dmcbounds.matrix._entropies
+
+        def counted(x):
+            if x.ndim == 2 and x.shape[0] == x.shape[1]:
+                shapes.append(x.shape)
+            return entropies(x)
+
+        monkeypatch.setattr(dmcbounds.matrix, "_entropies", counted)
+        return shapes
+
+    def test_once_per_point_of_a_relay_sweep(self, monkeypatch, tmp_path):
+        shapes = self.count_square_entropies(monkeypatch)
+        args = ["sweep", "--family", "relay-miso", "--n", "30", "--range", "0.02:0.50",
+                "--steps", "13", "--out", str(tmp_path / "s.csv")]
+        assert main(args) == 0
+        assert shapes == [(31, 31)] * 13
+
+    def test_once_per_analyze(self, monkeypatch, ex1_file, capsys):
+        shapes = self.count_square_entropies(monkeypatch)
+        assert main(["analyze", ex1_file]) == 0
+        assert shapes == [(3, 3)]
 
 
 class TestCompare:

@@ -273,6 +273,11 @@ class TestRandomSddPositive:
             random_sdd_positive(1, 2.0, 0)
         with pytest.raises(InvalidParameter):
             random_sdd_positive(3, 1.0, 0)
+        # a row ratio min_ratio*(1+u) that overflows to inf makes its row a unit vector
+        for min_ratio in (math.inf, 1e308):
+            with pytest.raises(InvalidParameter):
+                random_sdd_positive(3, min_ratio, 1)
+        assert random_sdd_positive(3, 1e307, 1).entries.min() > 0.0
 
     @pytest.mark.parametrize(
         "n, seed", [(4.0, 1), (4, 1.5), (4, "1")], ids=["float-n", "float-seed", "str-seed"]

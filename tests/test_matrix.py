@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import re
@@ -162,6 +163,14 @@ class TestValidate:
     def test_entries_are_read_only(self, ex1):
         with pytest.raises(ValueError):
             ex1.entries[0, 0] = 0.5
+
+    def test_neg_entropies_are_read_only(self, ex1):
+        for row, neg in zip(ex1.entries, ex1.neg_entropies):
+            assert neg == pytest.approx(-entropy2(row), abs=1e-15)
+        with pytest.raises(ValueError):
+            ex1.neg_entropies[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ex1.neg_entropies = np.zeros(3)
 
 
 class TestInvert:

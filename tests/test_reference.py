@@ -25,7 +25,6 @@ from dmcbounds import (
     pseudo_inverse_input,
     random_sdd_positive,
     relay_miso,
-    row_entropies,
     validate_channel,
 )
 from dmcbounds.reference import NEWTON_EVERY, _divergence_terms, _evaluate
@@ -144,8 +143,9 @@ class TestBlahutArimoto:
         with pytest.raises(InvalidParameter):
             blahut_arimoto(bsc01, 0.0)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9, "1e-9", None])
     def test_rejects_tolerance_that_cannot_certify(self, bsc01, tol):
+        # "1e-9" and None are not real numbers: InvalidParameter, not a TypeError
         with pytest.raises(InvalidParameter):
             blahut_arimoto(bsc01, tol)
 
@@ -168,15 +168,14 @@ class TestDivergenceTerms:
     def test_unreached_output_diverges_and_certifies_nothing(self):
         m = validate_channel(Z_CHANNEL)
         p = np.array([1.0, 0.0])
-        _, d, lower, gap = _evaluate(m.entries, -row_entropies(m)[0], p)
+        _, d, lower, gap = _evaluate(m, p)
         assert list(d) == [0.0, math.inf]
         assert (lower, gap) == (0.0, math.inf)
 
     def test_matches_independent_bracket(self, ex4):
-        neg_ent = -row_entropies(ex4)[0]
         for p in ([0.2, 0.3, 0.5], [0.0, 0.4, 0.6], [1.0, 0.0, 0.0]):
             p = np.array(p)
-            got = _evaluate(ex4.entries, neg_ent, p)[2:]
+            got = _evaluate(ex4, p)[2:]
             assert got == pytest.approx(certified_bracket(ex4, p), abs=1e-12)
 
     def test_z_channel_capacity(self):
@@ -301,9 +300,9 @@ class TestSparseOptimalInput:
         # and a failed solve keeps the one of the p it started from
         scored = []
 
-        def recording(entries, neg_ent, p):
+        def recording(matrix, p):
             scored.append(p.copy())
-            return _evaluate(entries, neg_ent, p)
+            return _evaluate(matrix, p)
 
         monkeypatch.setattr("dmcbounds.reference._evaluate", recording)
         for m in sweep_channels("relay-miso", 30, 0.02, 0.50, 13):
@@ -319,8 +318,8 @@ class TestUnreachedOutputs:
     def record_divergences(monkeypatch):
         seen = []
 
-        def recording(entries, neg_ent, q):
-            d = _divergence_terms(entries, neg_ent, q)
+        def recording(matrix, q):
+            d = _divergence_terms(matrix, q)
             seen.append((q.copy(), d.copy()))
             return d
 
@@ -487,7 +486,6 @@ class TestClosedFormStart:
         # every row of relay_miso(n, 0.5) is the same, so C = 0; from some of
         # these hints the bracket's lower end rounds to a few ulps below 0
         m = relay_miso(n, 0.5)
-        neg_ent = -row_entropies(m)[0]
         rng = np.random.default_rng(2024)
         for _ in range(20):
             hint = rng.random(n + 1)
@@ -499,7 +497,7 @@ class TestClosedFormStart:
                     assert err.gap == est.gap
                 assert math.copysign(1.0, est.capacity) == 1.0  # not -0.0 either
                 p = est.optimal_input
-                _, _, lower, gap = _evaluate(m.entries, neg_ent, p)
+                _, _, lower, gap = _evaluate(m, p)
                 assert est.capacity == max(lower, 0.0)
                 assert est.capacity + est.gap == max(lower + gap, 0.0)  # same top
 
