@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from numbers import Integral, Real
 
 from .bounds import Condition, capacity_upper_bound, pseudo_inverse_input
 from .errors import (
@@ -171,8 +172,12 @@ def run_sweep(
     seed: int | None = None,
 ) -> list[dict]:
     family = canonical_family(family)
+    if not isinstance(steps, Integral):
+        raise InvalidRange(f"steps must be an integer, got {steps!r}")
     if steps < 2:
         raise InvalidRange(f"steps must be at least 2, got {steps}")
+    if not (isinstance(lo, Real) and isinstance(hi, Real)):
+        raise InvalidRange(f"range ends must be real numbers, got {lo!r}:{hi!r}")
     if not lo < hi:
         raise InvalidRange(f"range must satisfy lo < hi, got {lo!r}:{hi!r}")
     dom_lo, dom_hi, closed = parameter_domain(family)

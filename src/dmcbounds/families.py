@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, inf
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -77,7 +77,7 @@ def fixed_example(which: str) -> ChannelMatrix:
 
 def bsc(crossover: float) -> ChannelMatrix:
     """Binary symmetric channel with the given crossover probability."""
-    if not 0.0 <= crossover <= 1.0:
+    if not (isinstance(crossover, Real) and 0.0 <= crossover <= 1.0):
         raise InvalidParameter(f"crossover must be in [0, 1], got {crossover!r}")
     p = crossover
     return validate_channel([[1.0 - p, p], [p, 1.0 - p]])
@@ -129,7 +129,7 @@ def relay_miso(n: int, alpha: float) -> ChannelMatrix:
         raise InvalidParameter(f"n must be a positive integer, got {n!r}")
     if n > RELAY_MAX_N:
         raise InvalidParameter(f"n must be at most {RELAY_MAX_N}, got {n}")
-    if not 0.0 <= alpha <= 1.0:
+    if not (isinstance(alpha, Real) and 0.0 <= alpha <= 1.0):
         raise InvalidParameter(f"alpha must be in [0, 1], got {alpha!r}")
     return validate_channel(_relay_entries(int(n), float(alpha)))
 
@@ -137,7 +137,7 @@ def relay_miso(n: int, alpha: float) -> ChannelMatrix:
 def gamma_family(gamma: float) -> ChannelMatrix:
     """4x4 family whose rows are permutations of the binomial weights
     ((1-g)^3, 3(1-g)^2 g, 3(1-g)g^2, g^3) but whose column sums differ."""
-    if not 0.0 < gamma < 1.0:
+    if not (isinstance(gamma, Real) and 0.0 < gamma < 1.0):
         raise InvalidParameter(f"gamma must be in (0, 1), got {gamma!r}")
     g = gamma
     w3 = (1.0 - g) ** 3
@@ -157,7 +157,7 @@ def gamma_family(gamma: float) -> ChannelMatrix:
 def beta_family(beta: float) -> ChannelMatrix:
     """4x4 reliability family: diagonal 1-b, fixed off-diagonal weights
     scaled by b. Strictly diagonally dominant exactly for b < 0.5."""
-    if not 0.0 <= beta <= 1.0:
+    if not (isinstance(beta, Real) and 0.0 <= beta <= 1.0):
         raise InvalidParameter(f"beta must be in [0, 1], got {beta!r}")
     b = beta
     return validate_channel(
@@ -185,7 +185,7 @@ def random_sdd_positive(n: int, min_ratio: float, seed: int) -> ChannelMatrix:
         raise InvalidParameter(f"n must be an integer of at least 2, got {n!r}")
     if not isinstance(seed, Integral):
         raise InvalidParameter(f"seed must be an integer, got {seed!r}")
-    if not min_ratio > 1.0:
+    if not (isinstance(min_ratio, Real) and min_ratio > 1.0):
         raise InvalidParameter(f"min_ratio must exceed 1, got {min_ratio!r}")
     rng = SplitMix64(seed)
     a = np.zeros((n, n))

@@ -197,12 +197,21 @@ def analyze_inverse(matrix: ChannelMatrix) -> InverseAnalysis:
     )
 
 
+def _float_vector(v, n: int, name: str) -> np.ndarray:
+    """``v`` as a float array, or InvalidPmf unless it is numeric of shape (n,)."""
+    try:
+        v = np.asarray(v, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidPmf(f"{name} must be a numeric vector: {exc}") from None
+    if v.shape != (n,):
+        raise InvalidPmf(f"{name} must have shape ({n},), got {v.shape}")
+    return v
+
+
 def _checked_pmf(p, n: int) -> np.ndarray:
-    """``p`` as a float array, or InvalidPmf unless it has shape (n,), finite
-    entries none below -1e-9, and a sum within 1e-9 of 1."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (n,):
-        raise InvalidPmf(f"pmf must have shape ({n},), got {p.shape}")
+    """``p`` as a float array, or InvalidPmf unless it is numeric of shape (n,),
+    with finite entries none below -1e-9, and a sum within 1e-9 of 1."""
+    p = _float_vector(p, n, "pmf")
     if not np.isfinite(p).all():
         raise InvalidPmf(f"pmf has non-finite entries {p.tolist()!r}")
     if p.min() < -ROW_SUM_TOL:
@@ -246,34 +255,28 @@ def _refusal(lines: list[str]) -> MatrixFormatError | NotSquare:
     raise AssertionError(f"np.loadtxt refused lines whose every field it reads: {lines!r}")
 
 
-def load_matrix_csv(source) -> ChannelMatrix:
+def load_matrix_csv(path) -> ChannelMatrix:
     """Read the shared matrix CSV format (n lines of n comma-separated reals).
 
-    ``source`` is a path or a text stream of ASCII text without the separators
-    0x1c-0x1f; the error names a refused byte's offset in a file, or its
-    character offset in a stream. "\\r\\n" and a lone "\\r" end a line, and
-    trailing blank lines are dropped. ``np.loadtxt(delimiter=",",
-    comments=None)`` alone decides what loads: it must read each line as one
-    row. Else the error names the 1-based row and column of the first field
-    it does not read as one number, or the first ragged row (NotSquare).
+    The file at ``path`` must hold ASCII bytes without the separators
+    0x1c-0x1f; the error names the first refused byte's offset. "\\r\\n" and
+    a lone "\\r" end a line, and trailing blank lines are dropped.
+    ``np.loadtxt(delimiter=",", comments=None)`` alone decides what loads: it
+    must read each line as one row. Else the error names the 1-based row and
+    column of the first field it does not read as one number, or the first
+    ragged row (NotSquare).
     """
-    if hasattr(source, "read"):
-        text, unit, code = source.read(), "character", "U+{:04X}"
-    else:
-        with open(source, "rb") as fh:  # latin-1: one character per byte, at its offset
-            text = fh.read().decode("latin-1")
-        unit, code = "byte", "{:#04x}"
+    with open(path, "rb") as fh:
+        data = fh.read()
     # np.loadtxt would strip the ASCII separators 0x1c-0x1f from a field's ends
-    refused = [k for k in map(text.find, "\x1c\x1d\x1e\x1f") if k >= 0]
-    if not text.isascii():
-        refused.append(next(k for k, c in enumerate(text) if not c.isascii()))
+    refused = [k for k in map(data.find, b"\x1c\x1d\x1e\x1f") if k >= 0]
+    if not data.isascii():
+        refused.append(next(k for k, b in enumerate(data) if b >= 0x80))
     if refused:
         k = min(refused)
-        what = "an ASCII separator" if text[k].isascii() else "not ASCII"
-        raise MatrixFormatError(f"{unit} offset {k}: {code.format(ord(text[k]))} is {what}")
-    if "\r" in text:  # a substring test costs far less than replace()
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
+        what = "an ASCII separator" if data[k] < 0x80 else "not ASCII"
+        raise MatrixFormatError(f"byte offset {k}: {data[k]:#04x} is {what}")
+    lines = [line.decode() for line in data.splitlines()]
     while lines and lines[-1].strip() == "":
         lines.pop()
     if not lines:

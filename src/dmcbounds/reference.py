@@ -61,8 +61,8 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import InvalidParameter, InvalidPmf, NotConverged, TooLarge
-from .matrix import ChannelMatrix, _checked_pmf, _entropies
+from .errors import InvalidParameter, NotConverged, TooLarge
+from .matrix import ChannelMatrix, _checked_pmf, _entropies, _float_vector
 
 GRID_MAX_N = 4
 DEFAULT_TOL = 1e-9
@@ -234,12 +234,10 @@ def _estimate(lower: float, gap: float, p: np.ndarray, iterations: int) -> Capac
 
 def _seed_pmf(start, n: int) -> np.ndarray | None:
     """clip(start, 0) renormalized, or None for no hint, a non-finite hint or
-    one without positive mass. Raises InvalidPmf unless its shape is (n,)."""
+    one without positive mass. Raises InvalidPmf unless it is numeric of shape (n,)."""
     if start is None:
         return None
-    hint = np.asarray(start, dtype=float)
-    if hint.shape != (n,):
-        raise InvalidPmf(f"start must have shape ({n},), got {hint.shape}")
+    hint = _float_vector(start, n, "start")
     if not np.isfinite(hint).all():
         return None
     hint = np.maximum(hint, 0.0)

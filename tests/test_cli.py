@@ -10,6 +10,7 @@ import pytest
 from dmcbounds import (
     CapacityEstimate,
     FamilySpec,
+    InvalidRange,
     blahut_arimoto,
     build_family,
     dump_matrix_csv,
@@ -235,6 +236,14 @@ class TestSweep:
                      "--steps", "3"]) == 2
         assert main(["sweep", "--family", "bsc", "--range", "nope",
                      "--steps", "3"]) == 2
+
+    @pytest.mark.parametrize(
+        "lo, hi, steps", [(0.1, 0.4, 2.5), ("a", 0.4, 3), (0.1, "a", 3)],
+        ids=["float-steps", "text-lo", "text-hi"],
+    )
+    def test_run_sweep_refuses_a_non_integer_step_count_or_non_real_range(self, lo, hi, steps):
+        with pytest.raises(InvalidRange):
+            run_sweep("bsc", None, lo, hi, steps)
 
     def test_tolerance_that_cannot_certify_exits_2_and_writes_nothing(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -176,6 +176,8 @@ class TestRelayMiso:
             relay_miso(3, 1.5)
         with pytest.raises(InvalidParameter):
             relay_miso(61, 0.5)
+        with pytest.raises(InvalidParameter):
+            relay_miso(2, "x")
 
 
 class TestGammaFamily:
@@ -208,6 +210,8 @@ class TestGammaFamily:
             gamma_family(0.0)
         with pytest.raises(InvalidParameter):
             gamma_family(1.0)
+        with pytest.raises(InvalidParameter):
+            gamma_family(None)
 
 
 class TestBetaFamily:
@@ -227,6 +231,10 @@ class TestBetaFamily:
             m = beta_family(b)
             assert np.abs(m.entries.sum(axis=1) - 1.0).max() <= 1e-12
 
+    def test_non_real_parameter_is_refused(self):
+        with pytest.raises(InvalidParameter):
+            beta_family(None)
+
 
 class TestBsc:
     def test_structure(self):
@@ -236,6 +244,8 @@ class TestBsc:
     def test_domain(self):
         with pytest.raises(InvalidParameter):
             bsc(1.2)
+        with pytest.raises(InvalidParameter):
+            bsc("x")
 
 
 class TestRandomSddPositive:
@@ -273,6 +283,8 @@ class TestRandomSddPositive:
             random_sdd_positive(1, 2.0, 0)
         with pytest.raises(InvalidParameter):
             random_sdd_positive(3, 1.0, 0)
+        with pytest.raises(InvalidParameter):
+            random_sdd_positive(3, "x", 1)
         # a row ratio min_ratio*(1+u) that overflows to inf makes its row a unit vector
         for min_ratio in (math.inf, 1e308):
             with pytest.raises(InvalidParameter):

@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import math
 import re
 
@@ -376,6 +375,10 @@ class TestMutualInformation:
             mutual_information(bsc01, [1.5, -0.5])
         with pytest.raises(InvalidPmf):
             mutual_information(bsc01, [1.0, 0.0, 0.0])
+        with pytest.raises(InvalidPmf):
+            mutual_information(bsc01, "ab")
+        with pytest.raises(InvalidPmf):
+            mutual_information(bsc01, [[0.5], [0.5, 0.0]])
 
     @pytest.mark.parametrize("p", [[math.nan, math.nan], [math.nan, 1.0]])
     def test_rejects_nan_pmf(self, bsc01, p):
@@ -406,9 +409,8 @@ def loaded(rows):
 I2 = loaded([[1.0, 0.0], [0.0, 1.0]])
 BLANK_ROW_2 = (MatrixFormatError, "row 2, column 1: cannot parse ''")
 
-# Edge texts for the loader, each with its outcome by stream. Each is ASCII, and
-# a file holding it gives the same outcome, but for the separators' messages
-# (FILE_OUTCOMES). The texts marked "changed" had another outcome while a
+# Edge texts for the loader, each with its outcome from a file holding its
+# ASCII bytes. The texts marked "changed" had another outcome while a
 # per-field float() walk could also accept a text; the rest keep theirs.
 LOADER_EDGE_TEXTS = {
     # well formed, with the spellings and spacing every loader must keep
@@ -430,10 +432,10 @@ LOADER_EDGE_TEXTS = {
     "1,0 # c\n0,1\n": (MatrixFormatError, "row 1, column 2: cannot parse '0 # c'"),
     "1,0,\n0,1,\n": (MatrixFormatError, "row 1, column 3: cannot parse ''"),
     "1,\n0,1\n": (MatrixFormatError, "row 1, column 2: cannot parse ''"),
-    # line ends: "\r\n" and a lone "\r" end a line, in a stream as in a file
+    # line ends: "\r\n" and a lone "\r" end a line
     "1,0\r\n0,1\r\n": I2,
-    "1\r,0\n0,1\n": BLANK_ROW_2,  # changed: loaded by stream
-    "1,0\r\r\n0,1\n": BLANK_ROW_2,  # changed: loaded by stream
+    "1\r,0\n0,1\n": BLANK_ROW_2,
+    "1,0\r\r\n0,1\n": BLANK_ROW_2,
     "\n1,0\r0,1\n": (MatrixFormatError, "row 1, column 1: cannot parse ''"),
     "\n1\r0": (MatrixFormatError, "row 1, column 1: cannot parse ''"),
     # ASCII control characters: loadtxt strips \v and \f from a field's ends
@@ -441,9 +443,9 @@ LOADER_EDGE_TEXTS = {
     "1,0\x0c\n0,1\n": I2,
     # the separators 0x1c-0x1f are refused at their offset (changed: a field holding
     # one could not be parsed, and a line of one was a trailing blank line)
-    "1,0\x1c\n0,1\n": (MatrixFormatError, "character offset 3: U+001C is an ASCII separator"),
-    "\x1f1,0\n0,1\n": (MatrixFormatError, "character offset 0: U+001F is an ASCII separator"),
-    "1,0\n0,1\n\x1c\n": (MatrixFormatError, "character offset 8: U+001C is an ASCII separator"),
+    "1,0\x1c\n0,1\n": (MatrixFormatError, "byte offset 3: 0x1c is an ASCII separator"),
+    "\x1f1,0\n0,1\n": (MatrixFormatError, "byte offset 0: 0x1f is an ASCII separator"),
+    "1,0\n0,1\n\x1c\n": (MatrixFormatError, "byte offset 8: 0x1c is an ASCII separator"),
     # spellings float() and np.loadtxt may judge differently
     "0x1,0\n0,1\n": (MatrixFormatError, "row 1, column 1: cannot parse '0x1'"),
     "1d0,0\n0,1\n": (MatrixFormatError, "row 1, column 1: cannot parse '1d0'"),
@@ -468,11 +470,6 @@ LOADER_EDGE_TEXTS = {
     "\n\n": (MatrixFormatError, "empty matrix file"),
     "  \n": (MatrixFormatError, "empty matrix file"),
 }
-FILE_OUTCOMES = {
-    "1,0\x1c\n0,1\n": (MatrixFormatError, "byte offset 3: 0x1c is an ASCII separator"),
-    "\x1f1,0\n0,1\n": (MatrixFormatError, "byte offset 0: 0x1f is an ASCII separator"),
-    "1,0\n0,1\n\x1c\n": (MatrixFormatError, "byte offset 8: 0x1c is an ASCII separator"),
-}
 EDGE_TOKENS = [*"0123456789.,+-eE_# \t\r\n\x0b\x0c\x1c\x1f", "nan", "inf"]
 
 
@@ -495,6 +492,13 @@ LOCATED_REFUSAL = re.compile(
 )
 
 
+def written(tmp_path, content):
+    """A file under ``tmp_path`` holding ``content`` (a str is written as UTF-8)."""
+    path = tmp_path / "m.csv"
+    path.write_bytes(content.encode() if isinstance(content, str) else content)
+    return path
+
+
 class TestCsvFormat:
     def test_round_trip_is_bit_exact(self, ex4, tmp_path):
         path = tmp_path / "m.csv"
@@ -504,37 +508,36 @@ class TestCsvFormat:
 
     def test_seventeen_digit_round_trip_of_generated_values(self, tmp_path):
         m = random_sdd_positive(4, 2.5, 99)
-        text = dump_matrix_csv(m)
-        again = load_matrix_csv(io.StringIO(text))
+        again = load_matrix_csv(written(tmp_path, dump_matrix_csv(m)))
         assert np.array_equal(again.entries, m.entries)
 
-    def test_trailing_newline_optional(self):
-        m = load_matrix_csv(io.StringIO("1,0\n0,1"))
+    def test_trailing_newline_optional(self, tmp_path):
+        m = load_matrix_csv(written(tmp_path, "1,0\n0,1"))
         assert m.n == 2
 
-    def test_parse_error_reports_location(self):
+    def test_parse_error_reports_location(self, tmp_path):
         with pytest.raises(MatrixFormatError) as err:
-            load_matrix_csv(io.StringIO("1,0\n0,x"))
+            load_matrix_csv(written(tmp_path, "1,0\n0,x"))
         assert "row 2" in str(err.value)
         assert "column 2" in str(err.value)
 
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("1,0\x1c\n0,1\n", "character offset 3: U+001C is an ASCII separator"),
-            ("1,0\n\x1f 0 ,1\n", "character offset 4: U+001F is an ASCII separator"),
-            ("1,0\x1d\n0,1\u00e9\n", "character offset 3: U+001D is an ASCII separator"),
-            ("1,0\u00e9\n0,1\x1e\n", "character offset 3: U+00E9 is not ASCII"),
+            ("1,0\x1c\n0,1\n", "byte offset 3: 0x1c is an ASCII separator"),
+            ("1,0\n\x1f 0 ,1\n", "byte offset 4: 0x1f is an ASCII separator"),
+            ("1,0\x1d\n0,1\u00e9\n", "byte offset 3: 0x1d is an ASCII separator"),
+            ("1,0\u00e9\n0,1\x1e\n", "byte offset 3: 0xc3 is not ASCII"),
         ],
     )
-    def test_first_refused_character_is_named_at_its_offset(self, text, message):
+    def test_first_refused_character_is_named_at_its_offset(self, text, message, tmp_path):
         with pytest.raises(MatrixFormatError) as err:
-            load_matrix_csv(io.StringIO(text))
+            load_matrix_csv(written(tmp_path, text))
         assert str(err.value) == message
 
-    def test_ragged_rows_rejected(self):
+    def test_ragged_rows_rejected(self, tmp_path):
         with pytest.raises(NotSquare):
-            load_matrix_csv(io.StringIO("1,0\n0,0.5,0.5"))
+            load_matrix_csv(written(tmp_path, "1,0\n0,0.5,0.5"))
 
     @pytest.mark.parametrize(
         "content, message",
@@ -542,28 +545,15 @@ class TestCsvFormat:
             (b"0.9,0.1\n0.2,0.8\xc3\xa9\n", "byte offset 15: 0xc3 is not ASCII"),
             # far into the file: the offset counts from its first byte
             (b"0." + b"0" * 20_000 + b"\xe9,1\n1,0\n", "byte offset 20002: 0xe9 is not ASCII"),
+            # Arabic-Indic digits; U+2028 and U+0085, where str.splitlines would end a line
+            ("١,٠\n٠,١\n".encode(), "byte offset 0: 0xd9 is not ASCII"),
+            ("0.9,0.1\n0.2,0.8\u2028\n".encode(), "byte offset 15: 0xe2 is not ASCII"),
+            ("1,0\x85\n0,1\n".encode(), "byte offset 3: 0xc2 is not ASCII"),
         ],
     )
     def test_non_ascii_byte_is_a_format_error_at_its_offset(self, tmp_path, content, message):
-        path = tmp_path / "m.csv"
-        path.write_bytes(content)
         with pytest.raises(MatrixFormatError) as err:
-            load_matrix_csv(path)
-        assert str(err.value) == message
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("١,٠\n٠,١\n", "character offset 0: U+0661 is not ASCII"),
-            ("0.9,0.1\n0.2,0.8\u2028\n", "character offset 15: U+2028 is not ASCII"),
-            ("1,0\x85\n0,1\n", "character offset 3: U+0085 is not ASCII"),
-        ],
-    )
-    def test_non_ascii_character_in_a_stream_is_a_format_error_at_its_offset(
-        self, text, message
-    ):
-        with pytest.raises(MatrixFormatError) as err:
-            load_matrix_csv(io.StringIO(text))
+            load_matrix_csv(written(tmp_path, content))
         assert str(err.value) == message
 
     @pytest.mark.parametrize("n", [16, 64, 128])
@@ -571,39 +561,38 @@ class TestCsvFormat:
     def test_round_trip_at_benchmark_sizes_takes_the_fast_path(self, n, ratio, tmp_path):
         m = random_sdd_positive(n, ratio, 1000 * n + int(10 * ratio))
         path = tmp_path / "m.csv"
-        text = dump_matrix_csv(m, path)
-        for source in (path, io.StringIO(text)):
-            again = load_matrix_csv(source)
-            assert again.entries.tobytes() == m.entries.tobytes()
+        dump_matrix_csv(m, path)
+        assert load_matrix_csv(path).entries.tobytes() == m.entries.tobytes()
+
+
+@pytest.fixture(scope="class")
+def loader_dir(tmp_path_factory):
+    """One directory for every example of a hypothesis test: hypothesis runs
+    all of a test's examples inside one call of a function-scoped fixture."""
+    return tmp_path_factory.mktemp("loader")
 
 
 class TestLoaderMatchesWalk:
-    """The loader's outcome on each edge text, by stream and by file: the
-    entries' bytes, or the error's type and message. These are the outcomes of
-    the per-field float() walk that once decided every text, but for the
-    texts marked "changed" in LOADER_EDGE_TEXTS."""
-
-    @pytest.mark.parametrize("text", LOADER_EDGE_TEXTS)
-    def test_stream(self, text):
-        assert outcome(load_matrix_csv, io.StringIO(text)) == LOADER_EDGE_TEXTS[text]
+    """The loader's outcome on each edge text held in a file: the entries'
+    bytes, or the error's type and message. These are the outcomes of the
+    per-field float() walk that once decided every text, but for the texts
+    marked "changed" in LOADER_EDGE_TEXTS."""
 
     @pytest.mark.parametrize("text", LOADER_EDGE_TEXTS)
     def test_file(self, text, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_bytes(text.encode("ascii"))
-        expected = FILE_OUTCOMES.get(text, LOADER_EDGE_TEXTS[text])
-        assert outcome(load_matrix_csv, path) == expected
+        path = written(tmp_path, text.encode("ascii"))
+        assert outcome(load_matrix_csv, path) == LOADER_EDGE_TEXTS[text]
 
     @settings(max_examples=300, deadline=None)
     @given(edge_texts())
-    def test_random_texts(self, text):
+    def test_random_texts(self, loader_dir, text):
         """Every text loads to exactly what np.loadtxt reads from its lines, or
         raises a DmcError that names the place; none reaches a fall-through."""
-        got = outcome(load_matrix_csv, io.StringIO(text))
+        got = outcome(load_matrix_csv, written(loader_dir, text.encode("ascii")))
         sep = next((k for k, c in enumerate(text) if c in "\x1c\x1f"), None)
         lines = text.replace("\r\n", "\n").replace("\r", "\n").rstrip().split("\n")
         if sep is not None:
-            message = f"character offset {sep}: U+{ord(text[sep]):04X} is an ASCII separator"
+            message = f"byte offset {sep}: {ord(text[sep]):#04x} is an ASCII separator"
             assert got == (MatrixFormatError, message)
         elif lines == [""]:
             assert got == (MatrixFormatError, "empty matrix file")

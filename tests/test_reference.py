@@ -412,10 +412,13 @@ class TestClosedFormStart:
         assert seeded.iterations == plain.iterations
         assert np.array_equal(seeded.optimal_input, plain.optimal_input)
 
-    @pytest.mark.parametrize("hint", [[0.5, 0.5], [0.25] * 4, [[0.2, 0.3, 0.5]], 1.0])
+    @pytest.mark.parametrize(
+        "hint",
+        [[0.5, 0.5], [0.25] * 4, [[0.2, 0.3, 0.5]], 1.0, ["a", "b", "c"], [[0.5], [0.5, 0.0]]],
+    )
     def test_wrong_shape_is_rejected(self, ex4, hint):
         with pytest.raises(InvalidPmf):
-            blahut_arimoto(ex4, start=np.array(hint))
+            blahut_arimoto(ex4, start=hint)
 
     @pytest.mark.parametrize(
         "m, unused",
@@ -583,13 +586,13 @@ class TestDualBound:
 
     @pytest.mark.parametrize(
         "q",
-        [[1.0, 1.0], [math.nan, 0.5], [1.5, -0.5], [0.2, 0.3, 0.5]],
-        ids=["sum-2", "nan", "negative", "length-3"],
+        [[1.0, 1.0], [math.nan, 0.5], [1.5, -0.5], [0.2, 0.3, 0.5], "abc", [[0.5], [0.5, 0.0]]],
+        ids=["sum-2", "nan", "negative", "length-3", "text", "ragged"],
     )
     def test_rejects_an_output_vector_that_is_not_a_pmf(self, bsc01, q):
         # [1, 1] would give 1 - H(0.1) - 1 = -0.469, below the capacity 0.531
         with pytest.raises(InvalidPmf):
-            dual_bound(bsc01, np.array(q))
+            dual_bound(bsc01, q)
 
     def test_accepts_a_list(self, bsc01):
         expected = 1.0 - entropy2([0.9, 0.1])
