@@ -1,7 +1,7 @@
 """Closed-form capacity upper bound and its exactness conditions.
 
-For an invertible positive channel matrix A, stationarity of the mutual
-information in the output distribution q gives a closed form: with
+For an invertible channel matrix A, stationarity of the mutual information
+in the output distribution q gives a closed form (Muroga, 1953): with
 K_j = sum_i inv(A)[j][i] * H(A_i) (row entropies propagated through the
 inverse), the optimizing output pmf is
 
@@ -51,7 +51,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositive
 from .matrix import ChannelMatrix, InverseAnalysis, _dominance_ratios, analyze_inverse
 from .reference import _dual
 
@@ -172,14 +171,13 @@ def _exactness_ladder(n: int, analysis: InverseAnalysis, k: np.ndarray) -> dict:
 
 
 def capacity_upper_bound(matrix: ChannelMatrix) -> BoundReport:
-    """Full closed-form report for an invertible positive channel matrix.
+    """Full closed-form report for an invertible channel matrix; zero
+    entries are allowed, and only the exactness conditions need A positive.
 
     The bound U(q*) = max_i D(A_i || q*) is reported even when p* is
     infeasible (it stays a valid upper bound; the flag records feasibility).
     """
     analysis = analyze_inverse(matrix)
-    if not analysis.is_positive:
-        raise NotPositive("the closed-form bound requires a strictly positive matrix")
     k, q_star, p_star = _kkt_closed_form(analysis.inverse, matrix)
     return BoundReport(
         inverse_entropies=k,

@@ -25,7 +25,6 @@ from .errors import (
     ConvergenceFailure,
     InputError,
     InvalidRange,
-    NotPositive,
     NumericError,
     SingularMatrix,
 )
@@ -135,13 +134,11 @@ def sweep_record(spec: FamilySpec, tol: float, max_iter: int) -> dict:
         spectral = report.spectral_condition
         gershgorin = report.gershgorin_condition
         start = report.p_star
-    except (SingularMatrix, NotPositive) as exc:
-        # dominance implies invertibility and the conditions assume a
-        # positive matrix, so the hypotheses cannot hold here
+    except SingularMatrix:
+        # dominance implies invertibility, so the conditions cannot hold here
         spectral = Condition.PRECONDITION_NOT_MET
         gershgorin = Condition.PRECONDITION_NOT_MET
-        if isinstance(exc, SingularMatrix):  # a start for BA, not a bound
-            start = pseudo_inverse_input(matrix)
+        start = pseudo_inverse_input(matrix)  # a start for BA, not a bound
     except ConvergenceFailure:
         pass
     try:

@@ -83,10 +83,6 @@ class ConvergenceFailure(NumericError):
         super().__init__(f"singular value decomposition did not converge: {detail}")
 
 
-class NotPositive(NumericError):
-    pass
-
-
 class NotConverged(NumericError):
     """Iteration hit its cap; the best estimate rides along on the error."""
 

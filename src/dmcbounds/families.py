@@ -70,7 +70,7 @@ def fixed_example(which: str) -> ChannelMatrix:
             [0.5, 0.05, 0.45],
         ],
     }
-    if which not in matrices:
+    if not isinstance(which, str) or which not in matrices:
         raise InvalidParameter(f"unknown fixed example {which!r}")
     return validate_channel(matrices[which])
 
@@ -233,6 +233,8 @@ _PARAMETRIC = {
 
 
 def canonical_family(name: str) -> str:
+    if not isinstance(name, str):
+        raise InvalidParameter(f"family name must be a string, got {name!r}")
     name = _ALIASES.get(name, name)
     if name not in _FIXED and name not in _PARAMETRIC:
         raise InvalidParameter(f"unknown family {name!r}")

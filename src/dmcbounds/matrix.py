@@ -71,9 +71,10 @@ class InverseAnalysis:
 
 
 def _entropies(x: np.ndarray) -> np.ndarray:
-    """-sum x log2 x along the last axis, in bits; entries <= 0 contribute 0."""
+    """-sum x log2 x along the last axis, in bits; entries <= 0 contribute 0.
+    It is 0.0 - sum rather than -sum, so that a deterministic row gives +0."""
     pos = x > 0.0
-    return -np.where(pos, x * np.log2(np.where(pos, x, 1.0)), 0.0).sum(axis=-1)
+    return 0.0 - np.where(pos, x * np.log2(np.where(pos, x, 1.0)), 0.0).sum(axis=-1)
 
 
 def entropy_bits(v: np.ndarray) -> float:
@@ -108,7 +109,7 @@ def validate_channel(raw) -> ChannelMatrix:
         i = int(bad_rows[0])
         raise RowSumViolation(i, float(sums[i]))
     entries.setflags(write=False)
-    neg_entropies = -_entropies(entries)
+    neg_entropies = 0.0 - _entropies(entries)  # -x would make a deterministic row's +0 -0
     neg_entropies.setflags(write=False)
     return ChannelMatrix(entries, neg_entropies)
 
@@ -172,7 +173,7 @@ def min_singular_value(matrix: ChannelMatrix) -> float:
 
 def row_entropies(matrix: ChannelMatrix) -> tuple[np.ndarray, float]:
     """Entropy of each row in bits, and the maximum over rows."""
-    ent = -matrix.neg_entropies
+    ent = 0.0 - matrix.neg_entropies
     return ent, float(ent.max())
 
 
@@ -193,7 +194,7 @@ def analyze_inverse(matrix: ChannelMatrix) -> InverseAnalysis:
         c_min=float(_dominance_ratios(diag, off).min()),
         sigma_min=float(sv[-1]),
         cond=_condition_number(sv),
-        h_max=float(-matrix.neg_entropies.min()),
+        h_max=float(0.0 - matrix.neg_entropies.min()),
     )
 
 

@@ -44,8 +44,7 @@ much so the bracket keeps its top.
 
 Where A is refused as singular there is no p*; the CLI's sweep then passes
 the same closed form computed with the pseudo-inverse pinv(A), which puts the
-start close to the optimal support just the same. A matrix that inverts but
-has a zero entry has no closed form, and its sweep point starts from uniform.
+start close to the optimal support just the same.
 
 The grid oracle is an independent brute-force check for tiny alphabets: it
 evaluates mutual information on the whole simplex lattice {k/resolution} and

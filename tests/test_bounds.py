@@ -3,13 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dmcbounds import (
     Condition,
-    NotPositive,
+    SingularMatrix,
     analyze_inverse,
     blahut_arimoto,
     capacity_upper_bound,
@@ -20,6 +20,8 @@ from dmcbounds import (
     validate_channel,
 )
 from conftest import entropy2
+
+Z_CHANNEL = validate_channel([[1.0, 0.0], [0.5, 0.5]])
 
 
 class TestInverseRowEntropies:
@@ -43,10 +45,14 @@ class TestInverseRowEntropies:
         k = capacity_upper_bound(m).inverse_entropies
         assert np.allclose(k, k[0], atol=1e-12)
 
-    def test_requires_positive_matrix(self):
-        m = validate_channel(np.eye(2))
-        with pytest.raises(NotPositive):
-            capacity_upper_bound(m).inverse_entropies
+    def test_zero_entry_channels(self):
+        # deterministic rows have H = 0, so the identity's K vanishes; the Z
+        # channel's rows have H = (0, 1), and inv(A) = [[1, 0], [-1, 2]]
+        for n in range(2, 6):
+            k = capacity_upper_bound(validate_channel(np.eye(n))).inverse_entropies
+            assert np.array_equal(k, np.zeros(n))
+        k = capacity_upper_bound(Z_CHANNEL).inverse_entropies
+        assert k == pytest.approx([0.0, 2.0], abs=1e-15)
 
 
 class TestOptimalOutputDistribution:
@@ -117,9 +123,40 @@ class TestCapacityUpperBound:
         expected = math.log2(3) - entropy2([0.93, 0.04, 0.03])
         assert r.upper_bound == pytest.approx(expected, abs=1e-9)
 
-    def test_rejects_non_positive(self):
-        with pytest.raises(NotPositive):
-            capacity_upper_bound(validate_channel(np.eye(3)))
+    def test_zero_entry_channels(self):
+        # the bound needs only an invertible A; the conditions still need a
+        # positive one
+        for n in range(2, 6):
+            r = capacity_upper_bound(validate_channel(np.eye(n)))
+            assert r.upper_bound == pytest.approx(math.log2(n), rel=1e-15, abs=0)
+            assert r.p_star_feasible
+            assert r.spectral_condition is Condition.PRECONDITION_NOT_MET
+        r = capacity_upper_bound(Z_CHANNEL)
+        assert r.upper_bound == pytest.approx(math.log2(5 / 4), rel=1e-15, abs=0)
+        assert r.p_star == pytest.approx([0.6, 0.4], abs=1e-15)
+        est = blahut_arimoto(Z_CHANNEL, 1e-9)
+        assert est.capacity <= r.upper_bound <= est.capacity + 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(2, 6).flatmap(
+            lambda n: arrays(
+                np.float64,
+                (n, n),
+                elements=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+            )
+        )
+    )
+    def test_bounds_invertible_channels_with_zeros(self, rows):
+        sums = rows.sum(axis=1, keepdims=True)
+        assume((sums > 0).all() and (rows == 0).any())
+        m = validate_channel(rows / sums)
+        try:
+            r = capacity_upper_bound(m)
+        except SingularMatrix:
+            assume(False)
+        est = blahut_arimoto(m, 1e-9)
+        assert r.upper_bound == math.inf or r.upper_bound >= est.capacity - 1e-9
 
     def test_report_invariants(self, ex1, ex3, ex4):
         for m in (ex1, ex3, ex4):

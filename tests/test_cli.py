@@ -13,6 +13,7 @@ from dmcbounds import (
     InvalidRange,
     blahut_arimoto,
     build_family,
+    capacity_upper_bound,
     dump_matrix_csv,
     fixed_example,
     load_matrix_csv,
@@ -121,11 +122,14 @@ class TestAnalyze:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.csv")]) == 2
 
-    def test_non_positive_matrix_exits_3(self, tmp_path, capsys):
+    def test_non_positive_matrix_prints_its_bound(self, tmp_path, capsys):
         path = tmp_path / "id.csv"
         dump_matrix_csv(validate_channel(np.eye(3)), path)
-        assert main(["analyze", str(path)]) == 3
-        assert "positive" in capsys.readouterr().err
+        assert main(["analyze", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for line in ("upper_bound: 1.5849625", "h_max: 0", "ba_iterations: 0",
+                     "spectral_condition: precondition-not-met"):
+            assert line in lines
 
     def test_singular_matrix_exits_3(self, tmp_path):
         path = tmp_path / "sing.csv"
@@ -208,11 +212,14 @@ class TestSweep:
         assert ",NA," in text.split("\n")[2]
         assert text.split("\n")[2].split(",")[2] == "0"  # C = 0: rank 1
 
-    def test_nonpositive_endpoint_turns_na(self):
+    def test_nonpositive_endpoint_prints_its_bound(self):
         records = run_sweep("relay-miso", 3, 0.0, 0.2, 3)
         first = records[0]  # alpha = 0: identity channel
-        assert first["upper_bound"] is None
+        assert first["upper_bound"] == 2.0
+        assert first["feasible"] is True
+        assert first["prop3"].value == "precondition-not-met"
         assert first["ba_capacity"] == pytest.approx(2.0, abs=1e-9)
+        assert sweep_csv(records).split("\n")[1].split(",")[:3] == ["0", "2", "2"]
 
     def test_point_whose_ba_cannot_certify_turns_na(self):
         record = sweep_record(FamilySpec("relay-miso", 30, 0.3, None), 1e-9, 0)
@@ -324,9 +331,10 @@ class TestSweepRecordStart:
         assert sweep_csv([record]).split("\n")[1].split(",")[1] == "NA"
         assert record["ba_capacity"] == pytest.approx(0.683040186, abs=1e-9)
 
-    def test_non_positive_point_starts_from_uniform(self, calls):
-        sweep_record(FamilySpec("relay-miso", 3, 0.0, None), 1e-9, 100_000)
-        assert calls[0]["start"] is None
+    def test_non_positive_point_starts_from_p_star(self, calls):
+        spec = FamilySpec("relay-miso", 3, 0.0, None)
+        sweep_record(spec, 1e-9, 100_000)
+        assert np.array_equal(calls[0]["start"], capacity_upper_bound(build_family(spec)).p_star)
 
     def test_failed_svd_turns_the_closed_form_na_and_starts_from_uniform(
         self, calls, monkeypatch
@@ -384,6 +392,14 @@ class TestCompare:
         assert main(["compare", ex1_file]) == 0
         out = capsys.readouterr().out.strip().split("\n")
         assert out[1].split(",")[-1] == "closed-form"
+
+    def test_z_channel_tightest_is_closed_form_at_capacity(self, tmp_path, capsys):
+        path = tmp_path / "z.csv"
+        path.write_text("1,0\n0.5,0.5\n")
+        assert main(["compare", str(path)]) == 0
+        cells = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        assert cells[:2] == ["0.321928095", "0.321928095"]  # log2(5/4) = C
+        assert cells[-1] == "closed-form"
 
     def test_near_noiseless_channel_all_bounds_near_log_n(self, tmp_path, capsys):
         eps = 1e-6

@@ -344,12 +344,15 @@ class TestBuildFamily:
         (lambda: build_family(FamilySpec("relay-miso", parameter=0.3)), "relay-miso requires n"),
         (lambda: build_family(FamilySpec("random-sdd", parameter=2.0)), "random-sdd requires n"),
         (lambda: canonical_family("quaternary-erasure"), "unknown family 'quaternary-erasure'"),
+        (lambda: build_family(FamilySpec([], parameter=0.5)), "family name must be a string, got []"),
+        (lambda: fixed_example([]), "unknown fixed example []"),
         (lambda: build_family(FamilySpec("gamma", parameter=1.5)), "gamma must be in (0, 1), got 1.5"),
         (lambda: build_family(FamilySpec("beta", parameter=1.5)), "beta must be in [0, 1], got 1.5"),
     ],
     ids=[
         "domain-relay-miso", "domain-gamma", "domain-beta", "domain-bsc", "domain-random-sdd",
         "no-parameter", "requires-parameter", "relay-requires-n", "sdd-requires-n", "unknown",
+        "family-not-a-string", "fixed-example-not-a-string",
         "generator-domain", "closed-generator-domain",
     ],
 )

@@ -3,9 +3,9 @@ compared with the copies committed under ``tests/golden/``.
 
 The corpus holds the sweep CSVs and SVG charts of the README and acceptance
 runs, ``analyze`` (text and ``--json``) and ``compare`` on the three fixed
-examples and nine seeded random-sdd matrices, and the exit code and stderr of
-the CLI's error paths. A change that moves an output on purpose rewrites the
-corpus, so its diff shows every moved cell:
+examples, the 3x3 identity and nine seeded random-sdd matrices, and the exit
+code and stderr of the CLI's error paths. A change that moves an output on
+purpose rewrites the corpus, so its diff shows every moved cell:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -75,7 +75,6 @@ ERROR_INPUTS = {
     "underscore.csv": b"1_0,0\n0,1\n",
     "accent.csv": b"0.9,0.1\n0.2,0.8\xc3\xa9\n",
     "ex4.csv": b"0.6,0.3,0.1\n0.7,0.1,0.2\n0.5,0.05,0.45\n",
-    "identity.csv": b"1,0,0\n0,1,0\n0,0,1\n",
     "singular.csv": b"0.2,0.3,0.5\n0.2,0.3,0.5\n0.5,0.3,0.2\n",
 }
 ERROR_COMMANDS = [
@@ -93,7 +92,6 @@ ERROR_COMMANDS = [
                     ["--max-iter", "-3"])
       for command in ("analyze", "compare")),
     ["analyze", "nope.csv"],
-    ["analyze", "identity.csv"],
     ["analyze", "singular.csv"],
     ["generate", "--family", "gamma", "--param", "1.5"],
     ["sweep", "--family", "gamma", "--range", "0:0.5", "--steps", "3"],
@@ -106,11 +104,13 @@ ERROR_COMMANDS = [
 
 
 def corpus_matrices():
-    """(name, matrix): the three fixed examples and the nine random-sdd
-    matrices n in {4, 16, 64} x min_ratio in {1.5, 3, 10}, seed 100 n + floor(ratio)."""
-    from dmcbounds import fixed_example, random_sdd_positive
+    """(name, matrix): the three fixed examples, the 3x3 identity and the nine
+    random-sdd matrices n in {4, 16, 64} x min_ratio in {1.5, 3, 10}, seed
+    100 n + floor(ratio)."""
+    from dmcbounds import fixed_example, random_sdd_positive, validate_channel
 
     named = [(name, fixed_example(name)) for name in ("example-1", "example-3", "example-4")]
+    named.append(("identity-3", validate_channel(np.eye(3))))
     for n in (4, 16, 64):
         for ratio in (1.5, 3.0, 10.0):
             named.append((f"sdd-n{n}-r{ratio:g}", random_sdd_positive(n, ratio, 100 * n + int(ratio))))

@@ -19,6 +19,7 @@ from dmcbounds import (
     SingularMatrix,
     analyze_inverse,
     dump_matrix_csv,
+    entropy_bits,
     gershgorin,
     invert,
     load_matrix_csv,
@@ -302,9 +303,13 @@ class TestMinSingularValue:
 
 class TestRowEntropies:
     def test_identity_rows_have_zero_entropy(self):
-        ent, h_max = row_entropies(validate_channel(np.eye(2)))
+        m = validate_channel(np.eye(2))
+        ent, h_max = row_entropies(m)
         assert np.array_equal(ent, np.zeros(2))
         assert h_max == 0.0
+        # +0, not -0: a deterministic row's entropy prints as 0
+        h = [*ent, h_max, analyze_inverse(m).h_max, entropy_bits([1.0, 0.0]), *m.neg_entropies]
+        assert not np.signbit(h).any()
 
     def test_reliable_example_h_max(self, ex1):
         _, h_max = row_entropies(ex1)
