@@ -240,7 +240,8 @@ def cmd_compare(args) -> int:
     }
     names = {"upper_bound": "closed-form", "arimoto": "arimoto",
              "boyd_chiang_col": "boyd-chiang-col", "boyd_chiang_row": "boyd-chiang-row"}
-    row["tightest"] = names[min(names, key=row.get)]  # the first of equal bounds
+    # ranked as printed, so that of bounds that print equal the first is named
+    row["tightest"] = names[min(names, key=lambda name: float(fmt(row[name])))]
     sys.stdout.write(_csv([row]))
     return 0
 

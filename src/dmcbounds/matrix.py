@@ -6,8 +6,9 @@ reference capacities) consumes the ``ChannelMatrix`` produced by
 ``validate_channel``, which also computes each row's negated entropy
 -H(A_i) once, or the bundled ``InverseAnalysis`` diagnostics:
 
-- inverse of A, by LAPACK solve of A X = I, refused as singular when the
-  2-norm condition number sigma_max/sigma_min reaches 1e13;
+- inverse of A, by ``np.linalg.inv`` (one LAPACK gesv on the identity),
+  refused as singular when the 2-norm condition number sigma_max/sigma_min
+  reaches 1e13;
 - Gershgorin ratios c_i = A_ii / sum of off-diagonal row entries, and their
   minimum c_min (+inf when every off-diagonal sum is zero);
 - minimum singular value and condition number, from one LAPACK SVD of A
@@ -131,13 +132,13 @@ def _checked_inverse(a: np.ndarray, sv: np.ndarray) -> np.ndarray:
     if sv[-1] <= sv[0] / COND_LIMIT:
         raise SingularMatrix(_condition_number(sv))
     try:
-        return np.linalg.solve(a, np.eye(a.shape[0]))
+        return np.linalg.inv(a)
     except np.linalg.LinAlgError:
         raise SingularMatrix(_condition_number(sv)) from None
 
 
 def invert(matrix: ChannelMatrix) -> np.ndarray:
-    """Inverse of the channel matrix, by LAPACK solve of A X = I.
+    """Inverse of the channel matrix, by ``np.linalg.inv`` (LAPACK gesv on I).
 
     Raises SingularMatrix when cond(A) = sigma_max/sigma_min reaches 1e13, and
     ConvergenceFailure when the SVD that measures it does not converge.

@@ -19,16 +19,24 @@ drops below the tolerance and the lower end is reported as the capacity.
 When the optimal input is sparse, that update crawls: the unused inputs
 decay only geometrically. So every 50 updates an active-set Newton solve of
 the KKT system (D_i = C on the support S, sum_S p_i = 1) runs from the
-current p. Its ratio test drops the input that would turn negative. Once
-the spread of D on S is at most half of max(tol, gap), with gap the bracket
-width above, the worst off-support input with D_i > I(p) joins S: the face
-is solved only as far as the gap needs, not to the tolerance. An input that
-joined while the spread was above tol/2 and that the next ratio test would
-shrink at once leaves S again, and the next input then waits for a spread of
-at most tol/2. A failed solve is discarded and the updates resume where they
-were. Each Newton step counts as one iteration, and the stopping rule is
-unchanged: the full-alphabet bracket above, so a wrong support guess can
-cost time but can never certify a wrong capacity.
+current p. Its ratio test drops the input that would turn negative. A step
+that the ratio test blocks is finished on the face's quadratic model, the
+classic primal active-set walk: D linearized at p, D_S - M (x - p_S), is
+solved again on the face without the blocking input, from the breakpoint,
+one input leaving per breakpoint until a piece is not blocked. The walked
+point costs one evaluation and is taken if I(p) does not drop; otherwise, or
+if the model has no solution, the step stops at the first breakpoint,
+halving back from it until I(p) does not drop. After a step that was not
+blocked, once the spread of D on S is at most half of max(tol, gap), with
+gap the bracket width above, the worst off-support input with D_i > I(p)
+joins S: the face is solved only as far as the gap needs, not to the
+tolerance. An input that joined while the spread was above tol/2 and that
+the next ratio test would shrink at once leaves S again, and the next input
+then waits for a spread of at most tol/2. A failed solve is discarded and
+the updates resume where they were. Each Newton step counts as one
+iteration, and the stopping rule is unchanged: the full-alphabet bracket
+above, so a wrong support guess can cost time but can never certify a wrong
+capacity.
 
 The solver can also start from a hint. The CLI passes the closed form's
 p* = inv(A)^T q*, which solves the KKT system in closed form and is the
@@ -120,12 +128,13 @@ def _evaluate(matrix: ChannelMatrix, p: np.ndarray) -> tuple:
 
 def _newton_direction(
     entries: np.ndarray, p: np.ndarray, q: np.ndarray, d: np.ndarray, idx: np.ndarray
-) -> np.ndarray | None:
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Newton step dp on the face S = ``idx`` for D_S(A^T (p + dp)) = C, sum = 1.
 
     Solves [[M, 1], [1^T, 0]] [dp; C] = [D_S; 1 - sum p_S], where
     M = (A_S / q) A_S^T / ln 2 is minus the Jacobian of D_S and q = A^T p;
-    outputs with q_j = 0 drop out. Returns None when the system is singular.
+    outputs with q_j = 0 drop out. Returns ``(dp, system)``, with ``system``
+    the bordered matrix, or None when the system is singular.
     """
     rows = entries[idx]
     if q.min() <= 0.0:
@@ -142,7 +151,55 @@ def _newton_direction(
         dp = np.linalg.solve(system, rhs)[:k]
     except np.linalg.LinAlgError:
         return None
-    return dp if np.isfinite(dp).all() else None
+    return (dp, system) if np.isfinite(dp).all() else None
+
+
+def _ratio_test(x: np.ndarray, dx: np.ndarray) -> tuple[int, float]:
+    """``(i, t)``: the largest t <= 1 with x + t dx >= 0, and the input i that
+    bounds it (the first smallest ratio x_i / -dx_i)."""
+    ratios = np.divide(x, -dx, out=np.full(x.size, np.inf), where=dx < 0.0)
+    i = int(ratios.argmin())
+    return i, min(1.0, float(ratios[i]))
+
+
+def _model_walk(
+    system: np.ndarray, p_face: np.ndarray, d_face: np.ndarray, dp: np.ndarray, leaving: int, t: float
+) -> np.ndarray | None:
+    """The blocked Newton step ``dp`` finished on its quadratic model: new p_S.
+
+    ``system`` is the step's bordered matrix [[M, 1], [1^T, 0]], and the model
+    linearizes D on the face at p: D_lin(x) = D_S - M (x - p_S). Its solution
+    y on a face F (D_lin(y) = C on F, sum y = 1, y = 0 off F) solves the
+    bordered system for [D_S + M p_S; 1], with an identity row and column
+    pinning each input off F to 0. At each breakpoint x (first p_S + t dp)
+    the blocking input leaves F, and the next piece runs from x toward the
+    solution on the smaller face, ratio-tested from x. The walk ends with the
+    first piece that is not blocked. Returns None if a solve is singular or
+    not finite, or if the walked point has no mass.
+    """
+    k = p_face.size
+    system = system.copy()
+    rhs = np.append(d_face + system[:k, :k] @ p_face, 1.0)
+    face = np.ones(k, dtype=bool)
+    x, dx = p_face, dp
+    while t < 1.0:
+        x = np.maximum(x + t * dx, 0.0)
+        x[leaving] = 0.0
+        face[leaving] = False
+        system[leaving] = 0.0
+        system[:, leaving] = 0.0
+        system[leaving, leaving] = 1.0
+        rhs[leaving] = 0.0
+        try:
+            y = np.linalg.solve(system, rhs)[:k]
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(y).all():
+            return None
+        dx = np.where(face, y - x, 0.0)  # no rounding moves an input off F
+        leaving, t = _ratio_test(x, dx)
+    x = np.maximum(x + dx, 0.0)
+    return x if x.sum() > 0.0 else None
 
 
 def _newton_on_support(
@@ -152,12 +209,18 @@ def _newton_on_support(
 
     ``at_p`` is ``_evaluate`` at ``p``, and S starts as the support of ``p``.
     Each step goes along the Newton direction as far as p >= 0 allows (ratio
-    test), halving the step until I(p) does not drop; when the full ratio-test
-    step is taken, the input it drives to zero leaves S. After any other step,
-    once the spread of D on S is at most half of max(tol, gap), with gap the
+    test). A step that this blocks (t < 1) is first finished on the face's
+    quadratic model (``_model_walk``): one input leaves S at each breakpoint
+    until a piece of the walk is not blocked, and the walked point is
+    evaluated once and taken if I(p) does not drop. Otherwise, and whenever
+    some q_j = 0, a solve of the walk is singular or not finite or the walked
+    point has no mass, the step halves from the ratio-test point until I(p)
+    does not drop; when the full ratio-test step is taken, the input it
+    drives to zero leaves S. After a step that was not blocked, once the
+    spread of D on S is at most half of max(tol, gap), with gap the
     full-alphabet gap max_i D_i - I(p), the worst off-support input with
     D_i > I(p) joins S, so that the face is solved only as far as the gap
-    needs before S grows again.
+    needs before S grows again. A step counts once, whether it walks or halves.
 
     An input that joined while the spread was above tol/2 retreats if the
     next ratio test would shrink it at once (t <= 0): it leaves S again, that
@@ -175,13 +238,12 @@ def _newton_on_support(
     waiting = False  # after a retreat, the next input joins at a spread of at most tol/2
     for step in range(1, budget + 1):
         idx = support.nonzero()[0]
-        dp = _newton_direction(matrix.entries, p, q, d, idx)
-        if dp is None:
+        newton = _newton_direction(matrix.entries, p, q, d, idx)
+        if newton is None:
             return None, step
+        dp, system = newton
         p_face = p[idx]
-        ratios = np.divide(p_face, -dp, out=np.full(idx.size, np.inf), where=dp < 0.0)
-        leaving = int(ratios.argmin())
-        t = min(1.0, float(ratios[leaving]))
+        leaving, t = _ratio_test(p_face, dp)
         if t <= 0.0:  # the input that just joined S would shrink at once
             if not may_retreat:
                 return None, step
@@ -190,15 +252,24 @@ def _newton_on_support(
             continue
         may_retreat = False
         blocked = t < 1.0
+        walked = None
+        if blocked and q.min() > 0.0:  # an output with q_j = 0 is not in M
+            walked = _model_walk(system, p_face, d[idx], dp, leaving, t)
         while True:
             trial = p.copy()
-            trial[idx] = np.maximum(p_face + t * dp, 0.0)
-            if blocked:
-                trial[idx[leaving]] = 0.0
+            if walked is not None:
+                trial[idx] = walked
+            else:
+                trial[idx] = np.maximum(p_face + t * dp, 0.0)
+                if blocked:
+                    trial[idx[leaving]] = 0.0
             trial /= trial.sum()
             trial_q, trial_d, trial_lower, gap = _evaluate(matrix, trial)
             if trial_lower >= lower - 1e-15:
                 break
+            if walked is not None:  # the walk lowered I(p): take the ratio-test step
+                walked = None
+                continue
             t *= 0.5
             blocked = False
             if t < 1e-12:

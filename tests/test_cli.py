@@ -401,6 +401,16 @@ class TestCompare:
         assert cells[:2] == ["0.321928095", "0.321928095"]  # log2(5/4) = C
         assert cells[-1] == "closed-form"
 
+    def test_bounds_that_print_equal_name_the_first(self, tmp_path, capsys):
+        # on the identity every bound prints log2 3, though U(q*) and
+        # Arimoto's U(colsum/n) are one ulp above Boyd-Chiang's log2 3
+        path = tmp_path / "identity.csv"
+        path.write_text("1,0,0\n0,1,0\n0,0,1\n")
+        assert main(["compare", str(path)]) == 0
+        cells = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        assert cells[:5] == ["1.5849625"] * 5
+        assert cells[-1] == "closed-form"
+
     def test_near_noiseless_channel_all_bounds_near_log_n(self, tmp_path, capsys):
         eps = 1e-6
         m = validate_channel(

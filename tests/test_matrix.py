@@ -201,10 +201,11 @@ class TestInvert:
         assert invert(relay_miso(30, 0.30)).shape == (31, 31)
 
     def test_solve_failure_raises_singular_matrix(self, monkeypatch):
-        def singular(a, b):
+        # np.linalg.inv is LAPACK's gesv solve on the identity
+        def singular(a):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(np.linalg, "inv", singular)
         with pytest.raises(SingularMatrix):
             invert(validate_channel([[0.9, 0.1], [0.2, 0.8]]))
 
