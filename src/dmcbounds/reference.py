@@ -23,20 +23,20 @@ current p. Its ratio test drops the input that would turn negative. A step
 that the ratio test blocks is finished on the face's quadratic model, the
 classic primal active-set walk: D linearized at p, D_S - M (x - p_S), is
 solved again on the face without the blocking input, from the breakpoint,
-one input leaving per breakpoint until a piece is not blocked. The walked
-point costs one evaluation and is taken if I(p) does not drop; otherwise, or
-if the model has no solution, the step stops at the first breakpoint,
-halving back from it until I(p) does not drop. After a step that was not
-blocked, once the spread of D on S is at most half of max(tol, gap), with
-gap the bracket width above, the worst off-support input with D_i > I(p)
-joins S: the face is solved only as far as the gap needs, not to the
-tolerance. An input that joined while the spread was above tol/2 and that
-the next ratio test would shrink at once leaves S again, and the next input
-then waits for a spread of at most tol/2. A failed solve is discarded and
-the updates resume where they were. Each Newton step counts as one
-iteration, and the stopping rule is unchanged: the full-alphabet bracket
-above, so a wrong support guess can cost time but can never certify a wrong
-capacity.
+one input leaving per breakpoint until a piece is not blocked. A step tries
+at most two points, at one evaluation each: a blocked step the walked point,
+then the ratio-test point; any other step the full Newton point. The first
+that does not lower I(p), or that certifies, is taken; if none is, the solve
+fails. After a step that was not blocked, once the spread of D on S is at
+most half of max(tol, gap), with gap the bracket width above, the worst
+off-support input with D_i > I(p) joins S: the face is solved only as far as
+the gap needs, not to the tolerance. An input that joined while the spread
+was above tol/2 and that the next ratio test would shrink at once leaves S
+again, and the next input then waits for a spread of at most tol/2. A failed
+solve is discarded and the updates resume where they were. Each Newton step
+counts as one iteration, and the stopping rule is unchanged: the
+full-alphabet bracket above, so a wrong support guess can cost time but can
+never certify a wrong capacity.
 
 The solver can also start from a hint. The CLI passes the closed form's
 p* = inv(A)^T q*, which solves the KKT system in closed form and is the
@@ -133,8 +133,10 @@ def _newton_direction(
 
     Solves [[M, 1], [1^T, 0]] [dp; C] = [D_S; 1 - sum p_S], where
     M = (A_S / q) A_S^T / ln 2 is minus the Jacobian of D_S and q = A^T p;
-    outputs with q_j = 0 drop out. Returns ``(dp, system)``, with ``system``
-    the bordered matrix, or None when the system is singular.
+    outputs with q_j = 0 drop out, and M stays exact: q_j >= p_i A_ij, and
+    an entering row (p_i = 0) that reached output j would have D_i = inf.
+    Returns ``(dp, system)``, with ``system`` the bordered matrix, or None
+    when the system is singular.
     """
     rows = entries[idx]
     if q.min() <= 0.0:
@@ -209,18 +211,18 @@ def _newton_on_support(
 
     ``at_p`` is ``_evaluate`` at ``p``, and S starts as the support of ``p``.
     Each step goes along the Newton direction as far as p >= 0 allows (ratio
-    test). A step that this blocks (t < 1) is first finished on the face's
-    quadratic model (``_model_walk``): one input leaves S at each breakpoint
-    until a piece of the walk is not blocked, and the walked point is
-    evaluated once and taken if I(p) does not drop. Otherwise, and whenever
-    some q_j = 0, a solve of the walk is singular or not finite or the walked
-    point has no mass, the step halves from the ratio-test point until I(p)
-    does not drop; when the full ratio-test step is taken, the input it
-    drives to zero leaves S. After a step that was not blocked, once the
-    spread of D on S is at most half of max(tol, gap), with gap the
-    full-alphabet gap max_i D_i - I(p), the worst off-support input with
-    D_i > I(p) joins S, so that the face is solved only as far as the gap
-    needs before S grows again. A step counts once, whether it walks or halves.
+    test). A step tries at most two points, each evaluated once, and takes
+    the first that does not lower I(p) or whose bracket is within ``tol``.
+    A blocked step (t < 1) tries the end of its walk on the face's quadratic
+    model (``_model_walk``: one input leaves S per breakpoint until a piece
+    is not blocked) if the walk has a point, then the ratio-test point, where
+    the input it drives to zero leaves S; any other step tries the full
+    Newton point. If no point is taken, the solve fails at that step. After
+    a step that was not blocked, once the spread of D on S is at most half
+    of max(tol, gap), with gap the full-alphabet gap max_i D_i - I(p), the
+    worst off-support input with D_i > I(p) joins S, so that the face is
+    solved only as far as the gap needs before S grows again. A step counts
+    once, whichever point it takes.
 
     An input that joined while the spread was above tol/2 retreats if the
     next ratio test would shrink it at once (t <= 0): it leaves S again, that
@@ -252,28 +254,22 @@ def _newton_on_support(
             continue
         may_retreat = False
         blocked = t < 1.0
+        stop = np.maximum(p_face + t * dp, 0.0)  # the ratio-test point
         walked = None
-        if blocked and q.min() > 0.0:  # an output with q_j = 0 is not in M
+        if blocked:
+            stop[leaving] = 0.0
             walked = _model_walk(system, p_face, d[idx], dp, leaving, t)
-        while True:
+        for point in (walked, stop):
+            if point is None:
+                continue
             trial = p.copy()
-            if walked is not None:
-                trial[idx] = walked
-            else:
-                trial[idx] = np.maximum(p_face + t * dp, 0.0)
-                if blocked:
-                    trial[idx[leaving]] = 0.0
+            trial[idx] = point
             trial /= trial.sum()
             trial_q, trial_d, trial_lower, gap = _evaluate(matrix, trial)
-            if trial_lower >= lower - 1e-15:
+            if trial_lower >= lower - 1e-15 or gap <= tol:
                 break
-            if walked is not None:  # the walk lowered I(p): take the ratio-test step
-                walked = None
-                continue
-            t *= 0.5
-            blocked = False
-            if t < 1e-12:
-                return None, step
+        else:
+            return None, step
         p, q, d, lower = trial, trial_q, trial_d, trial_lower
         if gap <= tol:
             return (p, (q, d, lower, gap)), step

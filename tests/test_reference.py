@@ -27,7 +27,13 @@ from dmcbounds import (
     relay_miso,
     validate_channel,
 )
-from dmcbounds.reference import NEWTON_EVERY, _divergence_terms, _evaluate
+from dmcbounds.reference import (
+    NEWTON_EVERY,
+    _divergence_terms,
+    _evaluate,
+    _model_walk,
+    _newton_on_support,
+)
 from conftest import build_key, entropy2, recorded_build
 
 
@@ -278,19 +284,31 @@ class TestSparseOptimalInput:
 
     def test_relay30_cli_grid_iteration_counts(self):
         # the Newton step's rules (ratio test, the walk on the face's model
-        # at a blocked step, halving, entering, retreat) fix these counts;
-        # most blocked steps are finished by one walk where the halving
-        # search alone took one evaluation per input dropped
+        # at a blocked step, entering, retreat) fix these counts; most
+        # blocked steps are finished by one walk where the ratio-test step
+        # alone took one evaluation per input dropped
         self.assert_relay30_cli_grid_counts(
             [0, 8, 18, 16, 9, 10, 19, 11, 12, 3, 2, 4, 0], [0, 8, 18, 16, 0]
         )
 
-    def test_refused_walks_give_the_halving_search_alone(self, monkeypatch):
+    def test_refused_walks_give_the_ratio_test_step_alone(self, monkeypatch):
         # with no walk, every blocked step stops at its first breakpoint
         monkeypatch.setattr("dmcbounds.reference._model_walk", lambda *args: None)
         self.assert_relay30_cli_grid_counts(
             [0, 11, 31, 26, 22, 21, 23, 24, 19, 18, 15, 17, 0], [0, 11, 31, 26, 0]
         )
+
+    def test_a_point_that_certifies_is_taken_though_i_p_drops(self, bsc01):
+        # the Newton point from the optimal input is that input; with I(p)
+        # at the iterate raised by 1e-12 the point lowers it, but its bracket
+        # is within tol, so the step takes it (on OpenBLAS's Haswell kernel a
+        # drop of 1.3e-15 at a certified point happens at relay n=30 alpha=0.34)
+        p = np.array([0.5, 0.5])
+        q, d, lower, gap = _evaluate(bsc01, p)
+        assert gap <= 1e-9
+        solved, steps = _newton_on_support(bsc01, p, (q, d, lower + 1e-12, gap), 1e-9, 5)
+        assert steps == 1 and solved is not None
+        assert solved[1][2] < lower + 1e-12 - 1e-15
 
     def test_rank_deficient_channels_certify(self):
         # a face whose rows are dependent has a singular Newton system, so
@@ -398,6 +416,26 @@ class TestUnreachedOutputs:
         lower, gap = certified_bracket(m, est.optimal_input)
         assert est.gap <= 1e-9 and gap <= 1e-9 + 1e-12
         assert est.capacity == pytest.approx(1.0, abs=1e-9)
+
+    def test_blocked_step_walks_at_an_unreached_output(self, monkeypatch):
+        # output 4 is never produced, so q_4 = 0 at every iterate; the face's
+        # M leaves that output out and is still the exact model, so blocked
+        # steps are finished by the walk (156 iterations when they were not)
+        m = validate_channel(
+            [[7 / 9, 0, 2 / 9, 0], [3 / 4, 1 / 4, 0, 0], [4 / 5, 0, 1 / 5, 0], [1 / 8, 7 / 8, 0, 0]]
+        )
+        seen = self.record_divergences(monkeypatch)
+        walked_at = []
+
+        def recording(*args):
+            walked_at.append(seen[-1][0])  # q at the iterate the step starts from
+            return _model_walk(*args)
+
+        monkeypatch.setattr("dmcbounds.reference._model_walk", recording)
+        est = blahut_arimoto(m)
+        assert walked_at and all(q[3] == 0.0 for q in walked_at)
+        assert certified_bracket(m, est.optimal_input)[1] <= 1e-9 + 1e-12
+        assert est.iterations <= m.n + 2 * NEWTON_EVERY
 
 
 class TestClosedFormStart:
