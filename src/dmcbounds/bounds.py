@@ -51,7 +51,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import ChannelMatrix, InverseAnalysis, _dominance_ratios, analyze_inverse
+from .errors import InvalidParameter
+from .matrix import ChannelMatrix, InverseAnalysis, analyze_inverse
+from .matrix import _dominance_ratios, _finite_vector
 from .reference import _dual
 
 FEASIBILITY_TOL = -1e-10
@@ -89,10 +91,11 @@ class BoundReport:
     analysis: InverseAnalysis
 
 
-def optimal_output_distribution(k: np.ndarray) -> np.ndarray:
+def optimal_output_distribution(k) -> np.ndarray:
     """Softmax of -K. Shifting by K_min first keeps the powers in range;
-    the ratio is invariant under adding any constant to K."""
-    k = np.asarray(k, dtype=float)
+    the ratio is invariant under adding any constant to K. Raises
+    InvalidParameter unless K is a non-empty numeric vector with finite entries."""
+    k = _finite_vector(k, "K", InvalidParameter)
     w = np.exp2(-(k - k.min()))
     return w / w.sum()
 

@@ -78,9 +78,25 @@ def _entropies(x: np.ndarray) -> np.ndarray:
     return 0.0 - np.where(pos, x * np.log2(np.where(pos, x, 1.0)), 0.0).sum(axis=-1)
 
 
-def entropy_bits(v: np.ndarray) -> float:
-    """Shannon entropy of a nonnegative vector in bits; terms <= 0 contribute 0."""
-    return float(_entropies(np.asarray(v, dtype=float)))
+def _finite_vector(v, name: str, error: type) -> np.ndarray:
+    """``v`` as a float array, or ``error`` unless it is a non-empty numeric
+    vector with finite entries."""
+    try:
+        v = np.asarray(v, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{name} must be a numeric vector: {exc}") from None
+    if v.ndim != 1 or v.size == 0:
+        raise error(f"{name} must be a non-empty vector, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise error(f"{name} has non-finite entries {v.tolist()!r}")
+    return v
+
+
+def entropy_bits(v) -> float:
+    """Shannon entropy of a nonnegative vector in bits; terms <= 0 contribute 0.
+    Raises InvalidPmf unless ``v`` is a non-empty numeric vector with finite
+    entries."""
+    return float(_entropies(_finite_vector(v, "entropy argument", InvalidPmf)))
 
 
 def validate_channel(raw) -> ChannelMatrix:

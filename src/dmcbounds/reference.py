@@ -19,24 +19,15 @@ drops below the tolerance and the lower end is reported as the capacity.
 When the optimal input is sparse, that update crawls: the unused inputs
 decay only geometrically. So every 50 updates an active-set Newton solve of
 the KKT system (D_i = C on the support S, sum_S p_i = 1) runs from the
-current p. Its ratio test drops the input that would turn negative. A step
-that the ratio test blocks is finished on the face's quadratic model, the
-classic primal active-set walk: D linearized at p, D_S - M (x - p_S), is
-solved again on the face without the blocking input, from the breakpoint,
-one input leaving per breakpoint until a piece is not blocked. A step tries
-at most two points, at one evaluation each: a blocked step the walked point,
-then the ratio-test point; any other step the full Newton point. The first
-that does not lower I(p), or that certifies, is taken; if none is, the solve
-fails. After a step that was not blocked, once the spread of D on S is at
-most half of max(tol, gap), with gap the bracket width above, the worst
-off-support input with D_i > I(p) joins S: the face is solved only as far as
-the gap needs, not to the tolerance. An input that joined while the spread
-was above tol/2 and that the next ratio test would shrink at once leaves S
-again, and the next input then waits for a spread of at most tol/2. A failed
-solve is discarded and the updates resume where they were. Each Newton step
-counts as one iteration, and the stopping rule is unchanged: the
-full-alphabet bracket above, so a wrong support guess can cost time but can
-never certify a wrong capacity.
+current p. A step that the ratio test blocks is finished on the face's
+quadratic model, the classic primal active-set walk, and only its
+breakpoints take inputs out of S. Once D is level on S to within half of
+max(tol, gap), with gap the bracket width above, the worst off-support input
+with D_i > I(p) joins S: the face is solved only as far as the gap needs,
+not to the tolerance. A failed solve is discarded and the updates resume
+where they were. Each Newton step counts as one iteration, and the stopping
+rule is unchanged: the full-alphabet bracket above, so a wrong support guess
+can cost time but can never certify a wrong capacity.
 
 The solver can also start from a hint. The CLI passes the closed form's
 p* = inv(A)^T q*, which solves the KKT system in closed form and is the
@@ -126,82 +117,94 @@ def _evaluate(matrix: ChannelMatrix, p: np.ndarray) -> tuple:
     return q, d, lower, max(float(d.max()) - lower, 0.0)
 
 
-def _newton_direction(
-    entries: np.ndarray, p: np.ndarray, q: np.ndarray, d: np.ndarray, idx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Newton step dp on the face S = ``idx`` for D_S(A^T (p + dp)) = C, sum = 1.
+def _solve(system: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray | None:
+    """The first ``k`` entries of the solution of ``system`` x = ``rhs``, or
+    None when the system is singular or those entries are not finite."""
+    try:
+        x = np.linalg.solve(system, rhs)[:k]
+    except np.linalg.LinAlgError:
+        return None
+    return x if np.isfinite(x).all() else None
 
-    Solves [[M, 1], [1^T, 0]] [dp; C] = [D_S; 1 - sum p_S], where
+
+def _ratio_step(x: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """``(y, i)``: y = x + t dx clipped at 0, for the largest t <= 1 with
+    x + t dx >= 0. If t < 1, the input i bounds it (the first smallest ratio
+    x_i / -dx_i) and y_i = 0; if t = 1, i is None."""
+    ratios = np.divide(x, -dx, out=np.full(x.size, np.inf), where=dx < 0.0)
+    i = int(ratios.argmin())
+    if ratios[i] >= 1.0:
+        return np.maximum(x + dx, 0.0), None
+    y = np.maximum(x + float(ratios[i]) * dx, 0.0)
+    y[i] = 0.0
+    return y, i
+
+
+def _model_walk(
+    system: np.ndarray, p_face: np.ndarray, d_face: np.ndarray, x: np.ndarray, leaving: int
+) -> np.ndarray | None:
+    """A blocked Newton step finished on its quadratic model: new p_S.
+
+    ``system`` is the step's bordered matrix [[M, 1], [1^T, 0]], and the model
+    linearizes D on the face at p: D_lin(x) = D_S - M (x - p_S). Its solution
+    y on a face F (D_lin(y) = C on F, sum y = 1, y = 0 off F) solves the
+    bordered system for [D_S + M p_S; 1], with an identity row and column
+    pinning each input off F to 0. From the step's first breakpoint ``x``,
+    where ``leaving`` leaves F, each piece runs toward the solution on the
+    smaller face, ratio-tested, and the walk ends with the first piece that
+    is not blocked. Returns None if a solve is singular or not finite, or if
+    the walked point has no mass.
+    """
+    k = p_face.size
+    system = system.copy()
+    rhs = np.append(d_face + system[:k, :k] @ p_face, 1.0)
+    face = np.ones(k, dtype=bool)
+    while leaving is not None:
+        face[leaving] = False
+        system[leaving] = 0.0
+        system[:, leaving] = 0.0
+        system[leaving, leaving] = 1.0
+        rhs[leaving] = 0.0
+        y = _solve(system, rhs, k)
+        if y is None:
+            return None
+        x, leaving = _ratio_step(x, np.where(face, y - x, 0.0))  # inputs off F stay at 0
+    return x if x.sum() > 0.0 else None
+
+
+def _newton_points(
+    entries: np.ndarray, p: np.ndarray, q: np.ndarray, d: np.ndarray, idx: np.ndarray
+) -> tuple[bool, list] | None:
+    """``(blocked, points)``: the new p_S that a Newton step on the face
+    S = ``idx`` tries, in order, or None when its system is singular.
+
+    The step dp solves D_S(A^T (p + dp)) = C, sum = 1, linearized:
+    [[M, 1], [1^T, 0]] [dp; C] = [D_S; 1 - sum p_S], where
     M = (A_S / q) A_S^T / ln 2 is minus the Jacobian of D_S and q = A^T p;
     outputs with q_j = 0 drop out, and M stays exact: q_j >= p_i A_ij, and
     an entering row (p_i = 0) that reached output j would have D_i = inf.
-    Returns ``(dp, system)``, with ``system`` the bordered matrix, or None
-    when the system is singular.
+    A step that the ratio test does not block tries the full Newton point.
+    A blocked one tries the end of its walk (``_model_walk``; None if the
+    walk has no point), then its first breakpoint unless that is p_S itself
+    (t = 0: the input that bounds the step has p_i = 0).
     """
     rows = entries[idx]
     if q.min() <= 0.0:
         reached = q > 0.0
         rows, q = rows[:, reached], q[reached]
     k = idx.size
+    p_face, d_face = p[idx], d[idx]
     system = np.ones((k + 1, k + 1))
     system[:k, :k] = (rows / q) @ rows.T / np.log(2.0)
     system[k, k] = 0.0
-    rhs = np.empty(k + 1)
-    rhs[:k] = d[idx]
-    rhs[k] = 1.0 - p[idx].sum()
-    try:
-        dp = np.linalg.solve(system, rhs)[:k]
-    except np.linalg.LinAlgError:
+    dp = _solve(system, np.append(d_face, 1.0 - p_face.sum()), k)
+    if dp is None:
         return None
-    return (dp, system) if np.isfinite(dp).all() else None
-
-
-def _ratio_test(x: np.ndarray, dx: np.ndarray) -> tuple[int, float]:
-    """``(i, t)``: the largest t <= 1 with x + t dx >= 0, and the input i that
-    bounds it (the first smallest ratio x_i / -dx_i)."""
-    ratios = np.divide(x, -dx, out=np.full(x.size, np.inf), where=dx < 0.0)
-    i = int(ratios.argmin())
-    return i, min(1.0, float(ratios[i]))
-
-
-def _model_walk(
-    system: np.ndarray, p_face: np.ndarray, d_face: np.ndarray, dp: np.ndarray, leaving: int, t: float
-) -> np.ndarray | None:
-    """The blocked Newton step ``dp`` finished on its quadratic model: new p_S.
-
-    ``system`` is the step's bordered matrix [[M, 1], [1^T, 0]], and the model
-    linearizes D on the face at p: D_lin(x) = D_S - M (x - p_S). Its solution
-    y on a face F (D_lin(y) = C on F, sum y = 1, y = 0 off F) solves the
-    bordered system for [D_S + M p_S; 1], with an identity row and column
-    pinning each input off F to 0. At each breakpoint x (first p_S + t dp)
-    the blocking input leaves F, and the next piece runs from x toward the
-    solution on the smaller face, ratio-tested from x. The walk ends with the
-    first piece that is not blocked. Returns None if a solve is singular or
-    not finite, or if the walked point has no mass.
-    """
-    k = p_face.size
-    system = system.copy()
-    rhs = np.append(d_face + system[:k, :k] @ p_face, 1.0)
-    face = np.ones(k, dtype=bool)
-    x, dx = p_face, dp
-    while t < 1.0:
-        x = np.maximum(x + t * dx, 0.0)
-        x[leaving] = 0.0
-        face[leaving] = False
-        system[leaving] = 0.0
-        system[:, leaving] = 0.0
-        system[leaving, leaving] = 1.0
-        rhs[leaving] = 0.0
-        try:
-            y = np.linalg.solve(system, rhs)[:k]
-        except np.linalg.LinAlgError:
-            return None
-        if not np.isfinite(y).all():
-            return None
-        dx = np.where(face, y - x, 0.0)  # no rounding moves an input off F
-        leaving, t = _ratio_test(x, dx)
-    x = np.maximum(x + dx, 0.0)
-    return x if x.sum() > 0.0 else None
+    stop, leaving = _ratio_step(p_face, dp)
+    if leaving is None:
+        return False, [stop]
+    walked = _model_walk(system, p_face, d_face, stop, leaving)
+    return True, [walked, stop] if p_face[leaving] > 0.0 else [walked]
 
 
 def _newton_on_support(
@@ -210,25 +213,17 @@ def _newton_on_support(
     """Active-set Newton solve of the KKT system D_i = C (i in S), sum_S p_i = 1.
 
     ``at_p`` is ``_evaluate`` at ``p``, and S starts as the support of ``p``.
-    Each step goes along the Newton direction as far as p >= 0 allows (ratio
-    test). A step tries at most two points, each evaluated once, and takes
-    the first that does not lower I(p) or whose bracket is within ``tol``.
-    A blocked step (t < 1) tries the end of its walk on the face's quadratic
-    model (``_model_walk``: one input leaves S per breakpoint until a piece
-    is not blocked) if the walk has a point, then the ratio-test point, where
-    the input it drives to zero leaves S; any other step tries the full
-    Newton point. If no point is taken, the solve fails at that step. After
-    a step that was not blocked, once the spread of D on S is at most half
-    of max(tol, gap), with gap the full-alphabet gap max_i D_i - I(p), the
+    Each step evaluates the points of ``_newton_points`` in turn, once each,
+    and takes the first that does not lower I(p) or whose bracket is within
+    ``tol``; if it takes none, the solve fails at that step. Inputs leave S
+    only at the breakpoints of a blocked step (t < 1), one per breakpoint;
+    an input that has just joined S and would shrink at once (t = 0) leaves
+    by the walk, which then solves the old face from p. After a step that
+    was not blocked, once the spread of D on S is at most half of
+    max(tol, gap), with gap the full-alphabet gap max_i D_i - I(p), the
     worst off-support input with D_i > I(p) joins S, so that the face is
     solved only as far as the gap needs before S grows again. A step counts
     once, whichever point it takes.
-
-    An input that joined while the spread was above tol/2 retreats if the
-    next ratio test would shrink it at once (t <= 0): it leaves S again, that
-    step counts, and the next input joins only once the spread is at most
-    tol/2. An input that joined at a spread of at most tol/2 and would shrink
-    at once fails the solve.
 
     Returns ``(solved, steps)``: ``solved`` is ``(p, _evaluate at p)`` for a
     pmf p whose full-alphabet bracket is at most ``tol``, or None if a step
@@ -236,30 +231,13 @@ def _newton_on_support(
     """
     q, d, lower, _ = at_p
     support = p > 0.0
-    may_retreat = False  # the input that just joined did so at a spread above tol/2
-    waiting = False  # after a retreat, the next input joins at a spread of at most tol/2
     for step in range(1, budget + 1):
         idx = support.nonzero()[0]
-        newton = _newton_direction(matrix.entries, p, q, d, idx)
+        newton = _newton_points(matrix.entries, p, q, d, idx)
         if newton is None:
             return None, step
-        dp, system = newton
-        p_face = p[idx]
-        leaving, t = _ratio_test(p_face, dp)
-        if t <= 0.0:  # the input that just joined S would shrink at once
-            if not may_retreat:
-                return None, step
-            support[entering] = False
-            may_retreat, waiting = False, True
-            continue
-        may_retreat = False
-        blocked = t < 1.0
-        stop = np.maximum(p_face + t * dp, 0.0)  # the ratio-test point
-        walked = None
-        if blocked:
-            stop[leaving] = 0.0
-            walked = _model_walk(system, p_face, d[idx], dp, leaving, t)
-        for point in (walked, stop):
+        blocked, points = newton
+        for point in points:
             if point is None:
                 continue
             trial = p.copy()
@@ -275,15 +253,13 @@ def _newton_on_support(
             return (p, (q, d, lower, gap)), step
         support = p > 0.0
         face = d[support]
-        spread = face.max() - face.min()
-        if blocked or spread > 0.5 * (tol if waiting else max(tol, gap)):
+        if blocked or face.max() - face.min() > 0.5 * max(tol, gap):
             continue
         outside = np.where(support, -np.inf, d)
         entering = int(np.argmax(outside))
         if not (np.isfinite(outside[entering]) and outside[entering] > lower):
             return None, step
         support[entering] = True
-        may_retreat, waiting = spread > 0.5 * tol, False
     return None, budget
 
 

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from dmcbounds import (
     Condition,
+    InvalidParameter,
     SingularMatrix,
     analyze_inverse,
     blahut_arimoto,
@@ -64,6 +65,12 @@ class TestOptimalOutputDistribution:
         k = capacity_upper_bound(ex1).inverse_entropies
         q = optimal_output_distribution(k)
         assert q == pytest.approx([0.33087, 0.32806, 0.34107], abs=1e-4)
+
+    @pytest.mark.parametrize("k", [[math.nan, 1.0], [1.0, -math.inf], [], "abc", [[0.0, 1.0]], 0.0])
+    def test_refuses_what_is_not_a_finite_vector(self, k):
+        # a NaN must not give an all-NaN "pmf", nor a 2-D K a 2-D one
+        with pytest.raises(InvalidParameter):
+            optimal_output_distribution(k)
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -312,6 +312,12 @@ class TestRowEntropies:
         h = [*ent, h_max, analyze_inverse(m).h_max, entropy_bits([1.0, 0.0]), *m.neg_entropies]
         assert not np.signbit(h).any()
 
+    @pytest.mark.parametrize("v", [[math.nan, 1.0], [1.0, math.inf], [], "abc", [[0.5, 0.5]], 0.5])
+    def test_entropy_bits_refuses_what_is_not_a_finite_vector(self, v):
+        # a NaN must not read as entropy 0, nor a 2-D input as a vector's entropy
+        with pytest.raises(InvalidPmf):
+            entropy_bits(v)
+
     def test_reliable_example_h_max(self, ex1):
         _, h_max = row_entropies(ex1)
         assert h_max == pytest.approx(0.33494, abs=1e-4)

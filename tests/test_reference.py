@@ -73,6 +73,37 @@ def rank_deficient_channels():
     return channels
 
 
+def unproduced_output_channels():
+    """462 channels whose last output is never produced: 600 draws
+    (``default_rng(11)``) of n in [3, 9) and an n x n matrix of uniform
+    entries, each kept with probability 1/2, with the last column zeroed; a
+    draw with an all-zero row is skipped and the rest are row-normalized."""
+    rng = np.random.default_rng(11)
+    channels = []
+    for _ in range(600):
+        n = rng.integers(3, 9)
+        a = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+        a[:, -1] = 0.0
+        sums = a.sum(axis=1, keepdims=True)
+        if (sums > 0.0).all():
+            channels.append(validate_channel(a / sums))
+    return channels
+
+
+def certified_totals(channels):
+    """BA's total iterations over ``channels``, unseeded and seeded with
+    pinv's p*, each run checked to certify by ``certified_bracket``."""
+    totals = []
+    for start in (lambda m: None, pseudo_inverse_input):
+        total = 0
+        for m in channels:
+            est = blahut_arimoto(m, start=start(m))
+            assert certified_bracket(m, est.optimal_input)[1] <= 1e-9 + 1e-12
+            total += est.iterations
+        totals.append(total)
+    return totals
+
+
 Z_CHANNEL = [[1.0, 0.0], [0.5, 0.5]]
 
 
@@ -284,7 +315,7 @@ class TestSparseOptimalInput:
 
     def test_relay30_cli_grid_iteration_counts(self):
         # the Newton step's rules (ratio test, the walk on the face's model
-        # at a blocked step, entering, retreat) fix these counts; most
+        # at a blocked step, entering) fix these counts; most
         # blocked steps are finished by one walk where the ratio-test step
         # alone took one evaluation per input dropped
         self.assert_relay30_cli_grid_counts(
@@ -315,17 +346,9 @@ class TestSparseOptimalInput:
         # these channels often finish on plain updates; unseeded and seeded
         # with pinv's p*, each certifies, and on the recorded build the totals
         # do not rise
-        channels = rank_deficient_channels()
-        totals = []
-        for start in (lambda m: None, pseudo_inverse_input):
-            total = 0
-            for m in channels:
-                est = blahut_arimoto(m, start=start(m))
-                assert certified_bracket(m, est.optimal_input)[1] <= 1e-9 + 1e-12
-                total += est.iterations
-            totals.append(total)
+        totals = certified_totals(rank_deficient_channels())
         if build_key() == recorded_build():
-            assert totals[0] <= 14_068 and totals[1] <= 7_366, totals
+            assert totals[0] <= 13_766 and totals[1] <= 6_247, totals
 
     def test_seeded_newton_steps_count_as_iterations(self):
         m = relay_miso(30, 0.14)
@@ -337,15 +360,26 @@ class TestSparseOptimalInput:
             blahut_arimoto(m, max_iter=steps - 1, start=p_star)
         assert err.value.iterations == steps - 1
 
-    def test_early_entry_that_would_shrink_at_once_retreats(self):
+    def test_entry_that_would_shrink_at_once_leaves_by_the_walk(self, monkeypatch):
         # an input joins the face while D is still spread by up to half the
-        # gap; here one such input would shrink at the very next step, and
-        # without leaving the face again the solve from p* fails and BA
-        # starts over from uniform (96 iterations)
-        m = relay_miso(35, 0.14)
+        # gap; on the recorded build one such input would shrink at the very
+        # next step (t = 0), and that step's walk pins it and solves the old
+        # face again from p (32 steps when the input left the face by a step
+        # of its own)
+        walks_from_p = []
+
+        def recording(system, p_face, d_face, x, leaving):
+            walks_from_p.append(p_face[leaving] == 0.0)
+            return _model_walk(system, p_face, d_face, x, leaving)
+
+        monkeypatch.setattr("dmcbounds.reference._model_walk", recording)
+        m = relay_miso(48, 0.22)
         est = blahut_arimoto(m, start=capacity_upper_bound(m).p_star)
         assert est.iterations < NEWTON_EVERY  # certified by the solve from clip(p*)
         assert certified_bracket(m, est.optimal_input)[1] <= 1e-9 + 1e-12
+        if build_key() == recorded_build():
+            assert est.iterations == 28
+            assert walks_from_p.count(True) == 1
 
     def test_relay60_cli_grid_counts_do_not_rise(self):
         # the counts on the recorded build with blocked steps finished on
@@ -370,7 +404,9 @@ class TestSparseOptimalInput:
             return _evaluate(matrix, p)
 
         monkeypatch.setattr("dmcbounds.reference._evaluate", recording)
-        for m in sweep_channels("relay-miso", 30, 0.02, 0.50, 13):
+        # relay n=48 alpha=0.22 takes a t = 0 step from p*, whose only point
+        # is the walked one
+        for m in [*sweep_channels("relay-miso", 30, 0.02, 0.50, 13), relay_miso(48, 0.22)]:
             scored.clear()
             blahut_arimoto(m, start=sweep_start(m))
             assert not any(np.array_equal(a, b) for a, b in zip(scored, scored[1:]))
@@ -436,6 +472,16 @@ class TestUnreachedOutputs:
         assert walked_at and all(q[3] == 0.0 for q in walked_at)
         assert certified_bracket(m, est.optimal_input)[1] <= 1e-9 + 1e-12
         assert est.iterations <= m.n + 2 * NEWTON_EVERY
+
+    def test_channels_with_an_unproduced_output_certify(self):
+        # every iterate has q_j = 0 at the last output; unseeded and seeded
+        # with pinv's p*, each channel certifies, and on the recorded build
+        # the totals do not rise
+        channels = unproduced_output_channels()
+        assert len(channels) == 462
+        totals = certified_totals(channels)
+        if build_key() == recorded_build():
+            assert totals[0] <= 32_996 and totals[1] <= 8_846, totals
 
 
 class TestClosedFormStart:
