@@ -68,12 +68,13 @@ class Condition(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class BoundReport:
     """Closed-form bound value plus every exactness diagnostic.
 
-    sigma_star, h_max_star and root_exponent are NaN when the matrix is not
-    strictly diagonally dominant positive (the surrogates assume it).
+    The four conditions are PRECONDITION_NOT_MET, and sigma_star, h_max_star
+    and root_exponent NaN, when the matrix is not strictly diagonally
+    dominant positive (the conditions and surrogates assume it).
     """
 
     inverse_entropies: np.ndarray
@@ -81,13 +82,13 @@ class BoundReport:
     p_star: np.ndarray
     upper_bound: float
     p_star_feasible: bool
-    feasibility_condition: Condition
-    spectral_condition: Condition
-    coarse_condition: Condition
-    gershgorin_condition: Condition
-    sigma_star: float
-    h_max_star: float
-    root_exponent: float
+    feasibility_condition: Condition = Condition.PRECONDITION_NOT_MET
+    spectral_condition: Condition = Condition.PRECONDITION_NOT_MET
+    coarse_condition: Condition = Condition.PRECONDITION_NOT_MET
+    gershgorin_condition: Condition = Condition.PRECONDITION_NOT_MET
+    sigma_star: float = math.nan
+    h_max_star: float = math.nan
+    root_exponent: float = math.nan
     analysis: InverseAnalysis
 
 
@@ -134,19 +135,11 @@ def _exactness_ladder(n: int, analysis: InverseAnalysis, k: np.ndarray) -> dict:
 
     Their hypothesis is A strictly positive and strictly diagonally dominant.
     It forces 1 < c_min < inf, since dominance gives A_ii - off_i > 1e-12
-    with off_i <= 1, and positivity off_i > 0. Without it every condition is
-    PRECONDITION_NOT_MET and the three numbers are NaN.
+    with off_i <= 1, and positivity off_i > 0. Without it the ladder decides
+    nothing, and every field keeps its ``BoundReport`` default.
     """
     if not (analysis.is_positive and analysis.is_sdd):
-        return dict(
-            feasibility_condition=Condition.PRECONDITION_NOT_MET,
-            spectral_condition=Condition.PRECONDITION_NOT_MET,
-            coarse_condition=Condition.PRECONDITION_NOT_MET,
-            gershgorin_condition=Condition.PRECONDITION_NOT_MET,
-            sigma_star=math.nan,
-            h_max_star=math.nan,
-            root_exponent=math.nan,
-        )
+        return {}
     c, sigma_min = analysis.c_min, analysis.sigma_min
     inverse = analysis.inverse
     diag = np.diag(inverse)

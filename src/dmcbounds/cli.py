@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from numbers import Integral, Real
 
 from .bounds import Condition, capacity_upper_bound, pseudo_inverse_input
 from .errors import (
@@ -30,7 +29,7 @@ from .errors import (
 )
 from .families import FamilySpec, build_family, canonical_family, parameter_domain
 from .formatting import fmt
-from .matrix import ChannelMatrix, dump_matrix_csv, load_matrix_csv
+from .matrix import ChannelMatrix, _is_integer, _is_real, dump_matrix_csv, load_matrix_csv
 from .reference import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -38,7 +37,6 @@ from .reference import (
     blahut_arimoto,
     boyd_chiang_upper_bound,
 )
-from .svg import render_line_chart
 
 
 def _cell(value) -> str:
@@ -169,11 +167,11 @@ def run_sweep(
     seed: int | None = None,
 ) -> list[dict]:
     family = canonical_family(family)
-    if not isinstance(steps, Integral):
+    if not _is_integer(steps):
         raise InvalidRange(f"steps must be an integer, got {steps!r}")
     if steps < 2:
         raise InvalidRange(f"steps must be at least 2, got {steps}")
-    if not (isinstance(lo, Real) and isinstance(hi, Real)):
+    if not (_is_real(lo) and _is_real(hi)):
         raise InvalidRange(f"range ends must be real numbers, got {lo!r}:{hi!r}")
     if not lo < hi:
         raise InvalidRange(f"range must satisfy lo < hi, got {lo!r}:{hi!r}")
@@ -197,6 +195,8 @@ def sweep_csv(records: list[dict]) -> str:
 
 
 def sweep_svg(records: list[dict], family: str) -> str:
+    from .svg import render_line_chart  # only this command draws
+
     def points(name):  # NA and inf have no place on the chart
         values = ((r["parameter"], r[name]) for r in records)
         return [(x, y) for x, y in values if y is not None and math.isfinite(y)]

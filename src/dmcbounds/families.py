@@ -20,12 +20,11 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, inf
-from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import InvalidParameter
-from .matrix import ChannelMatrix, validate_channel
+from .matrix import ChannelMatrix, _is_integer, _is_real, validate_channel
 
 RELAY_MAX_N = 60
 
@@ -77,7 +76,7 @@ def fixed_example(which: str) -> ChannelMatrix:
 
 def bsc(crossover: float) -> ChannelMatrix:
     """Binary symmetric channel with the given crossover probability."""
-    if not (isinstance(crossover, Real) and 0.0 <= crossover <= 1.0):
+    if not (_is_real(crossover) and 0.0 <= crossover <= 1.0):
         raise InvalidParameter(f"crossover must be in [0, 1], got {crossover!r}")
     p = crossover
     return validate_channel([[1.0 - p, p], [p, 1.0 - p]])
@@ -125,11 +124,11 @@ def _relay_entries(n: int, alpha: float) -> np.ndarray:
 def relay_miso(n: int, alpha: float) -> ChannelMatrix:
     """(n+1)-ary channel of n binary uplinks with flip probability alpha,
     summed at the receiver."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_integer(n) or n < 1:
         raise InvalidParameter(f"n must be a positive integer, got {n!r}")
     if n > RELAY_MAX_N:
         raise InvalidParameter(f"n must be at most {RELAY_MAX_N}, got {n}")
-    if not (isinstance(alpha, Real) and 0.0 <= alpha <= 1.0):
+    if not (_is_real(alpha) and 0.0 <= alpha <= 1.0):
         raise InvalidParameter(f"alpha must be in [0, 1], got {alpha!r}")
     return validate_channel(_relay_entries(int(n), float(alpha)))
 
@@ -137,7 +136,7 @@ def relay_miso(n: int, alpha: float) -> ChannelMatrix:
 def gamma_family(gamma: float) -> ChannelMatrix:
     """4x4 family whose rows are permutations of the binomial weights
     ((1-g)^3, 3(1-g)^2 g, 3(1-g)g^2, g^3) but whose column sums differ."""
-    if not (isinstance(gamma, Real) and 0.0 < gamma < 1.0):
+    if not (_is_real(gamma) and 0.0 < gamma < 1.0):
         raise InvalidParameter(f"gamma must be in (0, 1), got {gamma!r}")
     g = gamma
     w3 = (1.0 - g) ** 3
@@ -157,7 +156,7 @@ def gamma_family(gamma: float) -> ChannelMatrix:
 def beta_family(beta: float) -> ChannelMatrix:
     """4x4 reliability family: diagonal 1-b, fixed off-diagonal weights
     scaled by b. Strictly diagonally dominant exactly for b < 0.5."""
-    if not (isinstance(beta, Real) and 0.0 <= beta <= 1.0):
+    if not (_is_real(beta) and 0.0 <= beta <= 1.0):
         raise InvalidParameter(f"beta must be in [0, 1], got {beta!r}")
     b = beta
     return validate_channel(
@@ -181,11 +180,11 @@ def random_sdd_positive(n: int, min_ratio: float, seed: int) -> ChannelMatrix:
     exactly r_i and c_min >= min_ratio by construction. A ``min_ratio`` that
     makes some r_i overflow to inf is refused with InvalidParameter.
     """
-    if not isinstance(n, Integral) or n < 2:
+    if not _is_integer(n) or n < 2:
         raise InvalidParameter(f"n must be an integer of at least 2, got {n!r}")
-    if not isinstance(seed, Integral):
+    if not _is_integer(seed):
         raise InvalidParameter(f"seed must be an integer, got {seed!r}")
-    if not (isinstance(min_ratio, Real) and min_ratio > 1.0):
+    if not (_is_real(min_ratio) and min_ratio > 1.0):
         raise InvalidParameter(f"min_ratio must exceed 1, got {min_ratio!r}")
     rng = SplitMix64(seed)
     a = np.zeros((n, n))
@@ -225,7 +224,9 @@ _PARAMETRIC = {
     "beta": (lambda spec: beta_family(spec.parameter), (0.0, 1.0, True), False),
     "bsc": (lambda spec: bsc(spec.parameter), (0.0, 1.0, True), False),
     "random-sdd": (
-        lambda spec: random_sdd_positive(spec.n, spec.parameter, spec.seed or 0),
+        lambda spec: random_sdd_positive(
+            spec.n, spec.parameter, 0 if spec.seed is None else spec.seed
+        ),
         (1.0, inf, False),
         True,
     ),

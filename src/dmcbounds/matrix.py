@@ -23,6 +23,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -90,6 +91,15 @@ def _finite_vector(v, name: str, error: type) -> np.ndarray:
     if not np.isfinite(v).all():
         raise error(f"{name} has non-finite entries {v.tolist()!r}")
     return v
+
+
+# A bool is an int to isinstance, but a flag is neither a count nor a measure.
+def _is_integer(x) -> bool:
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, Real) and not isinstance(x, bool)
 
 
 def entropy_bits(v) -> float:

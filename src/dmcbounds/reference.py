@@ -55,12 +55,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import InvalidParameter, NotConverged, TooLarge
 from .matrix import ChannelMatrix, _checked_pmf, _entropies, _float_vector
+from .matrix import _is_integer, _is_real
 
 GRID_MAX_N = 4
 DEFAULT_TOL = 1e-9
@@ -149,14 +149,14 @@ def _model_walk(
     linearizes D on the face at p: D_lin(x) = D_S - M (x - p_S). Its solution
     y on a face F (D_lin(y) = C on F, sum y = 1, y = 0 off F) solves the
     bordered system for [D_S + M p_S; 1], with an identity row and column
-    pinning each input off F to 0. From the step's first breakpoint ``x``,
+    pinning each input off F to 0; the walk writes those pins into
+    ``system`` itself. From the step's first breakpoint ``x``,
     where ``leaving`` leaves F, each piece runs toward the solution on the
     smaller face, ratio-tested, and the walk ends with the first piece that
     is not blocked. Returns None if a solve is singular or not finite, or if
     the walked point has no mass.
     """
     k = p_face.size
-    system = system.copy()
     rhs = np.append(d_face + system[:k, :k] @ p_face, 1.0)
     face = np.ones(k, dtype=bool)
     while leaving is not None:
@@ -313,9 +313,9 @@ def blahut_arimoto(
     lower end below 0 is rounding, so it is reported as 0 and the gap shrinks
     by the same amount.
     """
-    if not (isinstance(tol, Real) and 0.0 < tol < np.inf):
+    if not (_is_real(tol) and 0.0 < tol < np.inf):
         raise InvalidParameter(f"tolerance must be positive and finite, got {tol!r}")
-    if not isinstance(max_iter, Integral):
+    if not _is_integer(max_iter):
         raise InvalidParameter(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 0:
         raise InvalidParameter(f"max_iter must be at least 0, got {max_iter!r}")
@@ -376,7 +376,7 @@ def grid_oracle(matrix: ChannelMatrix, resolution: int) -> CapacityEstimate:
     n = matrix.n
     if n > GRID_MAX_N:
         raise TooLarge(n, GRID_MAX_N)
-    if not isinstance(resolution, Integral):
+    if not _is_integer(resolution):
         raise InvalidParameter(f"resolution must be an integer, got {resolution!r}")
     if resolution < 10:
         raise InvalidParameter(f"resolution must be at least 10, got {resolution}")

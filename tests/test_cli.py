@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -10,14 +11,21 @@ import pytest
 from dmcbounds import (
     CapacityEstimate,
     FamilySpec,
+    InvalidParameter,
     InvalidRange,
+    beta_family,
     blahut_arimoto,
+    bsc,
     build_family,
     capacity_upper_bound,
     dump_matrix_csv,
     fixed_example,
+    gamma_family,
+    grid_oracle,
     load_matrix_csv,
     pseudo_inverse_input,
+    random_sdd_positive,
+    relay_miso,
     validate_channel,
 )
 import dmcbounds.matrix
@@ -455,6 +463,59 @@ class TestConsoleScript:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_import_loads_no_svg_writer(self):
+        # only ``sweep --svg`` draws, so the other commands skip svg and html
+        code = (
+            "import sys, dmcbounds.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('html', 'scipy')\n"
+            "             or m == 'dmcbounds.svg'))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: blahut_arimoto(bsc(0.1), tol=True), InvalidParameter,
+         "tolerance must be positive and finite, got True"),
+        (lambda: blahut_arimoto(bsc(0.1), max_iter=False), InvalidParameter,
+         "max_iter must be an integer, got False"),
+        (lambda: grid_oracle(bsc(0.1), True), InvalidParameter,
+         "resolution must be an integer, got True"),
+        (lambda: run_sweep("beta", None, 0.1, 0.3, True), InvalidRange,
+         "steps must be an integer, got True"),
+        (lambda: run_sweep("beta", None, False, True, 3), InvalidRange,
+         "range ends must be real numbers, got False:True"),
+        (lambda: relay_miso(True, 0.1), InvalidParameter,
+         "n must be a positive integer, got True"),
+        (lambda: build_family(FamilySpec("relay-miso", n=True, parameter=0.1)),
+         InvalidParameter, "n must be a positive integer, got True"),
+        (lambda: random_sdd_positive(True, 2.0, 1), InvalidParameter,
+         "n must be an integer of at least 2, got True"),
+        (lambda: random_sdd_positive(3, 2.0, True), InvalidParameter,
+         "seed must be an integer, got True"),
+        (lambda: build_family(FamilySpec("random-sdd", n=3, parameter=2.0, seed=False)),
+         InvalidParameter, "seed must be an integer, got False"),
+        (lambda: random_sdd_positive(3, True, 1), InvalidParameter,
+         "min_ratio must exceed 1, got True"),
+        (lambda: relay_miso(30, True), InvalidParameter, "alpha must be in [0, 1], got True"),
+        (lambda: bsc(True), InvalidParameter, "crossover must be in [0, 1], got True"),
+        (lambda: gamma_family(True), InvalidParameter, "gamma must be in (0, 1), got True"),
+        (lambda: beta_family(False), InvalidParameter, "beta must be in [0, 1], got False"),
+    ],
+    ids=[
+        "tol", "max_iter", "resolution", "steps", "lo-hi", "relay-n", "family-relay-n",
+        "sdd-n", "sdd-seed", "family-sdd-seed", "min_ratio", "alpha", "crossover", "gamma", "beta",
+    ],
+)
+def test_a_bool_is_not_a_number(call, error, message):
+    """bool subclasses int, so isinstance alone lets True through as 1; every
+    integer or real argument refuses a flag with its usual message."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestInfiniteGap:
