@@ -16,7 +16,6 @@ which take no parameter, are the tuple ``_FIXED``.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, inf
@@ -35,7 +34,9 @@ class SplitMix64:
     """splitmix64: 64-bit state, golden-gamma increment, two xor-shift mixes."""
 
     def __init__(self, seed: int):
-        self._state = operator.index(seed) & _MASK64
+        if not _is_integer(seed):
+            raise InvalidParameter(f"seed must be an integer, got {seed!r}")
+        self._state = int(seed) & _MASK64
 
     def next_uint64(self) -> int:
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64

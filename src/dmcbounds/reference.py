@@ -20,14 +20,21 @@ When the optimal input is sparse, that update crawls: the unused inputs
 decay only geometrically. So every 50 updates an active-set Newton solve of
 the KKT system (D_i = C on the support S, sum_S p_i = 1) runs from the
 current p. A step that the ratio test blocks is finished on the face's
-quadratic model, the classic primal active-set walk, and only its
-breakpoints take inputs out of S. Once D is level on S to within half of
-max(tol, gap), with gap the bracket width above, the worst off-support input
-with D_i > I(p) joins S: the face is solved only as far as the gap needs,
-not to the tolerance. A failed solve is discarded and the updates resume
-where they were. Each Newton step counts as one iteration, and the stopping
-rule is unchanged: the full-alphabet bracket above, so a wrong support guess
-can cost time but can never certify a wrong capacity.
+quadratic model, the classic primal active-set walk, whose breakpoints take
+inputs out of S. Where a step would fail because the rows of A on S are
+linearly dependent, S is reduced instead: some optimal input has at most
+rank(A) mass points with independent rows (Caratheodory; Gallager 1968,
+section 4.5), and a move of p along a null vector u of those rows
+(u^T A_S = 0) keeps q, so p moves that way, without lowering I(p), until
+inputs leave and the rows are independent. Only a failing step pays for
+that check. After a full Newton step or a walk, once D is level on S to
+within half of max(tol, gap), with gap the bracket width above, the worst
+off-support input with D_i > I(p) joins S: the face is solved only as far
+as the gap needs, not to the tolerance. A failed solve is discarded and the
+updates resume where they were. Each Newton step, a face reduction
+included, counts as one iteration, and the stopping rule is unchanged: the
+full-alphabet bracket above, so a wrong support guess can cost time but can
+never certify a wrong capacity.
 
 The solver can also start from a hint. The CLI passes the closed form's
 p* = inv(A)^T q*, which solves the KKT system in closed form and is the
@@ -66,6 +73,7 @@ GRID_MAX_N = 4
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100_000
 NEWTON_EVERY = 50
+RANK_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,16 +135,23 @@ def _solve(system: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray | None:
     return x if np.isfinite(x).all() else None
 
 
-def _ratio_step(x: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, int | None]:
-    """``(y, i)``: y = x + t dx clipped at 0, for the largest t <= 1 with
-    x + t dx >= 0. If t < 1, the input i bounds it (the first smallest ratio
-    x_i / -dx_i) and y_i = 0; if t = 1, i is None."""
-    ratios = np.divide(x, -dx, out=np.full(x.size, np.inf), where=dx < 0.0)
-    i = int(ratios.argmin())
-    if ratios[i] >= 1.0:
-        return np.maximum(x + dx, 0.0), None
-    y = np.maximum(x + float(ratios[i]) * dx, 0.0)
-    y[i] = 0.0
+def _ratio_step(
+    x: np.ndarray, dx: np.ndarray, limit: float = 1.0
+) -> tuple[np.ndarray, int | None]:
+    """``(y, i)``: y = x + t dx clipped at 0, for the largest t <= ``limit``
+    with x + t dx >= 0. If t < ``limit``, the input i bounds it (the first
+    smallest ratio x_i / -dx_i) and y_i = 0; otherwise i is None.
+
+    The vectors have at most n entries, so a plain loop over their values
+    beats the handful of numpy calls a vectorized ratio test takes.
+    """
+    t, i = limit, None
+    for j, (xj, dj) in enumerate(zip(x.tolist(), dx.tolist())):
+        if dj < 0.0 and xj / -dj < t:
+            t, i = xj / -dj, j
+    y = np.maximum(x + t * dx, 0.0)
+    if i is not None:
+        y[i] = 0.0
     return y, i
 
 
@@ -157,7 +172,7 @@ def _model_walk(
     the walked point has no mass.
     """
     k = p_face.size
-    rhs = np.append(d_face + system[:k, :k] @ p_face, 1.0)
+    rhs = np.concatenate((d_face + system[:k, :k] @ p_face, [1.0]))
     face = np.ones(k, dtype=bool)
     while leaving is not None:
         face[leaving] = False
@@ -174,9 +189,10 @@ def _model_walk(
 
 def _newton_points(
     entries: np.ndarray, p: np.ndarray, q: np.ndarray, d: np.ndarray, idx: np.ndarray
-) -> tuple[bool, list] | None:
-    """``(blocked, points)``: the new p_S that a Newton step on the face
-    S = ``idx`` tries, in order, or None when its system is singular.
+) -> list | None:
+    """``[(point, enters), ...]``: the new p_S that a Newton step on the face
+    S = ``idx`` tries, in order, each with whether the entering rule may run
+    after it; None when its system is singular.
 
     The step dp solves D_S(A^T (p + dp)) = C, sum = 1, linearized:
     [[M, 1], [1^T, 0]] [dp; C] = [D_S; 1 - sum p_S], where
@@ -186,7 +202,8 @@ def _newton_points(
     A step that the ratio test does not block tries the full Newton point.
     A blocked one tries the end of its walk (``_model_walk``; None if the
     walk has no point), then its first breakpoint unless that is p_S itself
-    (t = 0: the input that bounds the step has p_i = 0).
+    (t = 0: the input that bounds the step has p_i = 0). Only that
+    breakpoint, a point the model did not solve, bars the entering rule.
     """
     rows = entries[idx]
     if q.min() <= 0.0:
@@ -197,14 +214,49 @@ def _newton_points(
     system = np.ones((k + 1, k + 1))
     system[:k, :k] = (rows / q) @ rows.T / np.log(2.0)
     system[k, k] = 0.0
-    dp = _solve(system, np.append(d_face, 1.0 - p_face.sum()), k)
+    dp = _solve(system, np.concatenate((d_face, [1.0 - p_face.sum()])), k)
     if dp is None:
         return None
     stop, leaving = _ratio_step(p_face, dp)
     if leaving is None:
-        return False, [stop]
-    walked = _model_walk(system, p_face, d_face, stop, leaving)
-    return True, [walked, stop] if p_face[leaving] > 0.0 else [walked]
+        return [(stop, True)]
+    walked = (_model_walk(system, p_face, d_face, stop, leaving), True)
+    return [walked, (stop, False)] if p_face[leaving] > 0.0 else [walked]
+
+
+def _reduced_face(
+    matrix: ChannelMatrix, p: np.ndarray, at_p: tuple, support: np.ndarray
+) -> tuple | None:
+    """``(p, _evaluate at p, S)`` with the face S = ``support`` shrunk until
+    its rows are linearly independent, or None if they already are.
+
+    Rank and null vector come from the SVD of A_S on the outputs with
+    q_j > 0; the rank counts the singular values above ``RANK_TOL`` times the
+    largest. With u the last left singular vector, u^T A_S = 0, so moving p_S
+    along u keeps q, and keeps sum p because every row sums to 1 (so sum u =
+    0 and some u_i < 0). Oriented so that sum u_i D_i >= 0, the move does not
+    lower I(p) = sum p_i D_i. It runs until the first input reaches 0, which
+    then leaves S; an input already at 0 (one that has just joined) leaves
+    without a move. Each move that changes p is evaluated again.
+    """
+    entries = matrix.entries
+    p, support = p.copy(), support.copy()
+    reduced = False
+    while True:
+        q, d = at_p[0], at_p[1]
+        idx = support.nonzero()[0]
+        u, sigma, _ = np.linalg.svd(entries[idx][:, q > 0.0], full_matrices=True)
+        if (sigma > RANK_TOL * sigma[0]).sum() == idx.size:
+            return (p, at_p, support) if reduced else None
+        reduced = True
+        w = u[:, -1] if u[:, -1] @ d[idx] >= 0.0 else -u[:, -1]
+        face, i = _ratio_step(p[idx], w, np.inf)
+        leaving = idx[i]
+        support[leaving] = False
+        if p[leaving] > 0.0:
+            p[idx] = face
+            p /= p.sum()
+            at_p = _evaluate(matrix, p)
 
 
 def _newton_on_support(
@@ -215,45 +267,55 @@ def _newton_on_support(
     ``at_p`` is ``_evaluate`` at ``p``, and S starts as the support of ``p``.
     Each step evaluates the points of ``_newton_points`` in turn, once each,
     and takes the first that does not lower I(p) or whose bracket is within
-    ``tol``; if it takes none, the solve fails at that step. Inputs leave S
-    only at the breakpoints of a blocked step (t < 1), one per breakpoint;
-    an input that has just joined S and would shrink at once (t = 0) leaves
-    by the walk, which then solves the old face from p. After a step that
-    was not blocked, once the spread of D on S is at most half of
-    max(tol, gap), with gap the full-alphabet gap max_i D_i - I(p), the
-    worst off-support input with D_i > I(p) joins S, so that the face is
-    solved only as far as the gap needs before S grows again. A step counts
-    once, whichever point it takes.
+    ``tol``. Inputs leave S at the breakpoints of a blocked step (t < 1),
+    one per breakpoint; an input that has just joined S and would shrink at
+    once (t = 0) leaves by the walk, which then solves the old face from p.
+
+    A step that takes none of its points, or whose system is singular, fails
+    unless the rows of S are linearly dependent. Then some optimal input
+    needs fewer of them (Caratheodory), and ``_reduced_face`` shrinks S
+    without moving q until they are independent; that reduction is the step,
+    and the next one solves the smaller face. Where the rows are
+    independent, the step fails and so does the solve. No step that succeeds
+    pays for the rank check.
+
+    After a step that took a full Newton point or the end of a walk, once
+    the spread of D on S is at most half of max(tol, gap), with gap the
+    full-alphabet gap max_i D_i - I(p), the worst off-support input with
+    D_i > I(p) joins S, so that the face is solved only as far as the gap
+    needs before S grows again. A step counts once, whichever point it takes.
 
     Returns ``(solved, steps)``: ``solved`` is ``(p, _evaluate at p)`` for a
     pmf p whose full-alphabet bracket is at most ``tol``, or None if a step
     failed or ``budget`` steps ran out.
     """
-    q, d, lower, _ = at_p
     support = p > 0.0
     for step in range(1, budget + 1):
+        q, d, lower, _ = at_p
         idx = support.nonzero()[0]
-        newton = _newton_points(matrix.entries, p, q, d, idx)
-        if newton is None:
-            return None, step
-        blocked, points = newton
-        for point in points:
+        for point, enters in _newton_points(matrix.entries, p, q, d, idx) or ():
             if point is None:
                 continue
             trial = p.copy()
             trial[idx] = point
             trial /= trial.sum()
-            trial_q, trial_d, trial_lower, gap = _evaluate(matrix, trial)
-            if trial_lower >= lower - 1e-15 or gap <= tol:
+            at_trial = _evaluate(matrix, trial)
+            if at_trial[2] >= lower - 1e-15 or at_trial[3] <= tol:
+                p, at_p, support = trial, at_trial, trial > 0.0
                 break
         else:
-            return None, step
-        p, q, d, lower = trial, trial_q, trial_d, trial_lower
+            reduced = _reduced_face(matrix, p, at_p, support)
+            if reduced is None:
+                return None, step
+            p, at_p, support = reduced
+            enters = False
+        _, d, lower, gap = at_p
         if gap <= tol:
-            return (p, (q, d, lower, gap)), step
-        support = p > 0.0
+            return (p, at_p), step
+        if not enters:
+            continue
         face = d[support]
-        if blocked or face.max() - face.min() > 0.5 * max(tol, gap):
+        if face.max() - face.min() > 0.5 * max(tol, gap):
             continue
         outside = np.where(support, -np.inf, d)
         entering = int(np.argmax(outside))

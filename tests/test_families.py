@@ -87,8 +87,16 @@ class TestSplitMix64:
         assert draws == [expected.next_uint64() for _ in range(3)] + [expected.next_float()]
 
     def test_float_seed_is_refused(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(InvalidParameter):
             SplitMix64(1.5)
+
+    @pytest.mark.parametrize("seed", [True, False, 2.5])
+    def test_seed_refused_like_random_sdd_positive(self, seed):
+        # a bool is not a seed: True used to run as seed 1
+        with pytest.raises(InvalidParameter):
+            SplitMix64(seed)
+        with pytest.raises(InvalidParameter):
+            random_sdd_positive(4, 3.0, seed)
 
     def test_floats_are_in_unit_interval(self):
         g = SplitMix64(99)
