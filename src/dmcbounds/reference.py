@@ -17,21 +17,23 @@ so the bracket width is a certified optimality gap; iteration stops once it
 drops below the tolerance and the lower end is reported as the capacity.
 
 When the optimal input is sparse, that update crawls: the unused inputs
-decay only geometrically. So every 50 updates an active-set Newton solve of
-the KKT system (D_i = C on the support S, sum_S p_i = 1) runs from the
-current p. A step that the ratio test blocks is finished on the face's
-quadratic model, the classic primal active-set walk, whose breakpoints take
-inputs out of S. Where a step would fail because the rows of A on S are
-linearly dependent, S is reduced instead: some optimal input has at most
-rank(A) mass points with independent rows (Caratheodory; Gallager 1968,
-section 4.5), and a move of p along a null vector u of those rows
-(u^T A_S = 0) keeps q, so p moves that way, without lowering I(p), until
-inputs leave and the rows are independent. Only a failing step pays for
-that check. After a full Newton step or a walk, once D is level on S to
-within half of max(tol, gap), with gap the bracket width above, the worst
-off-support input with D_i > I(p) joins S: the face is solved only as far
-as the gap needs, not to the tolerance. A failed solve is discarded and the
-updates resume where they were. Each Newton step, a face reduction
+decay only geometrically. So every run opens with an active-set Newton
+solve of the KKT system (D_i = C on the support S, sum_S p_i = 1) from its
+start, and after a failed solve another runs every 50 updates. Each step
+tries one point: the full Newton point or, where the ratio test blocks the
+step, the end of its walk on the face's quadratic model, the classic primal
+active-set walk, whose breakpoints take inputs out of S. Where a step would
+fail because the rows of A on S are linearly dependent, S is reduced
+instead: some optimal input has at most rank(A) mass points with
+independent rows (Caratheodory; Gallager 1968, section 4.5), and a move of
+p along a null vector u of those rows (u^T A_S = 0) keeps q, so p moves
+that way, without lowering I(p), until inputs leave and the rows are
+independent. Only a failing step pays for that check. After a step that
+takes its point, once D is level on S to within half of max(tol, gap), with
+gap the bracket width above, the worst off-support input with D_i > I(p)
+joins S: the face is solved only as far as the gap needs, not to the
+tolerance. A failed solve is discarded and the updates resume where they
+were. Each Newton step, a face reduction
 included, counts as one iteration, and the stopping rule is unchanged: the
 full-alphabet bracket above, so a wrong support guess can cost time but can
 never certify a wrong capacity.
@@ -41,16 +43,17 @@ p* = inv(A)^T q*, which solves the KKT system in closed form and is the
 optimal input whenever it is a pmf; where it is not, clip(p*) still lies
 close to the optimal support. The hint is clipped at 0 and renormalized. If
 its bracket is already within the tolerance it is returned with 0
-iterations; otherwise the Newton solve runs from it at once, its steps
-counted like any other, and if that solve fails the iteration starts over
-from uniform exactly as without a hint. Either way the reported capacity is
-the lower end of a certified bracket at whichever input certified it, raised
-to 0 if it rounds below (C >= 0 for every channel), with the gap shrunk by as
-much so the bracket keeps its top.
+iterations; otherwise the Newton solve runs from it, its steps counted
+like any other, and if that solve fails the run starts over from uniform
+exactly as without a hint. Either way the reported capacity is the lower end
+of a certified bracket at whichever input certified it, raised to 0 if it
+rounds below (C >= 0 for every channel), with the gap shrunk by as much so
+the bracket keeps its top.
 
 Where A is refused as singular there is no p*; the CLI's sweep then passes
 the same closed form computed with the pseudo-inverse pinv(A), which puts the
-start close to the optimal support just the same.
+start close to the optimal support just the same. It saves linear solves:
+from uniform, the first walk pins most inputs at one solve each.
 
 The grid oracle is an independent brute-force check for tiny alphabets: it
 evaluates mutual information on the whole simplex lattice {k/resolution} and
@@ -187,23 +190,19 @@ def _model_walk(
     return x if x.sum() > 0.0 else None
 
 
-def _newton_points(
+def _newton_point(
     entries: np.ndarray, p: np.ndarray, q: np.ndarray, d: np.ndarray, idx: np.ndarray
-) -> list | None:
-    """``[(point, enters), ...]``: the new p_S that a Newton step on the face
-    S = ``idx`` tries, in order, each with whether the entering rule may run
-    after it; None when its system is singular.
+) -> np.ndarray | None:
+    """The new p_S that a Newton step on the face S = ``idx`` tries, or None
+    when its system is singular or its walk has no point.
 
     The step dp solves D_S(A^T (p + dp)) = C, sum = 1, linearized:
     [[M, 1], [1^T, 0]] [dp; C] = [D_S; 1 - sum p_S], where
     M = (A_S / q) A_S^T / ln 2 is minus the Jacobian of D_S and q = A^T p;
     outputs with q_j = 0 drop out, and M stays exact: q_j >= p_i A_ij, and
     an entering row (p_i = 0) that reached output j would have D_i = inf.
-    A step that the ratio test does not block tries the full Newton point.
-    A blocked one tries the end of its walk (``_model_walk``; None if the
-    walk has no point), then its first breakpoint unless that is p_S itself
-    (t = 0: the input that bounds the step has p_i = 0). Only that
-    breakpoint, a point the model did not solve, bars the entering rule.
+    A step that the ratio test does not block tries the full Newton point;
+    a blocked one tries the end of its walk (``_model_walk``).
     """
     rows = entries[idx]
     if q.min() <= 0.0:
@@ -219,9 +218,8 @@ def _newton_points(
         return None
     stop, leaving = _ratio_step(p_face, dp)
     if leaving is None:
-        return [(stop, True)]
-    walked = (_model_walk(system, p_face, d_face, stop, leaving), True)
-    return [walked, (stop, False)] if p_face[leaving] > 0.0 else [walked]
+        return stop
+    return _model_walk(system, p_face, d_face, stop, leaving)
 
 
 def _reduced_face(
@@ -265,25 +263,24 @@ def _newton_on_support(
     """Active-set Newton solve of the KKT system D_i = C (i in S), sum_S p_i = 1.
 
     ``at_p`` is ``_evaluate`` at ``p``, and S starts as the support of ``p``.
-    Each step evaluates the points of ``_newton_points`` in turn, once each,
-    and takes the first that does not lower I(p) or whose bracket is within
-    ``tol``. Inputs leave S at the breakpoints of a blocked step (t < 1),
-    one per breakpoint; an input that has just joined S and would shrink at
-    once (t = 0) leaves by the walk, which then solves the old face from p.
+    Each step evaluates the point of ``_newton_point`` once and takes it if
+    it does not lower I(p) or its bracket is within ``tol``. Inputs leave S
+    at the breakpoints of a blocked step's walk (t < 1), one per breakpoint;
+    an input that has just joined S and would shrink at once (t = 0) leaves
+    by the walk, which then solves the old face from p.
 
-    A step that takes none of its points, or whose system is singular, fails
-    unless the rows of S are linearly dependent. Then some optimal input
-    needs fewer of them (Caratheodory), and ``_reduced_face`` shrinks S
-    without moving q until they are independent; that reduction is the step,
-    and the next one solves the smaller face. Where the rows are
-    independent, the step fails and so does the solve. No step that succeeds
-    pays for the rank check.
+    A step that has no point or refuses it fails unless the rows of S are
+    linearly dependent. Then some optimal input needs fewer of them
+    (Caratheodory), and ``_reduced_face`` shrinks S without moving q until
+    they are independent; that reduction is the step, and the next one
+    solves the smaller face. Where the rows are independent, the step fails
+    and so does the solve. No step that succeeds pays for the rank check.
 
-    After a step that took a full Newton point or the end of a walk, once
-    the spread of D on S is at most half of max(tol, gap), with gap the
-    full-alphabet gap max_i D_i - I(p), the worst off-support input with
-    D_i > I(p) joins S, so that the face is solved only as far as the gap
-    needs before S grows again. A step counts once, whichever point it takes.
+    After a step that took its point, once the spread of D on S is at most
+    half of max(tol, gap), with gap the full-alphabet gap max_i D_i - I(p),
+    the worst off-support input with D_i > I(p) joins S, so that the face is
+    solved only as far as the gap needs before S grows again. Each step,
+    reduction included, counts once.
 
     Returns ``(solved, steps)``: ``solved`` is ``(p, _evaluate at p)`` for a
     pmf p whose full-alphabet bracket is at most ``tol``, or None if a step
@@ -293,26 +290,25 @@ def _newton_on_support(
     for step in range(1, budget + 1):
         q, d, lower, _ = at_p
         idx = support.nonzero()[0]
-        for point, enters in _newton_points(matrix.entries, p, q, d, idx) or ():
-            if point is None:
-                continue
+        point = _newton_point(matrix.entries, p, q, d, idx)
+        if point is not None:
             trial = p.copy()
             trial[idx] = point
             trial /= trial.sum()
             at_trial = _evaluate(matrix, trial)
             if at_trial[2] >= lower - 1e-15 or at_trial[3] <= tol:
                 p, at_p, support = trial, at_trial, trial > 0.0
-                break
-        else:
+            else:
+                point = None
+        if point is None:
             reduced = _reduced_face(matrix, p, at_p, support)
             if reduced is None:
                 return None, step
             p, at_p, support = reduced
-            enters = False
         _, d, lower, gap = at_p
         if gap <= tol:
             return (p, at_p), step
-        if not enters:
+        if point is None:
             continue
         face = d[support]
         if face.max() - face.min() > 0.5 * max(tol, gap):
@@ -358,9 +354,10 @@ def blahut_arimoto(
 ) -> CapacityEstimate:
     """Capacity via alternating maximization from the uniform input pmf.
 
-    Every ``NEWTON_EVERY`` updates, an active-set Newton solve of at most
-    n + ``NEWTON_EVERY`` steps runs from the current pmf; a failed solve is
-    discarded. ``iterations`` counts updates and Newton steps alike. Raises
+    The run opens with an active-set Newton solve of at most
+    n + ``NEWTON_EVERY`` steps; a failed solve is discarded, and another runs
+    from the current pmf after every ``NEWTON_EVERY`` updates.
+    ``iterations`` counts updates and Newton steps alike. Raises
     NotConverged (carrying the running estimate) if the bracket gap stays
     above ``tol`` after ``max_iter`` iterations, and InvalidParameter unless
     ``tol`` is a positive finite real and ``max_iter`` is an integer of at least 0.
@@ -368,8 +365,9 @@ def blahut_arimoto(
     ``start`` is an optional hint of shape (n,), such as the closed form's p*.
     Clipped at 0 and renormalized, it is returned at iteration 0 if its
     bracket is already within ``tol``; otherwise the Newton solve runs from
-    it first, and if that fails the iteration starts over from uniform. A
-    non-finite hint, or one without positive mass, is ignored.
+    it, and if that fails the run starts over from uniform as an unseeded
+    run, opening with its solve. A non-finite hint, or one without positive
+    mass, is ignored.
 
     The capacity reported (here and on NotConverged) is never negative: a
     lower end below 0 is rounding, so it is reported as 0 and the gap shrinks
@@ -387,7 +385,7 @@ def blahut_arimoto(
     if not seeded:
         p = uniform
     iterations = 0
-    since_newton = NEWTON_EVERY if seeded else 0
+    since_newton = NEWTON_EVERY
     at_p = _evaluate(matrix, p)
     while True:
         _, d, lower, gap = at_p
@@ -404,8 +402,8 @@ def blahut_arimoto(
             if solved is not None:
                 p, at_p = solved
             elif seeded:
-                p = uniform
-                at_p = _evaluate(matrix, p)
+                p, at_p = uniform, _evaluate(matrix, uniform)
+                since_newton = NEWTON_EVERY
             seeded = False
             continue
         top = d[p > 0.0].max()
