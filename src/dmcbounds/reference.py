@@ -28,15 +28,14 @@ instead: some optimal input has at most rank(A) mass points with
 independent rows (Caratheodory; Gallager 1968, section 4.5), and a move of
 p along a null vector u of those rows (u^T A_S = 0) keeps q, so p moves
 that way, without lowering I(p), until inputs leave and the rows are
-independent. Only a failing step pays for that check. After a step that
-takes its point, once D is level on S to within half of max(tol, gap), with
-gap the bracket width above, the worst off-support input with D_i > I(p)
-joins S: the face is solved only as far as the gap needs, not to the
-tolerance. A failed solve is discarded and the updates resume where they
-were. Each Newton step, a face reduction
-included, counts as one iteration, and the stopping rule is unchanged: the
-full-alphabet bracket above, so a wrong support guess can cost time but can
-never certify a wrong capacity.
+independent. Only a failing step pays for that check. After every step,
+once D is level on S to within half of max(tol, gap), with gap the bracket
+width above, the worst off-support input with D_i > I(p) joins S: the face
+is solved only as far as the gap needs, not to the tolerance. A failed
+solve is discarded and the updates resume where they were. Each Newton
+step, a face reduction included, counts as one iteration, and the stopping
+rule is unchanged: the full-alphabet bracket above, so a wrong support
+guess can cost time but can never certify a wrong capacity.
 
 The solver can also start from a hint. The CLI passes the closed form's
 p* = inv(A)^T q*, which solves the KKT system in closed form and is the
@@ -158,38 +157,6 @@ def _ratio_step(
     return y, i
 
 
-def _model_walk(
-    system: np.ndarray, p_face: np.ndarray, d_face: np.ndarray, x: np.ndarray, leaving: int
-) -> np.ndarray | None:
-    """A blocked Newton step finished on its quadratic model: new p_S.
-
-    ``system`` is the step's bordered matrix [[M, 1], [1^T, 0]], and the model
-    linearizes D on the face at p: D_lin(x) = D_S - M (x - p_S). Its solution
-    y on a face F (D_lin(y) = C on F, sum y = 1, y = 0 off F) solves the
-    bordered system for [D_S + M p_S; 1], with an identity row and column
-    pinning each input off F to 0; the walk writes those pins into
-    ``system`` itself. From the step's first breakpoint ``x``,
-    where ``leaving`` leaves F, each piece runs toward the solution on the
-    smaller face, ratio-tested, and the walk ends with the first piece that
-    is not blocked. Returns None if a solve is singular or not finite, or if
-    the walked point has no mass.
-    """
-    k = p_face.size
-    rhs = np.concatenate((d_face + system[:k, :k] @ p_face, [1.0]))
-    face = np.ones(k, dtype=bool)
-    while leaving is not None:
-        face[leaving] = False
-        system[leaving] = 0.0
-        system[:, leaving] = 0.0
-        system[leaving, leaving] = 1.0
-        rhs[leaving] = 0.0
-        y = _solve(system, rhs, k)
-        if y is None:
-            return None
-        x, leaving = _ratio_step(x, np.where(face, y - x, 0.0))  # inputs off F stay at 0
-    return x if x.sum() > 0.0 else None
-
-
 def _newton_point(
     entries: np.ndarray, p: np.ndarray, q: np.ndarray, d: np.ndarray, idx: np.ndarray
 ) -> np.ndarray | None:
@@ -201,8 +168,14 @@ def _newton_point(
     M = (A_S / q) A_S^T / ln 2 is minus the Jacobian of D_S and q = A^T p;
     outputs with q_j = 0 drop out, and M stays exact: q_j >= p_i A_ij, and
     an entering row (p_i = 0) that reached output j would have D_i = inf.
-    A step that the ratio test does not block tries the full Newton point;
-    a blocked one tries the end of its walk (``_model_walk``).
+    A step that the ratio test does not block tries the full Newton point; a
+    blocked one walks on the face's quadratic model D_lin(x) = D_S - M (x - p_S).
+    Its solution y on a face F (D_lin(y) = C on F, sum y = 1, y = 0 off F)
+    solves the same bordered system for [D_S + M p_S; 1], with an identity
+    row and column pinning each input off F to 0. From the step's
+    breakpoint, where the blocking input leaves F, each piece runs toward the
+    solution on the smaller face, ratio-tested, and the end of the first
+    piece that is not blocked is the point.
     """
     rows = entries[idx]
     if q.min() <= 0.0:
@@ -216,10 +189,22 @@ def _newton_point(
     dp = _solve(system, np.concatenate((d_face, [1.0 - p_face.sum()])), k)
     if dp is None:
         return None
-    stop, leaving = _ratio_step(p_face, dp)
+    x, leaving = _ratio_step(p_face, dp)
     if leaving is None:
-        return stop
-    return _model_walk(system, p_face, d_face, stop, leaving)
+        return x
+    rhs = np.concatenate((d_face + system[:k, :k] @ p_face, [1.0]))
+    face = np.ones(k, dtype=bool)
+    while leaving is not None:
+        face[leaving] = False
+        system[leaving] = 0.0
+        system[:, leaving] = 0.0
+        system[leaving, leaving] = 1.0
+        rhs[leaving] = 0.0
+        y = _solve(system, rhs, k)
+        if y is None:
+            return None
+        x, leaving = _ratio_step(x, np.where(face, y - x, 0.0))  # inputs off F stay at 0
+    return x if x.sum() > 0.0 else None
 
 
 def _reduced_face(
@@ -272,15 +257,15 @@ def _newton_on_support(
     A step that has no point or refuses it fails unless the rows of S are
     linearly dependent. Then some optimal input needs fewer of them
     (Caratheodory), and ``_reduced_face`` shrinks S without moving q until
-    they are independent; that reduction is the step, and the next one
-    solves the smaller face. Where the rows are independent, the step fails
-    and so does the solve. No step that succeeds pays for the rank check.
+    they are independent; that reduction is the step. Where the rows are
+    independent, the step fails and so does the solve. No step that succeeds
+    pays for the rank check.
 
-    After a step that took its point, once the spread of D on S is at most
-    half of max(tol, gap), with gap the full-alphabet gap max_i D_i - I(p),
-    the worst off-support input with D_i > I(p) joins S, so that the face is
-    solved only as far as the gap needs before S grows again. Each step,
-    reduction included, counts once.
+    After every step, a reduction included, once the spread of D on S is at
+    most half of max(tol, gap), with gap the full-alphabet gap
+    max_i D_i - I(p), the worst off-support input with D_i > I(p) joins S,
+    so that the face is solved only as far as the gap needs before S grows
+    again. Each step, reduction included, counts once.
 
     Returns ``(solved, steps)``: ``solved`` is ``(p, _evaluate at p)`` for a
     pmf p whose full-alphabet bracket is at most ``tol``, or None if a step
@@ -308,8 +293,6 @@ def _newton_on_support(
         _, d, lower, gap = at_p
         if gap <= tol:
             return (p, at_p), step
-        if point is None:
-            continue
         face = d[support]
         if face.max() - face.min() > 0.5 * max(tol, gap):
             continue
