@@ -8,7 +8,6 @@ from .bounds import (
     BoundReport,
     Condition,
     capacity_upper_bound,
-    optimal_output_distribution,
     pseudo_inverse_input,
 )
 from .errors import (
@@ -43,13 +42,8 @@ from .matrix import (
     InverseAnalysis,
     analyze_inverse,
     dump_matrix_csv,
-    entropy_bits,
-    gershgorin,
-    invert,
     load_matrix_csv,
-    min_singular_value,
     mutual_information,
-    row_entropies,
     validate_channel,
 )
 from .reference import (
@@ -95,19 +89,13 @@ __all__ = [
     "capacity_upper_bound",
     "dual_bound",
     "dump_matrix_csv",
-    "entropy_bits",
     "fixed_example",
     "gamma_family",
-    "gershgorin",
     "grid_oracle",
-    "invert",
     "load_matrix_csv",
-    "min_singular_value",
     "mutual_information",
-    "optimal_output_distribution",
     "pseudo_inverse_input",
     "random_sdd_positive",
     "relay_miso",
-    "row_entropies",
     "validate_channel",
 ]

@@ -51,9 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter
 from .matrix import ChannelMatrix, InverseAnalysis, analyze_inverse
-from .matrix import _dominance_ratios, _finite_vector
+from .matrix import _dominance_ratios
 from .reference import _dual
 
 FEASIBILITY_TOL = -1e-10
@@ -92,22 +91,15 @@ class BoundReport:
     analysis: InverseAnalysis
 
 
-def optimal_output_distribution(k) -> np.ndarray:
-    """Softmax of -K. Shifting by K_min first keeps the powers in range;
-    the ratio is invariant under adding any constant to K. Raises
-    InvalidParameter unless K is a non-empty numeric vector with finite entries."""
-    k = _finite_vector(k, "K", InvalidParameter)
-    w = np.exp2(-(k - k.min()))
-    return w / w.sum()
-
-
 def _kkt_closed_form(
     inverse: np.ndarray, matrix: ChannelMatrix
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(K, q*, p*) of the KKT closed form from an inverse of A and A's row
-    entropies H: K = inverse @ H, q* = softmax(-K), p* = inverse^T q*."""
+    entropies H: K = inverse @ H, q* = softmax(-K), p* = inverse^T q*.
+    Shifting K by K_min keeps the powers in range and leaves the ratio as it is."""
     k = inverse @ -matrix.neg_entropies
-    q_star = optimal_output_distribution(k)
+    w = np.exp2(-(k - k.min()))
+    q_star = w / w.sum()
     return k, q_star, inverse.T @ q_star
 
 

@@ -79,20 +79,6 @@ def _entropies(x: np.ndarray) -> np.ndarray:
     return 0.0 - np.where(pos, x * np.log2(np.where(pos, x, 1.0)), 0.0).sum(axis=-1)
 
 
-def _finite_vector(v, name: str, error: type) -> np.ndarray:
-    """``v`` as a float array, or ``error`` unless it is a non-empty numeric
-    vector with finite entries."""
-    try:
-        v = np.asarray(v, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise error(f"{name} must be a numeric vector: {exc}") from None
-    if v.ndim != 1 or v.size == 0:
-        raise error(f"{name} must be a non-empty vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise error(f"{name} has non-finite entries {v.tolist()!r}")
-    return v
-
-
 # A bool is an int to isinstance, but a flag is neither a count nor a measure.
 def _is_integer(x) -> bool:
     return isinstance(x, Integral) and not isinstance(x, bool)
@@ -100,13 +86,6 @@ def _is_integer(x) -> bool:
 
 def _is_real(x) -> bool:
     return isinstance(x, Real) and not isinstance(x, bool)
-
-
-def entropy_bits(v) -> float:
-    """Shannon entropy of a nonnegative vector in bits; terms <= 0 contribute 0.
-    Raises InvalidPmf unless ``v`` is a non-empty numeric vector with finite
-    entries."""
-    return float(_entropies(_finite_vector(v, "entropy argument", InvalidPmf)))
 
 
 def validate_channel(raw) -> ChannelMatrix:
@@ -163,6 +142,12 @@ def _checked_inverse(a: np.ndarray, sv: np.ndarray) -> np.ndarray:
         raise SingularMatrix(_condition_number(sv)) from None
 
 
+def _dominance_ratios(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """diag / off entrywise, +inf where the off-diagonal sum ``off`` is not positive."""
+    return np.where(off > 0.0, diag / np.where(off > 0.0, off, 1.0), np.inf)
+
+
+# Not exported: these four stay only because perfbench/worker.stage_split times them.
 def invert(matrix: ChannelMatrix) -> np.ndarray:
     """Inverse of the channel matrix, by ``np.linalg.inv`` (LAPACK gesv on I).
 
@@ -171,11 +156,6 @@ def invert(matrix: ChannelMatrix) -> np.ndarray:
     """
     a = matrix.entries
     return _checked_inverse(a, _singular_values(a))
-
-
-def _dominance_ratios(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """diag / off entrywise, +inf where the off-diagonal sum ``off`` is not positive."""
-    return np.where(off > 0.0, diag / np.where(off > 0.0, off, 1.0), np.inf)
 
 
 def gershgorin(matrix: ChannelMatrix) -> tuple[np.ndarray, float]:
@@ -253,7 +233,7 @@ def mutual_information(matrix: ChannelMatrix, p) -> float:
     """I(X;Y) in bits for input pmf p: H(A^T p) minus the p-weighted row entropy."""
     p = _checked_pmf(p, matrix.n)
     q = matrix.entries.T @ p
-    return entropy_bits(q) + float(p @ matrix.neg_entropies)
+    return float(_entropies(q)) + float(p @ matrix.neg_entropies)
 
 
 def _loadtxt(lines: list[str]) -> np.ndarray:

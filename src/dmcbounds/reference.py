@@ -29,13 +29,14 @@ independent rows (Caratheodory; Gallager 1968, section 4.5), and a move of
 p along a null vector u of those rows (u^T A_S = 0) keeps q, so p moves
 that way, without lowering I(p), until inputs leave and the rows are
 independent. Only a failing step pays for that check. After every step,
-once D is level on S to within half of max(tol, gap), with gap the bracket
-width above, the worst off-support input with D_i > I(p) joins S: the face
-is solved only as far as the gap needs, not to the tolerance. A failed
-solve is discarded and the updates resume where they were. Each Newton
-step, a face reduction included, counts as one iteration, and the stopping
-rule is unchanged: the full-alphabet bracket above, so a wrong support
-guess can cost time but can never certify a wrong capacity.
+once D is level on S to within half the gap, with gap the bracket width
+above, the worst off-support input joins S: the face is solved only as far
+as the gap needs, not to the tolerance. I(p) averages D over S, so the
+largest D_i then lies off S, and the solve fails there only when it is
++inf. A failed solve is discarded and the updates resume where they were.
+Each Newton step, a face reduction included, counts as one iteration, and
+the stopping rule is unchanged: the full-alphabet bracket above, so a wrong
+support guess can cost time but can never certify a wrong capacity.
 
 The solver can also start from a hint. The CLI passes the closed form's
 p* = inv(A)^T q*, which solves the KKT system in closed form and is the
@@ -262,10 +263,12 @@ def _newton_on_support(
     pays for the rank check.
 
     After every step, a reduction included, once the spread of D on S is at
-    most half of max(tol, gap), with gap the full-alphabet gap
-    max_i D_i - I(p), the worst off-support input with D_i > I(p) joins S,
-    so that the face is solved only as far as the gap needs before S grows
-    again. Each step, reduction included, counts once.
+    most half the full-alphabet gap max_i D_i - I(p), the worst off-support
+    input joins S, so that the face is solved only as far as the gap needs
+    before S grows again. I(p) is an average of D over inputs in S, so with
+    the gap above ``tol`` the largest D_i then lies off S; the solve fails
+    there only when that D_i is +inf (its row reaches an output that S
+    leaves at q_j = 0). Each step, reduction included, counts once.
 
     Returns ``(solved, steps)``: ``solved`` is ``(p, _evaluate at p)`` for a
     pmf p whose full-alphabet bracket is at most ``tol``, or None if a step
@@ -290,15 +293,15 @@ def _newton_on_support(
             if reduced is None:
                 return None, step
             p, at_p, support = reduced
-        _, d, lower, gap = at_p
+        _, d, _, gap = at_p
         if gap <= tol:
             return (p, at_p), step
         face = d[support]
-        if face.max() - face.min() > 0.5 * max(tol, gap):
+        if face.max() - face.min() > 0.5 * gap:
             continue
         outside = np.where(support, -np.inf, d)
         entering = int(np.argmax(outside))
-        if not (np.isfinite(outside[entering]) and outside[entering] > lower):
+        if not np.isfinite(outside[entering]):
             return None, step
         support[entering] = True
     return None, budget

@@ -17,7 +17,6 @@ from dmcbounds import (
     bsc,
     build_family,
     capacity_upper_bound,
-    entropy_bits,
     fixed_example,
     gamma_family,
     random_sdd_positive,
@@ -25,7 +24,7 @@ from dmcbounds import (
     validate_channel,
 )
 from dmcbounds.families import _relay_entries, _relay_table, canonical_family, parameter_domain
-from conftest import relay_miso_explicit3
+from conftest import entropy2, relay_miso_explicit3
 
 
 def relay_comb_products(n):
@@ -203,14 +202,14 @@ class TestGammaFamily:
 
     def test_equal_row_entropies(self):
         m = gamma_family(0.23)
-        ents = [entropy_bits(row) for row in m.entries]
+        ents = [entropy2(row) for row in m.entries]
         assert max(ents) - min(ents) <= 1e-15
 
     def test_reliable_gamma_bound_is_log_n_minus_row_entropy(self):
         m = gamma_family(0.01)
         report = capacity_upper_bound(m)
         assert report.gershgorin_condition is Condition.HOLDS
-        expected = 2.0 - entropy_bits(m.entries[0])
+        expected = 2.0 - entropy2(m.entries[0])
         assert report.upper_bound == pytest.approx(expected, abs=1e-9)
 
     def test_domain_is_open(self):

@@ -40,8 +40,8 @@ from conftest import build_key, entropy2, recorded_build
 from test_golden import corpus_matrices
 
 
-def certified_bracket(matrix, p):
-    """Independent (I(p), max_i D_i - I(p)) over the whole input alphabet."""
+def divergences_by_loops(matrix, p):
+    """Independent D_i = D(A_i || A^T p), entry by entry."""
     a = np.asarray(matrix.entries)
     q = a.T @ p
     d = np.zeros(a.shape[0])
@@ -49,6 +49,12 @@ def certified_bracket(matrix, p):
         for j, aij in enumerate(row):
             if aij > 0.0:
                 d[i] += math.inf if q[j] == 0.0 else aij * math.log2(aij / q[j])
+    return d
+
+
+def certified_bracket(matrix, p):
+    """Independent (I(p), max_i D_i - I(p)) over the whole input alphabet."""
+    d = divergences_by_loops(matrix, p)
     lower = float(sum(pi * di for pi, di in zip(p, d) if pi > 0.0))
     return lower, float(d.max()) - lower
 
@@ -427,6 +433,35 @@ class TestSparseOptimalInput:
         if build_key() == recorded_build():
             assert est.iterations == 22
             assert walks_from_p.count(True) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2**32), zeros=st.booleans())
+    def test_a_level_face_has_its_worst_input_off_the_face(self, n, seed, zeros):
+        # the entering rule's premise: I(p) averages D over supp(p), a subset
+        # of the face S, so where the largest D lies on S the gap is at most
+        # the spread of D on S; a face with finite D, level to within half a
+        # gap above tol, therefore has its worst input off S
+        rng = np.random.default_rng(seed)
+        a = rng.random((n, n))
+        if zeros:
+            keep = rng.random((n, n)) < 0.5
+            keep[np.arange(n), rng.integers(0, n, n)] = True
+            a *= keep
+        m = validate_channel(a / a.sum(axis=1, keepdims=True))
+        order = rng.permutation(n)
+        face = np.zeros(n, dtype=bool)
+        face[order[: rng.integers(1, n + 1)]] = True
+        p = np.zeros(n)
+        used = order[: rng.integers(1, face.sum() + 1)]
+        p[used] = rng.random(used.size) + 1e-3
+        p /= p.sum()
+        d = divergences_by_loops(m, p)
+        gap = certified_bracket(m, p)[1]
+        spread = d[face].max() - d[face].min()
+        if d[face].max() >= d.max():
+            assert gap <= spread + 1e-12
+        if spread <= 0.5 * gap and gap > 1e-9 and spread < math.inf:
+            assert d[~face].max(initial=-math.inf) > d[face].max()
 
     def test_relay60_cli_grid_counts_do_not_rise(self):
         # the counts on the recorded build with blocked steps finished on
