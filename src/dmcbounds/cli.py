@@ -75,9 +75,9 @@ def _analyze_document(matrix: ChannelMatrix, tol: float, max_iter: int) -> dict:
         "h_max": report.analysis.h_max,
         "h_max_star": report.h_max_star,
         "root_exponent": report.root_exponent,
-        "inverse_entropies": [float(x) for x in report.inverse_entropies],
-        "q_star": [float(x) for x in report.q_star],
-        "p_star": [float(x) for x in report.p_star],
+        "inverse_entropies": report.inverse_entropies.tolist(),
+        "q_star": report.q_star.tolist(),
+        "p_star": report.p_star.tolist(),
         "ba_capacity": est.capacity,
         "ba_iterations": est.iterations,
         "ba_gap": est.gap,

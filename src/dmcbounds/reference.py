@@ -59,10 +59,20 @@ The grid oracle is an independent brute-force check for tiny alphabets: it
 evaluates mutual information on the whole simplex lattice {k/resolution} and
 reports the lattice maximum, with the same D-bracket evaluated at the
 maximizer as its certified gap.
+
+The Newton loop works on vectors of at most n entries, where a numpy call
+costs more than its arithmetic. So a reduction whose result does not depend
+on the order it runs in (a minimum, a maximum, the first maximizer, "all
+finite", a comparison) runs in Python on the vector's ``tolist()``, with the
+same result bit for bit. Python's min and max treat NaN differently, but q
+comes from a finite pmf and D is finite or +inf, so none is NaN. Sums, dot
+products and products stay in numpy, whose pairwise summation fixes their
+last bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain, combinations
 
@@ -77,6 +87,7 @@ DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100_000
 NEWTON_EVERY = 50
 RANK_TOL = 1e-9
+LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +104,7 @@ def _divergence_terms(matrix: ChannelMatrix, q: np.ndarray) -> np.ndarray:
     A row with A_ij > 0 at an output with q_j = 0 diverges: its D_i is +inf.
     """
     entries = matrix.entries
-    if q.min() > 0.0:
+    if min(q.tolist()) > 0.0:
         return matrix.neg_entropies - entries @ np.log2(q)
     unreached = q <= 0.0
     d = matrix.neg_entropies - entries @ np.log2(np.where(unreached, 1.0, q))
@@ -125,7 +136,7 @@ def _evaluate(matrix: ChannelMatrix, p: np.ndarray) -> tuple:
     d = _divergence_terms(matrix, q)
     used = p > 0.0
     lower = float(p[used] @ d[used])
-    return q, d, lower, max(float(d.max()) - lower, 0.0)
+    return q, d, lower, max(max(d.tolist()) - lower, 0.0)
 
 
 def _solve(system: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray | None:
@@ -135,7 +146,7 @@ def _solve(system: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray | None:
         x = np.linalg.solve(system, rhs)[:k]
     except np.linalg.LinAlgError:
         return None
-    return x if np.isfinite(x).all() else None
+    return x if all(map(math.isfinite, x.tolist())) else None
 
 
 def _ratio_step(
@@ -178,25 +189,28 @@ def _newton_point(
     solution on the smaller face, ratio-tested, and the end of the first
     piece that is not blocked is the point.
     """
-    rows = entries[idx]
-    if q.min() <= 0.0:
+    rows = entries.take(idx, axis=0)
+    if min(q.tolist()) <= 0.0:
         reached = q > 0.0
         rows, q = rows[:, reached], q[reached]
     k = idx.size
-    p_face, d_face = p[idx], d[idx]
-    system = np.ones((k + 1, k + 1))
-    system[:k, :k] = (rows / q) @ rows.T / np.log(2.0)
+    p_face = p.take(idx)
+    system = np.empty((k + 1, k + 1))
+    system[:k, :k] = (rows / q) @ rows.T / LN2
+    system[k, :k] = system[:k, k] = 1.0
     system[k, k] = 0.0
-    dp = _solve(system, np.concatenate((d_face, [1.0 - p_face.sum()])), k)
+    rhs = np.empty(k + 1)
+    d.take(idx, out=rhs[:k])
+    rhs[k] = 1.0 - p_face.sum()
+    dp = _solve(system, rhs, k)
     if dp is None:
         return None
     x, leaving = _ratio_step(p_face, dp)
     if leaving is None:
         return x
-    rhs = np.concatenate((d_face + system[:k, :k] @ p_face, [1.0]))
-    face = np.ones(k, dtype=bool)
+    rhs[:k] += system[:k, :k] @ p_face  # D_S + M p_S
+    rhs[k] = 1.0
     while leaving is not None:
-        face[leaving] = False
         system[leaving] = 0.0
         system[:, leaving] = 0.0
         system[leaving, leaving] = 1.0
@@ -204,7 +218,9 @@ def _newton_point(
         y = _solve(system, rhs, k)
         if y is None:
             return None
-        x, leaving = _ratio_step(x, np.where(face, y - x, 0.0))  # inputs off F stay at 0
+        # a pinned input's row is e_l with right-hand side 0, so y_l is +-0
+        # and the input stays at 0
+        x, leaving = _ratio_step(x, y - x)
     return x if x.sum() > 0.0 else None
 
 
@@ -296,14 +312,14 @@ def _newton_on_support(
         _, d, _, gap = at_p
         if gap <= tol:
             return (p, at_p), step
-        face = d[support]
-        if face.max() - face.min() > 0.5 * gap:
+        face = d[support].tolist()
+        if max(face) - min(face) > 0.5 * gap:
             continue
-        outside = np.where(support, -np.inf, d)
-        entering = int(np.argmax(outside))
-        if not np.isfinite(outside[entering]):
+        outside = np.where(support, -np.inf, d).tolist()
+        top = max(outside)
+        if not math.isfinite(top):
             return None, step
-        support[entering] = True
+        support[outside.index(top)] = True
     return None, budget
 
 

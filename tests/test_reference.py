@@ -32,6 +32,7 @@ from dmcbounds.reference import (
     _divergence_terms,
     _evaluate,
     _newton_on_support,
+    _newton_point,
     _ratio_step,
     _reduced_face,
     _solve,
@@ -128,6 +129,15 @@ def started_over_channel(name, index):
 
 
 Z_CHANNEL = [[1.0, 0.0], [0.5, 0.5]]
+
+# float.hex of the capacities of the relay n=30 CLI grid on the recorded build
+RELAY30_CAPACITIES = [
+    "0x1.b01419fe178c4p+1", "0x1.468c8b941095dp+1", "0x1.143ef5c80c47ap+1",
+    "0x1.e128e75d91e54p+0", "0x1.a6b00ca043cfcp+0", "0x1.72c2d00c01dd0p+0",
+    "0x1.41d1ede570d27p+0", "0x1.11c94e56d89bcp+0", "0x1.c128790f6fefdp-1",
+    "0x1.5db77178747d3p-1", "0x1.a256d78f939b3p-2", "0x1.043d410c21128p-3",
+    "0x1.ffffffffffffcp-52",
+]
 
 
 def sweep_channels(family, n, lo, hi, steps):
@@ -269,6 +279,26 @@ class TestDivergenceTerms:
         assert est.capacity == pytest.approx(math.log2(1.25), abs=1e-9)
 
 
+class TestSolve:
+    """``_solve``'s contract, which its finiteness check on Python floats keeps."""
+
+    def test_singular_system_gives_none(self):
+        assert _solve(np.ones((3, 3)), np.ones(3), 2) is None
+
+    @pytest.mark.parametrize("first", [1e300, -1e300, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_entry_among_the_first_k_gives_none(self, first):
+        # 1e300 / 1e-300 overflows to +-inf, and NaN stays NaN
+        system = np.diag([1e-300, 1.0, 1.0])
+        assert _solve(system, np.array([first, 1.0, 1.0]), 2) is None
+
+    @pytest.mark.parametrize("k", [1, 5, 20, 31])
+    def test_finite_solution_is_numpys_bit_for_bit(self, k):
+        rng = np.random.default_rng(k)
+        system, rhs = rng.random((k + 1, k + 1)), rng.standard_normal(k + 1)
+        x = _solve(system, rhs, k)
+        assert x.tobytes() == np.linalg.solve(system, rhs)[:k].tobytes()
+
+
 class TestSparseOptimalInput:
     @pytest.mark.parametrize(
         "alpha, lo, hi",
@@ -351,6 +381,74 @@ class TestSparseOptimalInput:
         for m, est in zip(channels[4:-1], estimates[4:-1]):
             assert est.iterations <= m.n + 2 * NEWTON_EVERY
             assert certified_bracket(m, est.optimal_input)[1] <= 1e-9 + 1e-12
+
+    def test_relay30_pass_is_pinned_bit_for_bit(self, monkeypatch):
+        # the Newton loop takes its minima, maxima and finiteness checks on
+        # Python floats and leaves every sum to numpy; on the recorded build
+        # the relay n=30 pass makes the same linear solves and evaluations
+        # and certifies the same capacities, to the last bit
+        runs = [(m, sweep_start(m)) for m in sweep_channels("relay-miso", 30, 0.02, 0.50, 13)]
+        calls = {"solve": 0, "evaluate": 0}
+
+        def solving(system, rhs, k):
+            calls["solve"] += 1
+            return _solve(system, rhs, k)
+
+        def evaluating(matrix, p):
+            calls["evaluate"] += 1
+            return _evaluate(matrix, p)
+
+        monkeypatch.setattr("dmcbounds.reference._solve", solving)
+        monkeypatch.setattr("dmcbounds.reference._evaluate", evaluating)
+        capacities = [blahut_arimoto(m, start=start).capacity for m, start in runs]
+        if build_key() == recorded_build():
+            assert calls == {"solve": 252, "evaluate": 109}
+            assert [c.hex() for c in capacities] == RELAY30_CAPACITIES
+            return
+        # On another build the last bits of q = A^T p, and so of each
+        # capacity, depend on the BLAS kernel; both are the lower end of a
+        # bracket within 1e-9 of the same capacity.
+        for c, pinned in zip(capacities, RELAY30_CAPACITIES):
+            assert abs(c - float.fromhex(pinned)) <= 1e-9 + 1e-12
+
+    def test_a_pinned_input_stays_at_zero_in_the_walk(self, monkeypatch):
+        # a walk pins each input that leaves its face with an identity row
+        # and a zero right-hand side, so the solution there is +-0 and the
+        # direction y - x of every later piece is zero there with no mask
+        walks, pieces = [], None
+
+        def stepping(*args):
+            nonlocal pieces
+            pieces = []
+            point = _newton_point(*args)
+            walks.append((pieces, point))
+            pieces = None
+            return point
+
+        def ratio_testing(x, dx, limit=1.0):
+            y, i = _ratio_step(x, dx, limit)
+            if pieces is not None:
+                pieces.append((dx.tolist(), i))
+            return y, i
+
+        monkeypatch.setattr("dmcbounds.reference._newton_point", stepping)
+        monkeypatch.setattr("dmcbounds.reference._ratio_step", ratio_testing)
+        runs = [(m, sweep_start(m)) for m in sweep_channels("relay-miso", 30, 0.02, 0.50, 13)]
+        for m in rank_deficient_channels():
+            runs += [(m, None), (m, pseudo_inverse_input(m))]
+        for m, start in runs:
+            blahut_arimoto(m, start=start)
+        later_pieces = 0
+        for steps, point in walks:
+            pinned = []
+            for dx, leaving in steps:
+                assert all(dx[i] == 0.0 for i in pinned)
+                later_pieces += bool(pinned)
+                if leaving is not None:
+                    pinned.append(leaving)
+            if point is not None:
+                assert all(point[i] == 0.0 for i in pinned)
+        assert later_pieces > 100, later_pieces
 
     def test_a_point_that_certifies_is_taken_though_i_p_drops(self, bsc01):
         # the Newton point from the optimal input is that input; with I(p)
