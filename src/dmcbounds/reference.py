@@ -88,6 +88,7 @@ DEFAULT_MAX_ITER = 100_000
 NEWTON_EVERY = 50
 RANK_TOL = 1e-9
 LN2 = math.log(2.0)
+TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +174,7 @@ def _newton_point(
     entries: np.ndarray, p: np.ndarray, q: np.ndarray, d: np.ndarray, idx: np.ndarray
 ) -> np.ndarray | None:
     """The new p_S that a Newton step on the face S = ``idx`` tries, or None
-    when its system is singular or its walk has no point.
+    when its system is singular.
 
     The step dp solves D_S(A^T (p + dp)) = C, sum = 1, linearized:
     [[M, 1], [1^T, 0]] [dp; C] = [D_S; 1 - sum p_S], where
@@ -221,7 +222,7 @@ def _newton_point(
         # a pinned input's row is e_l with right-hand side 0, so y_l is +-0
         # and the input stays at 0
         x, leaving = _ratio_step(x, y - x)
-    return x if x.sum() > 0.0 else None
+    return x
 
 
 def _reduced_face(
@@ -411,6 +412,12 @@ def blahut_arimoto(
         top = d[p > 0.0].max()
         w = p * np.exp2(np.minimum(d - top, 0.0))
         p = w / w.sum()
+        # drop every mass whose product with a positive entry of its row is
+        # below the smallest normal double: each output a used input reaches
+        # keeps q_j >= TINY, so no used input's D_i is +inf (an underflowed
+        # q_j) and no A_kj / q_j of the next Newton system overflows
+        entries = matrix.entries
+        p[p * entries.min(axis=1, initial=1.0, where=entries > 0.0) < TINY] = 0.0
         at_p = _evaluate(matrix, p)
         iterations += 1
         since_newton += 1

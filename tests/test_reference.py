@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -672,6 +673,33 @@ class TestUnreachedOutputs:
         if build_key() == recorded_build():
             assert totals[0] <= 4_544 and totals[1] <= 2_789, totals
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [4.8093173487694305e-05, 0.0, 0.24482636298221996, 0.7551255438442922],
+            [1e-20, 0.0, 0.24482636298221996, 0.75517363701778],
+        ],
+        ids=["tiny-mass", "tiny-entry"],
+    )
+    def test_update_that_would_underflow_an_output_ends_without_nan(self, row):
+        # output 0 is reached only by row 1, and plain updates decay p_1:
+        # at A_10 = 4.8e-5, q_0 = p_1 A_10 turns subnormal (A_10 / q_0
+        # overflows in the Newton system) and then 0 while p_1 > 0, and at
+        # A_10 = 1e-20 it turns 0 while p_1 is still a normal double; D_1 = +inf
+        # then makes I(p) inf and the next update NaN
+        m = validate_channel(
+            [[0.0, 0.0, 0.9999903420268464, 9.657973153469972e-06], row, [0, 0, 0, 1], [0, 0, 1, 0]]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                est = blahut_arimoto(m, 1e-9, 2000)
+                assert est.gap <= 1e-9
+            except NotConverged as exc:
+                est = exc.estimate
+        assert math.isfinite(est.capacity) and not math.isnan(est.gap)
+        assert est.capacity == pytest.approx(certified_bracket(m, est.optimal_input)[0], abs=1e-12)
+
 
 class TestFaceReduction:
     """A face whose rows are dependent, shrunk along u^T A_S = 0 where its
@@ -818,6 +846,27 @@ class TestClosedFormStart:
         plain = blahut_arimoto(m)
         seeded = blahut_arimoto(m, start=np.array(hint))
         assert seeded.iterations > plain.iterations
+        assert seeded.capacity == plain.capacity
+        assert seeded.gap == plain.gap
+        assert np.array_equal(seeded.optimal_input, plain.optimal_input)
+
+    def test_failed_solve_from_a_closed_form_hint_restarts_from_uniform(self):
+        # K_1 = 1.2e6, so q*_1 underflows and p*_0 = 0 exactly; output 1 is
+        # reached only by row 0, so from p* it stays unreached, the opening
+        # solve fails at an entering input of infinite D, and what follows
+        # is the unseeded run, later by that one failed step
+        m = validate_channel(
+            [
+                [0.9190400692581585, 3.321415916603533e-07, 0.08095959860024997],
+                [0.9998641988958963, 0.0, 0.00013580110410371586],
+                [0.0, 0.0, 1.0],
+            ]
+        )
+        hint = capacity_upper_bound(m).p_star
+        assert hint[0] == 0.0
+        plain = blahut_arimoto(m)
+        seeded = blahut_arimoto(m, start=hint)
+        assert seeded.iterations == plain.iterations + 1
         assert seeded.capacity == plain.capacity
         assert seeded.gap == plain.gap
         assert np.array_equal(seeded.optimal_input, plain.optimal_input)
