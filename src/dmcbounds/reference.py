@@ -229,7 +229,8 @@ def _reduced_face(
     matrix: ChannelMatrix, p: np.ndarray, at_p: tuple, support: np.ndarray
 ) -> tuple | None:
     """``(p, _evaluate at p, S)`` with the face S = ``support`` shrunk until
-    its rows are linearly independent, or None if they already are.
+    its rows are linearly independent, or None if they already are or an SVD
+    fails to converge; None fails the step.
 
     Rank and null vector come from the SVD of A_S on the outputs with
     q_j > 0; the rank counts the singular values above ``RANK_TOL`` times the
@@ -246,7 +247,10 @@ def _reduced_face(
     while True:
         q, d = at_p[0], at_p[1]
         idx = support.nonzero()[0]
-        u, sigma, _ = np.linalg.svd(entries[idx][:, q > 0.0], full_matrices=True)
+        try:
+            u, sigma, _ = np.linalg.svd(entries[idx][:, q > 0.0], full_matrices=True)
+        except np.linalg.LinAlgError:
+            return None
         if (sigma > RANK_TOL * sigma[0]).sum() == idx.size:
             return (p, at_p, support) if reduced else None
         reduced = True

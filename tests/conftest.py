@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -64,6 +65,46 @@ def sdd_fixtures():
     return [
         (n, r, s, random_sdd_positive(n, r, s)) for n, r, s in sdd_fixture_params()
     ]
+
+
+def corpus_matrices():
+    """(name, matrix): the three fixed examples, the 3x3 identity and the nine
+    random-sdd matrices n in {4, 16, 64} x min_ratio in {1.5, 3, 10}, seed
+    100 n + floor(ratio)."""
+    named = [(name, fixed_example(name)) for name in ("example-1", "example-3", "example-4")]
+    named.append(("identity-3", validate_channel(np.eye(3))))
+    for n in (4, 16, 64):
+        for ratio in (1.5, 3.0, 10.0):
+            named.append((f"sdd-n{n}-r{ratio:g}", random_sdd_positive(n, ratio, 100 * n + int(ratio))))
+    return named
+
+
+# (family, n, lo, hi, steps) of the golden corpus's sweeps
+CORPUS_SWEEPS = {
+    "sweep-relay-n3": ("relay-miso", 3, 0.02, 0.98, 49),
+    "sweep-relay-n30": ("relay-miso", 30, 0.02, 0.50, 13),
+    "sweep-relay-n60": ("relay-miso", 60, 0.02, 0.50, 25),
+    "sweep-beta": ("beta", None, 0.05, 0.95, 19),
+    "sweep-gamma": ("gamma", None, 0.05, 0.95, 19),
+    "sweep-bsc": ("bsc", None, 0.05, 0.45, 5),
+}
+
+
+def cli_grid(lo, hi, steps):
+    """The parameter points of ``dmcbounds sweep --range lo:hi --steps steps``,
+    written out here so that tests check the CLI's grid, not read it."""
+    return [hi if i == steps - 1 else lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
+
+
+def divergences_by_loops(matrix, q) -> np.ndarray:
+    """Independent D_i = D(A_i || q) in bits, entry by entry: +inf where row i
+    reaches an output that q misses."""
+    d = np.zeros(matrix.n)
+    for i, row in enumerate(matrix.entries):
+        for aij, qj in zip(row, q):
+            if aij > 0.0:
+                d[i] += math.inf if qj == 0.0 else aij * math.log2(aij / qj)
+    return d
 
 
 def entropy2(values) -> float:

@@ -40,7 +40,7 @@ from dmcbounds import (
 )
 from dmcbounds.cli import main, run_sweep
 from dmcbounds.families import _relay_entries
-from conftest import entropy2, relay_miso_explicit3, sdd_fixture_params
+from conftest import divergences_by_loops, entropy2, relay_miso_explicit3, sdd_fixture_params
 
 
 def check(label, problems):
@@ -53,14 +53,6 @@ def check(label, problems):
 def close(name, got, want, tol, problems):
     if not abs(got - want) <= tol:
         problems.append(f"{name}={got!r}, expected {want} +/- {tol}")
-
-
-def dual_certificate(matrix, q):
-    """max_i D(A_i || q) in bits: the minimax dual bound on capacity at q."""
-    a = matrix.entries
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(a > 0, a * np.log2(a / q), 0.0)
-    return float(terms.sum(axis=1).max())
 
 
 def check_bound_ordering(records, build, name, problems):
@@ -89,7 +81,8 @@ def check_bound_ordering(records, build, name, problems):
                 problems.append(f"{at}: {r['upper_bound']:.5f} > {tightest_other:.5f}")
             continue
         matrix = build(r["parameter"])
-        certificate = dual_certificate(matrix, capacity_upper_bound(matrix).q_star)
+        q_star = capacity_upper_bound(matrix).q_star
+        certificate = float(divergences_by_loops(matrix, q_star).max())
         if not abs(r["upper_bound"] - certificate) <= 1e-9 * abs(certificate):
             problems.append(f"{at}: {r['upper_bound']!r} != dual {certificate!r}")
         if tightest_other < r["upper_bound"]:

@@ -30,6 +30,7 @@ from dmcbounds import (
 )
 import dmcbounds.matrix
 from dmcbounds.cli import main, run_sweep, sweep_csv, sweep_record
+from conftest import cli_grid
 
 SWEEP_HEADER = (
     "parameter,upper_bound,ba_capacity,arimoto,"
@@ -44,65 +45,7 @@ def ex1_file(tmp_path, ex1):
     return str(path)
 
 
-@pytest.fixture()
-def ex4_file(tmp_path, ex4):
-    path = tmp_path / "ex4.csv"
-    dump_matrix_csv(ex4, path)
-    return str(path)
-
-
 class TestAnalyze:
-    def test_reliable_example_report(self, ex1_file, capsys):
-        assert main(["analyze", ex1_file]) == 0
-        out = capsys.readouterr().out
-        assert "upper_bound: 1.2715467" in out
-        assert "spectral_condition: holds" in out
-        assert "gershgorin_condition: holds" in out
-        assert "c_min: 19" in out
-
-    def test_unreliable_example_report(self, ex4_file, capsys):
-        assert main(["analyze", ex4_file]) == 0
-        out = capsys.readouterr().out
-        assert "upper_bound: 0.192824621" in out
-        assert "arimoto_bound: 0.17083328" in out
-        assert "spectral_condition: precondition-not-met" in out
-
-    def test_json_document(self, ex1_file, capsys):
-        assert main(["analyze", ex1_file, "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["n"] == 3
-        assert doc["upper_bound"] == pytest.approx(1.2715, abs=1e-3)
-        assert doc["ba_capacity"] == pytest.approx(doc["upper_bound"], abs=1e-6)
-        assert doc["q_star"] == pytest.approx([0.33087, 0.32806, 0.34107], abs=1e-4)
-        assert doc["feasible"] is True
-
-    def test_json_closed_form_input_certifies_at_iteration_0(self, ex1_file, capsys):
-        # p* is the optimal input of example-1, so BA seeded with it
-        # certifies before a single update
-        assert main(["analyze", ex1_file, "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["ba_iterations"] == 0
-        assert doc["ba_gap"] <= 1e-9
-
-    def test_malformed_row_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "bad.csv"
-        path.write_text("0.5,0.4\n0.5,0.5\n")
-        assert main(["analyze", str(path)]) == 2
-        assert "row 1 sums to" in capsys.readouterr().err
-
-    def test_unparseable_field_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "bad.csv"
-        path.write_text("0.5,0.5\n0.5,oops\n")
-        assert main(["analyze", str(path)]) == 2
-        assert "row 2, column 2" in capsys.readouterr().err
-
-    def test_nan_entry_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "nan.csv"
-        path.write_text("nan,0.5\n0.5,0.5\n")
-        for command in ("analyze", "compare"):
-            assert main([command, str(path)]) == 2
-            assert capsys.readouterr().err.startswith("error: row 1 sums to nan")
-
     def test_non_ascii_byte_exits_2_without_a_traceback(self, tmp_path):
         path = tmp_path / "accent.csv"
         path.write_bytes(b"0.9,0.1\n0.2,0.8\xc3\xa9\n")
@@ -114,35 +57,6 @@ class TestAnalyze:
             )
             assert proc.returncode == 2
             assert proc.stderr == "error: byte offset 15: 0xc3 is not ASCII\n"
-
-    @pytest.mark.parametrize(
-        "flags",
-        [["--tol", "inf"], ["--tol", "nan"], ["--tol=-inf"], ["--tol", "0"],
-         ["--max-iter", "-3"]],
-    )
-    def test_tolerance_or_cap_that_cannot_certify_exits_2(self, ex4_file, capsys, flags):
-        for command in ("analyze", "compare"):
-            assert main([command, ex4_file, *flags]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("error: ")
-
-    def test_missing_file_exits_2(self, tmp_path):
-        assert main(["analyze", str(tmp_path / "nope.csv")]) == 2
-
-    def test_non_positive_matrix_prints_its_bound(self, tmp_path, capsys):
-        path = tmp_path / "id.csv"
-        dump_matrix_csv(validate_channel(np.eye(3)), path)
-        assert main(["analyze", str(path)]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        for line in ("upper_bound: 1.5849625", "h_max: 0", "ba_iterations: 0",
-                     "spectral_condition: precondition-not-met"):
-            assert line in lines
-
-    def test_singular_matrix_exits_3(self, tmp_path):
-        path = tmp_path / "sing.csv"
-        path.write_text("0.2,0.3,0.5\n0.2,0.3,0.5\n0.5,0.3,0.2\n")
-        assert main(["analyze", str(path)]) == 3
 
 
 class TestGenerate:
@@ -173,9 +87,6 @@ class TestGenerate:
         assert main(["generate", "--family", "bsc", "--param", "0.1"]) == 0
         assert capsys.readouterr().out.startswith("0.9")
 
-    def test_bad_parameter_exits_2(self):
-        assert main(["generate", "--family", "gamma", "--param", "1.5"]) == 2
-
     @pytest.mark.parametrize("ratio", ["inf", "1e308"])
     def test_random_sdd_ratio_that_overflows_exits_2(self, ratio, capsys):
         args = ["generate", "--family", "random-sdd", "--n", "3", "--param", ratio,
@@ -185,19 +96,6 @@ class TestGenerate:
 
 
 class TestSweep:
-    def test_header_and_monotone_parameters(self, tmp_path):
-        out = tmp_path / "s.csv"
-        code = main(
-            ["sweep", "--family", "bsc", "--range", "0.05:0.45", "--steps", "5",
-             "--out", str(out)]
-        )
-        assert code == 0
-        lines = out.read_text().strip().split("\n")
-        assert lines[0] == SWEEP_HEADER
-        params = [float(line.split(",")[0]) for line in lines[1:]]
-        assert params == sorted(params)
-        assert len(params) == 5
-
     def test_capacity_below_bounds_in_every_row(self):
         records = run_sweep("beta", None, 0.1, 0.9, 9)
         for r in records:
@@ -236,21 +134,9 @@ class TestSweep:
         assert cells[2] == "NA"
         assert "NA" not in cells[:2] + cells[3:]  # every other column still prints
 
-    def test_gamma_range_must_stay_inside_open_domain(self):
-        assert main(["sweep", "--family", "gamma", "--range", "0:0.5",
-                     "--steps", "3"]) == 2
-
     def test_fixed_example_takes_no_parameter_range(self, capsys):
         assert main(["sweep", "--family", "example-1", "--range", "0:1", "--steps", "2"]) == 2
         assert "takes no parameter" in capsys.readouterr().err
-
-    def test_step_and_range_validation(self):
-        assert main(["sweep", "--family", "bsc", "--range", "0.1:0.4",
-                     "--steps", "1"]) == 2
-        assert main(["sweep", "--family", "bsc", "--range", "0.4:0.1",
-                     "--steps", "3"]) == 2
-        assert main(["sweep", "--family", "bsc", "--range", "nope",
-                     "--steps", "3"]) == 2
 
     @pytest.mark.parametrize(
         "lo, hi, steps", [(0.1, 0.4, 2.5), ("a", 0.4, 3), (0.1, "a", 3)],
@@ -308,13 +194,6 @@ class TestSweep:
         assert ba["0.48"] == "0.00345785796"
         assert ba["0.52"] == "0.00345785796"
 
-    def test_byte_identical_across_runs(self, tmp_path):
-        args = ["sweep", "--family", "beta", "--range", "0.05:0.95", "--steps", "7"]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestSweepRecordStart:
     """The start hint ``sweep_record`` gives ``blahut_arimoto``."""
@@ -331,8 +210,7 @@ class TestSweepRecordStart:
         return calls
 
     def test_singular_point_starts_from_pseudo_inverse_input(self, calls):
-        alpha = 0.02 + 9 * (0.50 - 0.02) / 12  # alpha = 0.38 on the n=30/13 grid
-        spec = FamilySpec("relay-miso", 30, alpha, None)
+        spec = FamilySpec("relay-miso", 30, cli_grid(0.02, 0.50, 13)[9], None)  # alpha = 0.38
         record = sweep_record(spec, 1e-9, 100_000)
         assert np.array_equal(calls[0]["start"], pseudo_inverse_input(build_family(spec)))
         assert record["upper_bound"] is None  # the hint is not a bound
@@ -390,33 +268,12 @@ class TestRowEntropiesComputedOnce:
 
 
 class TestCompare:
-    def test_unreliable_example_tightest_is_arimoto(self, ex4_file, capsys):
-        assert main(["compare", ex4_file]) == 0
-        out = capsys.readouterr().out.strip().split("\n")
-        assert out[0].endswith("tightest")
-        assert out[1].split(",")[-1] == "arimoto"
-
-    def test_reliable_example_tightest_is_closed_form(self, ex1_file, capsys):
-        assert main(["compare", ex1_file]) == 0
-        out = capsys.readouterr().out.strip().split("\n")
-        assert out[1].split(",")[-1] == "closed-form"
-
     def test_z_channel_tightest_is_closed_form_at_capacity(self, tmp_path, capsys):
         path = tmp_path / "z.csv"
         path.write_text("1,0\n0.5,0.5\n")
         assert main(["compare", str(path)]) == 0
         cells = capsys.readouterr().out.strip().split("\n")[1].split(",")
         assert cells[:2] == ["0.321928095", "0.321928095"]  # log2(5/4) = C
-        assert cells[-1] == "closed-form"
-
-    def test_bounds_that_print_equal_name_the_first(self, tmp_path, capsys):
-        # on the identity every bound prints log2 3, though U(q*) and
-        # Arimoto's U(colsum/n) are one ulp above Boyd-Chiang's log2 3
-        path = tmp_path / "identity.csv"
-        path.write_text("1,0,0\n0,1,0\n0,0,1\n")
-        assert main(["compare", str(path)]) == 0
-        cells = capsys.readouterr().out.strip().split("\n")[1].split(",")
-        assert cells[:5] == ["1.5849625"] * 5
         assert cells[-1] == "closed-form"
 
     def test_near_noiseless_channel_all_bounds_near_log_n(self, tmp_path, capsys):
@@ -445,13 +302,6 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "upper_bound: 1.2715467" in proc.stdout
-
-    def test_exit_code_for_bad_input(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "dmcbounds", "analyze", str(tmp_path / "x.csv")],
-            capture_output=True,
-        )
-        assert proc.returncode == 2
 
     def test_import_loads_no_scipy_xml_sax_or_urllib_request(self):
         # each of these costs start-up time on every CLI call and none is used

@@ -24,7 +24,7 @@ from dmcbounds import (
     validate_channel,
 )
 from dmcbounds.families import _relay_entries, _relay_table, canonical_family, parameter_domain
-from conftest import entropy2, relay_miso_explicit3
+from conftest import cli_grid, entropy2, relay_miso_explicit3
 
 
 def relay_comb_products(n):
@@ -57,11 +57,6 @@ def relay_entries_by_loops(n, alpha, products):
             total += comb * apow[flips] * bpow[rest]
         a[row, col] = total
     return a
-
-
-def sweep_grid(lo, hi, steps):
-    """The parameter points of ``dmcbounds sweep --range lo:hi --steps steps``."""
-    return [hi if i == steps - 1 else lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
 
 
 class TestSplitMix64:
@@ -160,7 +155,7 @@ class TestRelayMiso:
     @pytest.mark.parametrize("n", range(1, 61))
     def test_table_matches_scalar_loop_bit_for_bit(self, n):
         alphas = [0.0, 1.0, 0.5, 0.17, 0.83]
-        alphas += sweep_grid(0.02, 0.50, 13) + sweep_grid(0.02, 0.98, 49)
+        alphas += cli_grid(0.02, 0.50, 13) + cli_grid(0.02, 0.98, 49)
         products = relay_comb_products(n)
         for alpha in alphas:
             expected = relay_entries_by_loops(n, alpha, products)

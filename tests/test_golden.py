@@ -11,7 +11,8 @@ purpose rewrites the corpus, so its diff shows every moved cell:
 
 On the build that wrote the corpus (``BUILD.json``: numpy version, BLAS and
 the CPU features that pick numpy's SIMD loops and OpenBLAS's kernel) every
-byte must match. On any other build, every non-numeric token must match and
+byte must match, and a failure names the first moved line of each file that
+moved. On any other build, every non-numeric token must match and
 every number must agree to within two units in its 9th significant digit,
 or 1e-12 absolute for values at rounding level such as a rank-1 channel's
 capacity of 0. Three kinds of value get more room there, each for a stated
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -45,18 +47,6 @@ import numpy as np
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BUILD_FILE = "BUILD.json"
 TOL = 1e-9  # the CLI's default --tol, which every corpus run uses
-
-SWEEPS = {
-    "sweep-relay-n3": ["--family", "relay-miso", "--n", "3", "--range", "0.02:0.98",
-                       "--steps", "49"],
-    "sweep-relay-n30": ["--family", "relay-miso", "--n", "30", "--range", "0.02:0.50",
-                        "--steps", "13"],
-    "sweep-relay-n60": ["--family", "relay-miso", "--n", "60", "--range", "0.02:0.50",
-                        "--steps", "25"],
-    "sweep-beta": ["--family", "beta", "--range", "0.05:0.95", "--steps", "19"],
-    "sweep-gamma": ["--family", "gamma", "--range", "0.05:0.95", "--steps", "19"],
-    "sweep-bsc": ["--family", "bsc", "--range", "0.05:0.45", "--steps", "5"],
-}
 
 # Printed parameters of the sweep points with cond(A) >= 1e5 that A still
 # inverts (cond < 1e13): their closed form depends on the LAPACK build.
@@ -103,20 +93,6 @@ ERROR_COMMANDS = [
 ]
 
 
-def corpus_matrices():
-    """(name, matrix): the three fixed examples, the 3x3 identity and the nine
-    random-sdd matrices n in {4, 16, 64} x min_ratio in {1.5, 3, 10}, seed
-    100 n + floor(ratio)."""
-    from dmcbounds import fixed_example, random_sdd_positive, validate_channel
-
-    named = [(name, fixed_example(name)) for name in ("example-1", "example-3", "example-4")]
-    named.append(("identity-3", validate_channel(np.eye(3))))
-    for n in (4, 16, 64):
-        for ratio in (1.5, 3.0, 10.0):
-            named.append((f"sdd-n{n}-r{ratio:g}", random_sdd_positive(n, ratio, 100 * n + int(ratio))))
-    return named
-
-
 def _run(argv) -> tuple[int, str, str]:
     from dmcbounds.cli import main
 
@@ -128,6 +104,7 @@ def _run(argv) -> tuple[int, str, str]:
 
 def generate() -> dict[str, str]:
     """Every corpus file name -> its text, from a fresh run of the CLI."""
+    from conftest import CORPUS_SWEEPS, corpus_matrices
     from dmcbounds import dump_matrix_csv
 
     files = {}
@@ -135,7 +112,9 @@ def generate() -> dict[str, str]:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            for name, args in SWEEPS.items():
+            for name, (family, n, lo, hi, steps) in CORPUS_SWEEPS.items():
+                args = ["--family", family, "--range", f"{lo}:{hi}", "--steps", str(steps)]
+                args += ["--n", str(n)] if n else []
                 code, _, err = _run(["sweep", *args, "--out", "s.csv", "--svg", "s.svg"])
                 assert code == 0, err
                 files[f"{name}.csv"] = Path("s.csv").read_text(encoding="ascii")
@@ -256,6 +235,17 @@ def tolerant_difference(name: str, want: str, got: str) -> str | None:
     return _tokens_differ(want, got)
 
 
+def first_moved_line(want: str, got: str) -> str | None:
+    """The first line where ``got`` differs from ``want``: its number, the
+    committed text and the new text (None past the end of a file)."""
+    # split at "\n" only, as generate() does
+    lines = itertools.zip_longest(want.split("\n"), got.split("\n"))
+    for number, (a, b) in enumerate(lines, 1):
+        if a != b:
+            return f"line {number}: committed {a!r}, new {b!r}"
+    return None
+
+
 def committed_corpus() -> dict[str, str]:
     return {
         p.name: p.read_text(encoding="ascii")
@@ -271,7 +261,11 @@ def test_corpus_matches_the_committed_outputs():
     fresh = generate()
     assert sorted(fresh) == sorted(committed)
     if build_key() == recorded_build():
-        moved = [name for name in committed if fresh[name] != committed[name]]
+        moved = {
+            name: first_moved_line(committed[name], fresh[name])
+            for name in committed
+            if fresh[name] != committed[name]
+        }
         assert not moved, f"outputs differ byte for byte: {moved}"
     else:
         problems = {}
@@ -291,6 +285,15 @@ def test_tolerant_comparison_catches_a_moved_digit():
     text = "upper_bound: 0.192824621\nfeasible: false\n"
     assert tolerant_difference("a.analyze.txt", text, text.replace("false", "true"))
     assert tolerant_difference("a.analyze.txt", text, text.replace("621", "651"))
+
+
+def test_byte_mismatch_names_the_first_moved_line():
+    want = "parameter,ba_capacity\n0.05,0.71\n0.15,0.39\n"
+    assert first_moved_line(want, want.replace("0.39", "0.38")) == (
+        "line 3: committed '0.15,0.39', new '0.15,0.38'"
+    )
+    assert first_moved_line(want, want + "0.25,0.18\n") == "line 4: committed '', new '0.25,0.18'"
+    assert first_moved_line(want, want[:-1]) == "line 4: committed '', new None"
 
 
 if __name__ == "__main__":

@@ -38,25 +38,20 @@ from dmcbounds.reference import (
     _reduced_face,
     _solve,
 )
-from conftest import build_key, entropy2, recorded_build
-from test_golden import corpus_matrices
-
-
-def divergences_by_loops(matrix, p):
-    """Independent D_i = D(A_i || A^T p), entry by entry."""
-    a = np.asarray(matrix.entries)
-    q = a.T @ p
-    d = np.zeros(a.shape[0])
-    for i, row in enumerate(a):
-        for j, aij in enumerate(row):
-            if aij > 0.0:
-                d[i] += math.inf if q[j] == 0.0 else aij * math.log2(aij / q[j])
-    return d
+from conftest import (
+    CORPUS_SWEEPS,
+    build_key,
+    cli_grid,
+    corpus_matrices,
+    divergences_by_loops,
+    entropy2,
+    recorded_build,
+)
 
 
 def certified_bracket(matrix, p):
     """Independent (I(p), max_i D_i - I(p)) over the whole input alphabet."""
-    d = divergences_by_loops(matrix, p)
+    d = divergences_by_loops(matrix, matrix.entries.T @ p)
     lower = float(sum(pi * di for pi, di in zip(p, d) if pi > 0.0))
     return lower, float(d.max()) - lower
 
@@ -143,19 +138,7 @@ RELAY30_CAPACITIES = [
 
 def sweep_channels(family, n, lo, hi, steps):
     """The channels of a CLI sweep, at the grid parameters the CLI uses."""
-    grid = [hi if i == steps - 1 else lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
-    return [build_family(FamilySpec(family, n, x, None)) for x in grid]
-
-
-# (family, n, lo, hi, steps) of the golden corpus's sweeps
-CLI_GRIDS = [
-    ("relay-miso", 3, 0.02, 0.98, 49),
-    ("relay-miso", 30, 0.02, 0.50, 13),
-    ("relay-miso", 60, 0.02, 0.50, 25),
-    ("beta", None, 0.05, 0.95, 19),
-    ("gamma", None, 0.05, 0.95, 19),
-    ("bsc", None, 0.05, 0.45, 5),
-]
+    return [build_family(FamilySpec(family, n, x, None)) for x in cli_grid(lo, hi, steps)]
 
 
 def refused_as_singular(matrix):
@@ -554,7 +537,7 @@ class TestSparseOptimalInput:
         used = order[: rng.integers(1, face.sum() + 1)]
         p[used] = rng.random(used.size) + 1e-3
         p /= p.sum()
-        d = divergences_by_loops(m, p)
+        d = divergences_by_loops(m, m.entries.T @ p)
         gap = certified_bracket(m, p)[1]
         spread = d[face].max() - d[face].min()
         if d[face].max() >= d.max():
@@ -718,6 +701,20 @@ class TestFaceReduction:
         m = rank_two_channel()
         p = np.array([0.5, 0.5, 0.0, 0.0])
         assert _reduced_face(m, p, _evaluate(m, p), p > 0.0) is None
+
+    def test_svd_that_fails_to_converge_fails_the_step(self, monkeypatch):
+        # a LAPACK failure in the rank check is a failed step, as in _solve:
+        # BA goes on with plain updates and still certifies
+        m = rank_two_channel()
+        expected = blahut_arimoto(m).capacity
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        est = blahut_arimoto(m)
+        assert certified_bracket(m, est.optimal_input)[1] <= 1e-9 + 1e-12
+        assert est.capacity == pytest.approx(expected, abs=1e-9)
 
     def test_joined_input_that_would_shrink_leaves_without_a_move(self):
         # row 2 is the average of rows 0 and 1, so its D is below theirs
@@ -926,7 +923,9 @@ class TestClosedFormStart:
             return solved, steps
 
         monkeypatch.setattr("dmcbounds.reference._newton_on_support", recording)
-        runs = [(m, sweep_start(m)) for grid in CLI_GRIDS for m in sweep_channels(*grid)]
+        runs = [
+            (m, sweep_start(m)) for grid in CORPUS_SWEEPS.values() for m in sweep_channels(*grid)
+        ]
         runs += [(m, closed_form_input(m)) for _, m in corpus_matrices()]
         assert len(runs) == 130 + 13
         failed = []
@@ -1122,9 +1121,3 @@ class TestBoundOrdering:
                 boyd_chiang_upper_bound(m, "row-max"),
             ]
             assert capacity <= min(bounds) + 1e-6
-
-    def test_grid_and_iterative_agree_on_small_alphabets(self, ex1, ex3, ex4, bsc01):
-        for m in (ex1, ex3, ex4, bsc01):
-            grid = grid_oracle(m, 250).capacity
-            iterative = blahut_arimoto(m, 1e-9).capacity
-            assert grid == pytest.approx(iterative, abs=5e-3)
