@@ -126,8 +126,10 @@ def _exactness_ladder(n: int, analysis: InverseAnalysis, k: np.ndarray) -> dict:
     their ``BoundReport`` field names.
 
     Their hypothesis is A strictly positive and strictly diagonally dominant.
-    It forces 1 < c_min < inf, since dominance gives A_ii - off_i > 1e-12
-    with off_i <= 1, and positivity off_i > 0. Without it the ladder decides
+    It forces 1 < c_min, since dominance gives A_ii - off_i > 1e-12 with
+    off_i <= 1, and positivity off_i > 0. That keeps c_min finite, except
+    where every off_i is below about 5.6e-309: there A_ii / off_i overflows,
+    c_min is +inf and V is NaN. Without the hypothesis the ladder decides
     nothing, and every field keeps its ``BoundReport`` default.
     """
     if not (analysis.is_positive and analysis.is_sdd):

@@ -10,7 +10,7 @@ reference capacities) consumes the ``ChannelMatrix`` produced by
   refused as singular when the 2-norm condition number sigma_max/sigma_min
   reaches 1e13;
 - Gershgorin ratios c_i = A_ii / sum of off-diagonal row entries, and their
-  minimum c_min (+inf when every off-diagonal sum is zero);
+  minimum c_min (+inf when every off-diagonal sum is zero or below 5.6e-309);
 - minimum singular value and condition number, from one LAPACK SVD of A
   (not of A^T A);
 - the maximum row entropy H_max in bits.
@@ -143,11 +143,23 @@ def _checked_inverse(a: np.ndarray, sv: np.ndarray) -> np.ndarray:
 
 
 def _dominance_ratios(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """diag / off entrywise, +inf where the off-diagonal sum ``off`` is not positive."""
-    return np.where(off > 0.0, diag / np.where(off > 0.0, off, 1.0), np.inf)
+    """diag / off entrywise, +inf where the off-diagonal sum ``off`` is not
+    positive, or so small (below 5.6e-309 for diag <= 1) that it overflows."""
+    with np.errstate(over="ignore"):
+        return np.where(off > 0.0, diag / np.where(off > 0.0, off, 1.0), np.inf)
+
+
+def _gershgorin_radii(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A's diagonal, and each row's off-diagonal sum added entry by entry: the
+    row sum less A_ii (or 1 - A_ii) rounds a radius below about eps/2 to 0."""
+    off = a.copy()
+    np.fill_diagonal(off, 0.0)
+    return np.diag(a), off.sum(axis=1)
 
 
 # Not exported: these four stay only because perfbench/worker.stage_split times them.
+# Tests call them only to check that they agree with analyze_inverse, which the
+# commands run; every other test of these values reads analyze_inverse's fields.
 def invert(matrix: ChannelMatrix) -> np.ndarray:
     """Inverse of the channel matrix, by ``np.linalg.inv`` (LAPACK gesv on I).
 
@@ -161,12 +173,11 @@ def invert(matrix: ChannelMatrix) -> np.ndarray:
 def gershgorin(matrix: ChannelMatrix) -> tuple[np.ndarray, float]:
     """Per-row Gershgorin ratios and their minimum.
 
-    The radius is the exact off-diagonal row sum (not 1 - A_ii, which loses
-    digits for diagonals near 1). A zero radius yields an infinite ratio.
+    The radius is the off-diagonal row sum, added entry by entry (not
+    1 - A_ii, which loses digits for diagonals near 1). A zero radius, or one
+    so small that the ratio overflows, yields an infinite ratio.
     """
-    a = matrix.entries
-    diag = np.diag(a)
-    ratios = _dominance_ratios(diag, a.sum(axis=1) - diag)
+    ratios = _dominance_ratios(*_gershgorin_radii(matrix.entries))
     return ratios, float(ratios.min())
 
 
@@ -192,8 +203,7 @@ def analyze_inverse(matrix: ChannelMatrix) -> InverseAnalysis:
     a = matrix.entries
     sv = _singular_values(a)
     inverse = _checked_inverse(a, sv)
-    diag = np.diag(a)
-    off = a.sum(axis=1) - diag
+    diag, off = _gershgorin_radii(a)
     return InverseAnalysis(
         inverse=inverse,
         is_positive=bool(a.min() > 0.0),

@@ -32,7 +32,6 @@ from dmcbounds import (
     blahut_arimoto,
     boyd_chiang_upper_bound,
     capacity_upper_bound,
-    fixed_example,
     grid_oracle,
     random_sdd_positive,
     relay_miso,

@@ -24,7 +24,7 @@ from dmcbounds import (
     validate_channel,
 )
 from dmcbounds.families import _relay_entries, _relay_table, canonical_family, parameter_domain
-from conftest import cli_grid, entropy2, relay_miso_explicit3
+from conftest import cli_grid, entropy2
 
 
 def relay_comb_products(n):
@@ -127,14 +127,6 @@ class TestRelayMiso:
         assert m.entries[1, 1] == pytest.approx(
             2 * 0.09 * 0.7 + 0.7**3, abs=1e-15
         )
-
-    def test_general_formula_matches_explicit_form(self):
-        for alpha in np.linspace(0.0, 1.0, 53):
-            diff = np.abs(
-                np.asarray(relay_miso(3, alpha).entries)
-                - relay_miso_explicit3(alpha)
-            ).max()
-            assert diff <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -168,15 +168,6 @@ def closed_form_input(matrix):
 
 
 class TestBlahutArimoto:
-    def test_reliable_example(self, ex1):
-        est = blahut_arimoto(ex1, 1e-9)
-        assert est.capacity == pytest.approx(1.2715, abs=1e-3)
-        assert est.gap <= 1e-9
-
-    def test_permutation_row_example(self, ex3):
-        est = blahut_arimoto(ex3, 1e-9)
-        assert est.capacity == pytest.approx(1.1501, abs=1e-3)
-
     def test_bsc_analytic(self, bsc01):
         est = blahut_arimoto(bsc01)
         assert est.capacity == pytest.approx(1.0 - entropy2([0.9, 0.1]), abs=1e-6)
@@ -1029,9 +1020,6 @@ class TestGridOracle:
 
 
 class TestArimotoUpperBound:
-    def test_unreliable_example(self, ex4):
-        assert arimoto_upper_bound(ex4) == pytest.approx(0.17083, abs=1e-4)
-
     def test_identity(self):
         for n in (2, 3, 5):
             m = validate_channel(np.eye(n))
@@ -1085,14 +1073,6 @@ class TestDualBound:
 
 
 class TestBoydChiangUpperBound:
-    def test_identity_both_orientations(self):
-        m = validate_channel(np.eye(3))
-        assert boyd_chiang_upper_bound(m, "column-max") == pytest.approx(math.log2(3))
-        assert boyd_chiang_upper_bound(m, "row-max") == pytest.approx(math.log2(3))
-
-    def test_unreliable_example_row_max(self, ex4):
-        assert boyd_chiang_upper_bound(ex4, "row-max") == pytest.approx(0.848, abs=1e-3)
-
     def test_unreliable_example_column_max(self, ex4):
         expected = math.log2(0.7 + 0.3 + 0.45)
         got = boyd_chiang_upper_bound(ex4, "column-max")
