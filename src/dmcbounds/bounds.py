@@ -128,9 +128,11 @@ def _exactness_ladder(n: int, analysis: InverseAnalysis, k: np.ndarray) -> dict:
     Their hypothesis is A strictly positive and strictly diagonally dominant.
     It forces 1 < c_min, since dominance gives A_ii - off_i > 1e-12 with
     off_i <= 1, and positivity off_i > 0. That keeps c_min finite, except
-    where every off_i is below about 5.6e-309: there A_ii / off_i overflows,
-    c_min is +inf and V is NaN. Without the hypothesis the ladder decides
-    nothing, and every field keeps its ``BoundReport`` default.
+    where every off_i is below about 5.6e-309: there A_ii / off_i overflows
+    and c_min is +inf, so A is the identity to the last bit, and the ladder
+    takes the limits V = 1, sigma* = 1 and H*_max = 0. Without the hypothesis
+    the ladder decides nothing, and every field keeps its ``BoundReport``
+    default.
     """
     if not (analysis.is_positive and analysis.is_sdd):
         return {}
@@ -140,11 +142,14 @@ def _exactness_ladder(n: int, analysis: InverseAnalysis, k: np.ndarray) -> dict:
     ratios = _dominance_ratios(diag, np.abs(inverse).sum(axis=0) - np.abs(diag))
     rhs = math.log2(n - 1) + float(k.max() - k.min())
     feasible = all(math.isinf(r) or (r > 0 and math.log2(r) >= rhs) for r in ratios)
-    v = c / (c - 1.0)
+    if math.isinf(c):  # each formula below is inf/inf there
+        v, sigma_star, h_max_star = 1.0, 1.0, 0.0
+    else:
+        v = c / (c - 1.0)
+        sigma_star = (c - n / 2.0) / (c + 1.0)
+        h_max_star = math.log2(c + 1.0) + (math.log2(n - 1) - c * math.log2(c)) / (c + 1.0)
     log_ratio = math.log2((c - 1.0) / (n - 1) ** 2)
     lhs = (1.0 / v) * log_ratio
-    sigma_star = (c - n / 2.0) / (c + 1.0)
-    h_max_star = math.log2(c + 1.0) + (math.log2(n - 1) - c * math.log2(c)) / (c + 1.0)
     if sigma_star <= 0.0:
         gershgorin = Condition.PRECONDITION_NOT_MET
     else:

@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 input/validation error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -101,6 +100,8 @@ def cmd_analyze(args) -> int:
     matrix = load_matrix_csv(args.matrix)
     doc = _analyze_document(matrix, args.tol, args.max_iter)
     if args.json:
+        import json  # only this output encodes JSON
+
         print(json.dumps({k: _json_value(v) for k, v in doc.items()}, indent=2))
     else:
         print("\n".join(f"{k}: {_cell(v)}" for k, v in doc.items()))

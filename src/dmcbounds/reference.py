@@ -391,6 +391,8 @@ def blahut_arimoto(
     seeded = p is not None
     if not seeded:
         p = uniform
+    entries = matrix.entries
+    row_min = entries.min(axis=1, initial=1.0, where=entries > 0.0)  # least positive A_ij
     iterations = 0
     since_newton = NEWTON_EVERY
     at_p = _evaluate(matrix, p)
@@ -420,8 +422,7 @@ def blahut_arimoto(
         # below the smallest normal double: each output a used input reaches
         # keeps q_j >= TINY, so no used input's D_i is +inf (an underflowed
         # q_j) and no A_kj / q_j of the next Newton system overflows
-        entries = matrix.entries
-        p[p * entries.min(axis=1, initial=1.0, where=entries > 0.0) < TINY] = 0.0
+        p[p * row_min < TINY] = 0.0
         at_p = _evaluate(matrix, p)
         iterations += 1
         since_newton += 1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +241,21 @@ class TestGershgorinRadii:
     def test_subnormal_off_diagonal_mass_gives_inf_without_a_warning(self):
         # 1 / 5e-324 overflows; tier-1 turns a RuntimeWarning into an error
         assert capacity_upper_bound(bsc(5e-324)).analysis.c_min == math.inf
+
+    def test_infinite_c_min_takes_the_ladders_limits(self):
+        # A is the identity to the last bit: V = 1, sigma* = 1, H*_max = 0, every
+        # condition holds, and each value is bsc(1e-300)'s (approx fails on NaN)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r = capacity_upper_bound(bsc(5e-324))
+        near = capacity_upper_bound(bsc(1e-300))
+        verdicts = {r.feasibility_condition, r.spectral_condition, r.coarse_condition,
+                    r.gershgorin_condition}
+        assert verdicts == {Condition.HOLDS}
+        fields = ("sigma_star", "h_max_star", "root_exponent")
+        assert [getattr(r, f) for f in fields] == pytest.approx(
+            [getattr(near, f) for f in fields], rel=0, abs=1e-12
+        )
 
 
 class TestSpectralSurrogates:

@@ -303,27 +303,26 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert "upper_bound: 1.2715467" in proc.stdout
 
-    def test_import_loads_no_scipy_xml_sax_or_urllib_request(self):
-        # each of these costs start-up time on every CLI call and none is used
-        code = (
-            "import sys, dmcbounds.cli\n"
-            "heavy = ('scipy', 'xml.sax', 'urllib.request')\n"
-            "print(sorted(m for m in sys.modules if m.startswith(heavy)))"
-        )
+    @pytest.fixture(scope="module")
+    def imported(self):
+        """Every module one fresh interpreter holds after ``import dmcbounds.cli``."""
+        code = "import sys, dmcbounds.cli\nprint(*sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout.split()
 
-    def test_import_loads_no_svg_writer(self):
+    def test_import_loads_no_scipy_xml_sax_or_urllib_request(self, imported):
+        # each of these costs start-up time on every CLI call and none is used
+        heavy = ("scipy", "xml.sax", "urllib.request")
+        assert [m for m in imported if m.startswith(heavy)] == []
+
+    def test_import_loads_no_svg_writer(self, imported):
         # only ``sweep --svg`` draws, so the other commands skip svg and html
-        code = (
-            "import sys, dmcbounds.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'html'\n"
-            "             or m == 'dmcbounds.svg'))"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert [m for m in imported if m.split(".")[0] == "html" or m == "dmcbounds.svg"] == []
+
+    def test_import_loads_no_json_encoder(self, imported):
+        # only ``analyze --json`` encodes, so the other commands skip json
+        assert [m for m in imported if m.split(".")[0] == "json"] == []
 
 
 @pytest.mark.parametrize(
