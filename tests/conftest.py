@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -94,6 +95,33 @@ def cli_grid(lo, hi, steps):
     """The parameter points of ``dmcbounds sweep --range lo:hi --steps steps``,
     written out here so that tests check the CLI's grid, not read it."""
     return [hi if i == steps - 1 else lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
+
+
+def spy(monkeypatch, target, log=None):
+    """Record each call of ``target``, a dotted name such as
+    ``"dmcbounds.reference._solve"``, as ``(name, args, kwargs, result)`` in
+    ``log`` (a new list if None), which is returned.
+
+    Array arguments are copied at the call, since the solver rewrites some
+    of them afterwards. A record is appended when its call returns, so a
+    nested call comes before its caller, and a log shared by two targets
+    interleaves their calls."""
+    module, name = target.rsplit(".", 1)
+    module = importlib.import_module(module)
+    original = getattr(module, name)
+    log = [] if log is None else log
+
+    def copied(value):
+        return value.copy() if isinstance(value, np.ndarray) else value
+
+    def recording(*args, **kwargs):
+        record = (name, tuple(map(copied, args)), {k: copied(v) for k, v in kwargs.items()})
+        result = original(*args, **kwargs)
+        log.append((*record, result))
+        return result
+
+    monkeypatch.setattr(module, name, recording)
+    return log
 
 
 def divergences_by_loops(matrix, q) -> np.ndarray:

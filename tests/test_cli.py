@@ -28,9 +28,8 @@ from dmcbounds import (
     relay_miso,
     validate_channel,
 )
-import dmcbounds.matrix
 from dmcbounds.cli import main, run_sweep, sweep_csv, sweep_record
-from conftest import cli_grid
+from conftest import cli_grid, spy
 
 SWEEP_HEADER = (
     "parameter,upper_bound,ba_capacity,arimoto,"
@@ -200,19 +199,13 @@ class TestSweepRecordStart:
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        calls = []
-
-        def recording(matrix, tol, max_iter, **kwargs):
-            calls.append(kwargs)
-            return blahut_arimoto(matrix, tol, max_iter, **kwargs)
-
-        monkeypatch.setattr("dmcbounds.cli.blahut_arimoto", recording)
-        return calls
+        return spy(monkeypatch, "dmcbounds.cli.blahut_arimoto")
 
     def test_singular_point_starts_from_pseudo_inverse_input(self, calls):
         spec = FamilySpec("relay-miso", 30, cli_grid(0.02, 0.50, 13)[9], None)  # alpha = 0.38
         record = sweep_record(spec, 1e-9, 100_000)
-        assert np.array_equal(calls[0]["start"], pseudo_inverse_input(build_family(spec)))
+        _, _, kwargs, _ = calls[0]
+        assert np.array_equal(kwargs["start"], pseudo_inverse_input(build_family(spec)))
         assert record["upper_bound"] is None  # the hint is not a bound
         assert sweep_csv([record]).split("\n")[1].split(",")[1] == "NA"
         assert record["ba_capacity"] == pytest.approx(0.683040186, abs=1e-9)
@@ -220,7 +213,8 @@ class TestSweepRecordStart:
     def test_non_positive_point_starts_from_p_star(self, calls):
         spec = FamilySpec("relay-miso", 3, 0.0, None)
         sweep_record(spec, 1e-9, 100_000)
-        assert np.array_equal(calls[0]["start"], capacity_upper_bound(build_family(spec)).p_star)
+        _, _, kwargs, _ = calls[0]
+        assert np.array_equal(kwargs["start"], capacity_upper_bound(build_family(spec)).p_star)
 
     def test_failed_svd_turns_the_closed_form_na_and_starts_from_uniform(
         self, calls, monkeypatch
@@ -230,7 +224,8 @@ class TestSweepRecordStart:
 
         monkeypatch.setattr(np.linalg, "svd", failing)
         record = sweep_record(FamilySpec("relay-miso", 3, 0.3, None), 1e-9, 100_000)
-        assert calls[0]["start"] is None
+        _, _, kwargs, _ = calls[0]
+        assert kwargs["start"] is None
         for name in ("upper_bound", "prop3", "cor2", "feasible"):
             assert record[name] is None
         cells = sweep_csv([record]).split("\n")[1].split(",")
@@ -242,29 +237,20 @@ class TestRowEntropiesComputedOnce:
     """validate_channel computes a matrix's row entropies; nothing else does."""
 
     @staticmethod
-    def count_square_entropies(monkeypatch):
-        shapes = []
-        entropies = dmcbounds.matrix._entropies
-
-        def counted(x):
-            if x.ndim == 2 and x.shape[0] == x.shape[1]:
-                shapes.append(x.shape)
-            return entropies(x)
-
-        monkeypatch.setattr(dmcbounds.matrix, "_entropies", counted)
-        return shapes
+    def square_shapes(calls):
+        return [x.shape for _, (x,), _, _ in calls if x.ndim == 2 and x.shape[0] == x.shape[1]]
 
     def test_once_per_point_of_a_relay_sweep(self, monkeypatch, tmp_path):
-        shapes = self.count_square_entropies(monkeypatch)
+        calls = spy(monkeypatch, "dmcbounds.matrix._entropies")
         args = ["sweep", "--family", "relay-miso", "--n", "30", "--range", "0.02:0.50",
                 "--steps", "13", "--out", str(tmp_path / "s.csv")]
         assert main(args) == 0
-        assert shapes == [(31, 31)] * 13
+        assert self.square_shapes(calls) == [(31, 31)] * 13
 
     def test_once_per_analyze(self, monkeypatch, ex1_file, capsys):
-        shapes = self.count_square_entropies(monkeypatch)
+        calls = spy(monkeypatch, "dmcbounds.matrix._entropies")
         assert main(["analyze", ex1_file]) == 0
-        assert shapes == [(3, 3)]
+        assert self.square_shapes(calls) == [(3, 3)]
 
 
 class TestCompare:

@@ -79,10 +79,11 @@ ERROR_COMMANDS = [
     ["compare", "accent.csv"],
     *([command, "ex4.csv", *flags]
       for flags in (["--tol", "inf"], ["--tol", "nan"], ["--tol=-inf"], ["--tol", "0"],
-                    ["--max-iter", "-3"])
+                    ["--max-iter", "-3"], ["--max-iter", "0"])
       for command in ("analyze", "compare")),
     ["analyze", "nope.csv"],
     ["analyze", "singular.csv"],
+    ["compare", "singular.csv"],
     ["generate", "--family", "gamma", "--param", "1.5"],
     ["sweep", "--family", "gamma", "--range", "0:0.5", "--steps", "3"],
     ["sweep", "--family", "bsc", "--range", "0.1:0.4", "--steps", "1"],

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -28,16 +29,7 @@ from dmcbounds import (
     relay_miso,
     validate_channel,
 )
-from dmcbounds.reference import (
-    NEWTON_EVERY,
-    _divergence_terms,
-    _evaluate,
-    _newton_on_support,
-    _newton_point,
-    _ratio_step,
-    _reduced_face,
-    _solve,
-)
+from dmcbounds.reference import NEWTON_EVERY, _evaluate, _newton_on_support, _reduced_face, _solve
 from conftest import (
     CORPUS_SWEEPS,
     build_key,
@@ -46,6 +38,7 @@ from conftest import (
     divergences_by_loops,
     entropy2,
     recorded_build,
+    spy,
 )
 
 
@@ -64,6 +57,7 @@ def rank_two_channel():
     return validate_channel(mix @ rows)
 
 
+@functools.cache
 def rank_deficient_channels():
     """140 channels A = W B of rank r < n: for n = 3..9, 20 draws each of
     r in [1, n), r Dirichlet rows B of length n and n Dirichlet rows W of
@@ -79,6 +73,7 @@ def rank_deficient_channels():
     return channels
 
 
+@functools.cache
 def unproduced_output_channels():
     """462 channels whose last output is never produced: 600 draws
     (``default_rng(11)``) of n in [3, 9) and an n x n matrix of uniform
@@ -159,19 +154,7 @@ def sweep_start(matrix):
         return None
 
 
-def closed_form_input(matrix):
-    """p* of the closed form, or None where the matrix has no closed form."""
-    try:
-        return capacity_upper_bound(matrix).p_star
-    except NumericError:
-        return None
-
-
 class TestBlahutArimoto:
-    def test_bsc_analytic(self, bsc01):
-        est = blahut_arimoto(bsc01)
-        assert est.capacity == pytest.approx(1.0 - entropy2([0.9, 0.1]), abs=1e-6)
-
     def test_identity_converges_immediately(self):
         est = blahut_arimoto(validate_channel(np.eye(3)))
         assert est.capacity == pytest.approx(math.log2(3), abs=1e-12)
@@ -363,21 +346,11 @@ class TestSparseOptimalInput:
         # the relay n=30 pass makes the same linear solves and evaluations
         # and certifies the same capacities, to the last bit
         runs = [(m, sweep_start(m)) for m in sweep_channels("relay-miso", 30, 0.02, 0.50, 13)]
-        calls = {"solve": 0, "evaluate": 0}
-
-        def solving(system, rhs, k):
-            calls["solve"] += 1
-            return _solve(system, rhs, k)
-
-        def evaluating(matrix, p):
-            calls["evaluate"] += 1
-            return _evaluate(matrix, p)
-
-        monkeypatch.setattr("dmcbounds.reference._solve", solving)
-        monkeypatch.setattr("dmcbounds.reference._evaluate", evaluating)
+        solves = spy(monkeypatch, "dmcbounds.reference._solve")
+        evaluations = spy(monkeypatch, "dmcbounds.reference._evaluate")
         capacities = [blahut_arimoto(m, start=start).capacity for m, start in runs]
         if build_key() == recorded_build():
-            assert calls == {"solve": 252, "evaluate": 109}
+            assert (len(solves), len(evaluations)) == (252, 109)
             assert [c.hex() for c in capacities] == RELAY30_CAPACITIES
             return
         # On another build the last bits of q = A^T p, and so of each
@@ -390,39 +363,25 @@ class TestSparseOptimalInput:
         # a walk pins each input that leaves its face with an identity row
         # and a zero right-hand side, so the solution there is +-0 and the
         # direction y - x of every later piece is zero there with no mask
-        walks, pieces = [], None
-
-        def stepping(*args):
-            nonlocal pieces
-            pieces = []
-            point = _newton_point(*args)
-            walks.append((pieces, point))
-            pieces = None
-            return point
-
-        def ratio_testing(x, dx, limit=1.0):
-            y, i = _ratio_step(x, dx, limit)
-            if pieces is not None:
-                pieces.append((dx.tolist(), i))
-            return y, i
-
-        monkeypatch.setattr("dmcbounds.reference._newton_point", stepping)
-        monkeypatch.setattr("dmcbounds.reference._ratio_step", ratio_testing)
+        calls = spy(monkeypatch, "dmcbounds.reference._ratio_step")
+        spy(monkeypatch, "dmcbounds.reference._newton_point", calls)
         runs = [(m, sweep_start(m)) for m in sweep_channels("relay-miso", 30, 0.02, 0.50, 13)]
         for m in rank_deficient_channels():
             runs += [(m, None), (m, pseudo_inverse_input(m))]
         for m, start in runs:
             blahut_arimoto(m, start=start)
-        later_pieces = 0
-        for steps, point in walks:
-            pinned = []
-            for dx, leaving in steps:
+        later_pieces, pinned = 0, []
+        for name, args, _, result in calls:
+            if name == "_newton_point":  # it ends the walk of the ratio tests logged before it
+                if result is not None:
+                    assert all(result[i] == 0.0 for i in pinned)
+                pinned = []
+            elif len(args) == 2:  # a step's ratio test; _reduced_face's pass a limit
+                dx, leaving = args[1], result[1]
                 assert all(dx[i] == 0.0 for i in pinned)
                 later_pieces += bool(pinned)
                 if leaving is not None:
                     pinned.append(leaving)
-            if point is not None:
-                assert all(point[i] == 0.0 for i in pinned)
         assert later_pieces > 100, later_pieces
 
     def test_a_point_that_certifies_is_taken_though_i_p_drops(self, bsc01):
@@ -481,31 +440,22 @@ class TestSparseOptimalInput:
         # next step (t = 0), and that step's walk pins each and solves the old
         # face again from p (32 steps when the input left the face by a step
         # of its own, 28 when only a full step could admit an input)
-        walks_from_p, stepped = [], []
-
-        def solving(system, rhs, k):
-            x = _solve(system, rhs, k)
-            # a step solves for dp with sum dp = 1 - sum p_S, and each piece
-            # of its walk for y with sum y = 1
-            stepped.append(x is not None and rhs[-1] != 1.0)
-            return x
-
-        def ratio_testing(x, dx, limit=1.0):
-            y, i = _ratio_step(x, dx, limit)
-            if stepped[-1]:  # the step's own ratio test
-                stepped[-1] = False
-                walks_from_p.append(i is not None and x[i] == 0.0)
-            return y, i
-
-        monkeypatch.setattr("dmcbounds.reference._solve", solving)
-        monkeypatch.setattr("dmcbounds.reference._ratio_step", ratio_testing)
+        calls = spy(monkeypatch, "dmcbounds.reference._solve")
+        spy(monkeypatch, "dmcbounds.reference._ratio_step", calls)
         m = relay_miso(48, 0.22)
         est = blahut_arimoto(m, start=capacity_upper_bound(m).p_star)
         assert est.iterations < NEWTON_EVERY  # certified by the solve from clip(p*)
         assert certified_bracket(m, est.optimal_input)[1] <= 1e-9 + 1e-12
+        walks_from_p = 0
+        for (name, args, _, solved), (_, after, _, result) in zip(calls, calls[1:]):
+            # a step solves for dp with sum dp = 1 - sum p_S (each piece of
+            # its walk for y with sum y = 1), and its own ratio test is next
+            if name == "_solve" and solved is not None and args[1][-1] != 1.0:
+                x, i = after[0], result[1]
+                walks_from_p += i is not None and x[i] == 0.0
         if build_key() == recorded_build():
             assert est.iterations == 22
-            assert walks_from_p.count(True) == 2
+            assert walks_from_p == 2
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(2, 8), seed=st.integers(0, 2**32), zeros=st.booleans())
@@ -553,13 +503,7 @@ class TestSparseOptimalInput:
         # the Newton solve hands back the evaluation of the p it returns,
         # a failed solve keeps the one of the p it started from, and a face
         # reduction scores only the points it moves to
-        scored = []
-
-        def recording(matrix, p):
-            scored.append(p.copy())
-            return _evaluate(matrix, p)
-
-        monkeypatch.setattr("dmcbounds.reference._evaluate", recording)
+        calls = spy(monkeypatch, "dmcbounds.reference._evaluate")
         # relay n=48 alpha=0.22 takes a t = 0 step from p*, whose point is
         # the walked one; the rank-2 channel from the hint below and the
         # pinv-seeded channels that used to start over reduce a face
@@ -570,35 +514,24 @@ class TestSparseOptimalInput:
             m = started_over_channel(name, index)
             runs.append((m, pseudo_inverse_input(m)))
         for m, start in runs:
-            scored.clear()
+            calls.clear()
             blahut_arimoto(m, start=start)
+            scored = [p for _, (_, p), _, _ in calls]
             assert not any(np.array_equal(a, b) for a, b in zip(scored, scored[1:]))
 
 
 class TestUnreachedOutputs:
     """Newton solves whose iterates leave an output unreached (q_j = 0)."""
 
-    @staticmethod
-    def record_divergences(monkeypatch):
-        seen = []
-
-        def recording(matrix, q):
-            d = _divergence_terms(matrix, q)
-            seen.append((q.copy(), d.copy()))
-            return d
-
-        monkeypatch.setattr("dmcbounds.reference._divergence_terms", recording)
-        return seen
-
     def test_unused_output_on_every_iterate(self, monkeypatch):
         # output 4 is never produced, so q_4 = 0 at every iterate
         m = validate_channel(
             [[0.8, 0.2, 0.0, 0.0], [0.1, 0.8, 0.1, 0.0], [0.0, 0.2, 0.8, 0.0], [0.5, 0.0, 0.5, 0.0]]
         )
-        seen = self.record_divergences(monkeypatch)
+        seen = spy(monkeypatch, "dmcbounds.reference._divergence_terms")
         seeded = blahut_arimoto(m, start=[0.5, 0.0, 0.5, 0.0])
         assert 0 < seeded.iterations < NEWTON_EVERY  # certified by the Newton solve
-        assert all(q[3] == 0.0 and np.isfinite(d).all() for q, d in seen)
+        assert all(q[3] == 0.0 and np.isfinite(d).all() for _, (_, q), _, d in seen)
         lower, gap = certified_bracket(m, seeded.optimal_input)
         assert gap <= 1e-9 + 1e-12
         assert lower == pytest.approx(seeded.capacity, abs=1e-12)
@@ -606,10 +539,10 @@ class TestUnreachedOutputs:
 
     def test_iterate_with_an_unreached_output_diverges_and_ba_certifies(self, monkeypatch):
         m = validate_channel([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
-        seen = self.record_divergences(monkeypatch)
+        seen = spy(monkeypatch, "dmcbounds.reference._divergence_terms")
         est = blahut_arimoto(m, start=[1.0, 0.0, 0.0])
         # the hint and the Newton solve's first iterate: q = (1, 0, 0)
-        for q, d in seen[:2]:
+        for _, (_, q), _, d in seen[:2]:
             assert list(q) == [1.0, 0.0, 0.0]
             assert list(d) == [0.0, math.inf, math.inf]
         lower, gap = certified_bracket(m, est.optimal_input)
@@ -623,16 +556,15 @@ class TestUnreachedOutputs:
         m = validate_channel(
             [[7 / 9, 0, 2 / 9, 0], [3 / 4, 1 / 4, 0, 0], [4 / 5, 0, 1 / 5, 0], [1 / 8, 7 / 8, 0, 0]]
         )
-        seen = self.record_divergences(monkeypatch)
-        walked_at = []
-
-        def recording(system, rhs, k):
-            if rhs[-1] == 1.0:  # a piece of a walk, which solves for sum y = 1
-                walked_at.append(seen[-1][0])  # q at the iterate the step starts from
-            return _solve(system, rhs, k)
-
-        monkeypatch.setattr("dmcbounds.reference._solve", recording)
+        calls = spy(monkeypatch, "dmcbounds.reference._divergence_terms")
+        spy(monkeypatch, "dmcbounds.reference._solve", calls)
         est = blahut_arimoto(m)
+        walked_at, q = [], None
+        for name, args, _, _ in calls:
+            if name == "_divergence_terms":
+                q = args[1]  # q at the iterate that a step starts from
+            elif args[1][-1] == 1.0:  # a piece of a walk, which solves for sum y = 1
+                walked_at.append(q)
         assert walked_at and all(q[3] == 0.0 for q in walked_at)
         assert certified_bracket(m, est.optimal_input)[1] <= 1e-9 + 1e-12
         assert est.iterations <= m.n + 2 * NEWTON_EVERY
@@ -769,11 +701,11 @@ class TestClosedFormStart:
     )
     def test_relay_cli_grids(self, n, lo, hi, steps):
         for m in sweep_channels("relay-miso", n, lo, hi, steps):
-            self.assert_same_capacity(m, closed_form_input(m))
+            self.assert_same_capacity(m, sweep_start(m))
 
     def test_beta_cli_grid(self):
         for m in sweep_channels("beta", None, 0.05, 0.95, 19):
-            self.assert_same_capacity(m, closed_form_input(m))
+            self.assert_same_capacity(m, sweep_start(m))
 
     @pytest.mark.parametrize("n", [4, 16, 64])
     @pytest.mark.parametrize("ratio", [1.5, 3.0, 10.0])
@@ -874,28 +806,20 @@ class TestClosedFormStart:
         # both runs open with the Newton solve, and from uniform it often
         # certifies in fewer steps; what pinv's p* saves is linear solves:
         # from uniform, the first walk pins most inputs at one solve each
-        # (on the recorded build, 77 solves seeded against 124 at n=30)
-        solves = []
-
-        def counting(*args):
-            solves.append(args)
-            return _solve(*args)
-
+        # (on the recorded build, 77 solves seeded against 124 at n=30);
+        # test_relay_cli_grids compares the capacities of the two runs
         points = [
             m for m in sweep_channels("relay-miso", n, 0.02, 0.50, steps)
             if refused_as_singular(m)
         ]
         assert len(points) == singular
+        solves = spy(monkeypatch, "dmcbounds.reference._solve")
         for m in points:
-            hint = pseudo_inverse_input(m)
-            self.assert_same_capacity(m, hint)
-            with monkeypatch.context() as patch:
-                patch.setattr("dmcbounds.reference._solve", counting)
-                counts = []
-                for start in (None, hint):
-                    solves.clear()
-                    blahut_arimoto(m, start=start)
-                    counts.append(len(solves))
+            counts = []
+            for start in (None, pseudo_inverse_input(m)):
+                solves.clear()
+                blahut_arimoto(m, start=start)
+                counts.append(len(solves))
             plain, seeded = counts
             if plain:  # alpha = 0.5 (rank 1) certifies at once either way
                 assert seeded < plain, counts
@@ -906,25 +830,19 @@ class TestClosedFormStart:
         # from the start the CLI gives it, every run of the golden corpus's
         # sweeps and analyze matrices certifies at its start (no solve) or
         # within its opening Newton solve, on every build
-        solves = []
-
-        def recording(*args):
-            solved, steps = _newton_on_support(*args)
-            solves.append((solved is not None, steps))
-            return solved, steps
-
-        monkeypatch.setattr("dmcbounds.reference._newton_on_support", recording)
+        calls = spy(monkeypatch, "dmcbounds.reference._newton_on_support")
         runs = [
             (m, sweep_start(m)) for grid in CORPUS_SWEEPS.values() for m in sweep_channels(*grid)
         ]
-        runs += [(m, closed_form_input(m)) for _, m in corpus_matrices()]
+        runs += [(m, sweep_start(m)) for _, m in corpus_matrices()]
         assert len(runs) == 130 + 13
         failed = []
         for index, (m, start) in enumerate(runs):
-            solves.clear()
+            calls.clear()
             est = blahut_arimoto(m, start=start)
+            solves = [(solved is not None, steps) for *_, (solved, steps) in calls]
             if solves != ([(True, est.iterations)] if est.iterations else []):
-                failed.append((index, list(solves), est.iterations))
+                failed.append((index, solves, est.iterations))
         assert not failed, failed
 
     def test_pseudo_inverse_input_is_p_star_when_a_inverts(self, ex1):
