@@ -9,7 +9,9 @@ Subcommands:
                a CSV (and optionally an SVG line chart);
 - ``compare``  one CSV line naming the tightest bound for a matrix file.
 
-Exit codes: 0 success, 2 input/validation error, 3 numeric failure.
+Exit codes: 0 success, 2 input/validation error, 3 when Blahut-Arimoto
+cannot certify the capacity within ``--max-iter``. Any other numeric failure
+prints NA cells, which ``analyze`` and ``compare`` explain on stderr.
 """
 
 from __future__ import annotations
@@ -18,14 +20,11 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from .bounds import Condition, capacity_upper_bound, pseudo_inverse_input
-from .errors import (
-    ConvergenceFailure,
-    InputError,
-    InvalidRange,
-    NumericError,
-    SingularMatrix,
-)
+from .errors import ConvergenceFailure, InputError, InvalidRange, NotConverged
+from .errors import NumericError, SingularMatrix
 from .families import FamilySpec, build_family, canonical_family, parameter_domain
 from .formatting import fmt
 from .matrix import ChannelMatrix, _is_integer, _is_real, dump_matrix_csv, load_matrix_csv
@@ -39,13 +38,13 @@ from .reference import (
 
 
 def _cell(value) -> str:
-    """How every command prints one value: None is NA, a list its values
+    """How every command prints one value: None is NA, an array its values
     comma-joined, a float or bool goes through ``fmt``, and anything else (an
     int, a Condition, a name) through ``str``."""
     if value is None:
         return "NA"
-    if isinstance(value, list):
-        return ",".join(map(_cell, value))
+    if isinstance(value, np.ndarray):
+        return ",".join(map(_cell, value.tolist()))
     if isinstance(value, (float, bool)):
         return fmt(value)
     return str(value)
@@ -57,54 +56,91 @@ def _csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _analyze_document(matrix: ChannelMatrix, tol: float, max_iter: int) -> dict:
-    report = capacity_upper_bound(matrix)
-    est = blahut_arimoto(matrix, tol, max_iter, start=report.p_star)
-    return {
+COLUMNS = {  # sweep column -> record key; the first five are the numbers compared
+    "upper_bound": "upper_bound", "ba_capacity": "ba_capacity", "arimoto": "arimoto_bound",
+    "boyd_chiang_col": "boyd_chiang_col", "boyd_chiang_row": "boyd_chiang_row",
+    "prop3": "spectral_condition", "cor2": "gershgorin_condition", "feasible": "feasible",
+}
+
+
+def _evaluate(matrix: ChannelMatrix, tol: float, max_iter: int) -> tuple[dict, list]:
+    """Every value ``analyze`` prints, in its order, and the numeric errors
+    behind its NA (None) cells: a singular A leaves the closed form NA and
+    starts BA from pinv's input, a failed SVD also the conditions, and a BA
+    run that cannot certify the ba_* cells."""
+    def field(owner, name: str, missing=None):  # owner is None where its stage failed
+        return missing if owner is None else getattr(owner, name)
+
+    errors, report, start, condition, est = [], None, None, None, None
+    try:
+        report = capacity_upper_bound(matrix)
+        start = report.p_star
+    except SingularMatrix as exc:
+        errors.append(exc)
+        # dominance implies invertibility, so the conditions cannot hold here
+        condition = Condition.PRECONDITION_NOT_MET
+        start = pseudo_inverse_input(matrix)  # a start for BA, not a bound
+    except ConvergenceFailure as exc:
+        errors.append(exc)
+    try:
+        est = blahut_arimoto(matrix, tol, max_iter, start=start)
+    except NotConverged as exc:
+        errors.append(exc)
+    analysis = field(report, "analysis")
+    record = {
         "n": matrix.n,
-        "upper_bound": report.upper_bound,
-        "feasible": report.p_star_feasible,
-        "feasibility_condition": report.feasibility_condition.value,
-        "spectral_condition": report.spectral_condition.value,
-        "coarse_condition": report.coarse_condition.value,
-        "gershgorin_condition": report.gershgorin_condition.value,
-        "c_min": report.analysis.c_min,
-        "sigma_min": report.analysis.sigma_min,
-        "sigma_star": report.sigma_star,
-        "h_max": report.analysis.h_max,
-        "h_max_star": report.h_max_star,
-        "root_exponent": report.root_exponent,
-        "inverse_entropies": report.inverse_entropies.tolist(),
-        "q_star": report.q_star.tolist(),
-        "p_star": report.p_star.tolist(),
-        "ba_capacity": est.capacity,
-        "ba_iterations": est.iterations,
-        "ba_gap": est.gap,
+        "upper_bound": field(report, "upper_bound"),
+        "feasible": field(report, "p_star_feasible"),
+        "feasibility_condition": field(report, "feasibility_condition", condition),
+        "spectral_condition": field(report, "spectral_condition", condition),
+        "coarse_condition": field(report, "coarse_condition", condition),
+        "gershgorin_condition": field(report, "gershgorin_condition", condition),
+        "c_min": field(analysis, "c_min"),
+        "sigma_min": field(analysis, "sigma_min"),
+        "sigma_star": field(report, "sigma_star"),
+        "h_max": field(analysis, "h_max"),
+        "h_max_star": field(report, "h_max_star"),
+        "root_exponent": field(report, "root_exponent"),
+        "inverse_entropies": field(report, "inverse_entropies"),
+        "q_star": field(report, "q_star"),
+        "p_star": field(report, "p_star"),
+        "ba_capacity": field(est, "capacity"),
+        "ba_iterations": field(est, "iterations"),
+        "ba_gap": field(est, "gap"),
         "arimoto_bound": arimoto_upper_bound(matrix),
         "boyd_chiang_col": boyd_chiang_upper_bound(matrix, "column-max"),
         "boyd_chiang_row": boyd_chiang_upper_bound(matrix, "row-max"),
     }
+    return record, errors
+
+
+def _checked_record(args) -> dict:
+    """``args.matrix``'s record, each of its errors but BA's as a note on stderr."""
+    record, errors = _evaluate(load_matrix_csv(args.matrix), args.tol, args.max_iter)
+    if errors and isinstance(errors[-1], NotConverged):  # BA's, always the last
+        raise errors[-1]  # a failure must not look like a number
+    for exc in errors:
+        print(f"note: {exc}", file=sys.stderr)
+    return record
 
 
 def _json_value(value):
-    """JSON has no NaN or inf: only those floats become strings, as ``fmt``
-    prints them."""
-    if isinstance(value, list):
-        return [_json_value(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return fmt(value)
-    return value
+    """Ints, bools and finite floats as themselves; NA, NaN, inf, a condition as printed."""
+    if isinstance(value, np.ndarray):  # Python floats encode faster than numpy's
+        return [_json_value(v) for v in value.tolist()]
+    if isinstance(value, int) or isinstance(value, float) and math.isfinite(value):
+        return value
+    return _cell(value)
 
 
 def cmd_analyze(args) -> int:
-    matrix = load_matrix_csv(args.matrix)
-    doc = _analyze_document(matrix, args.tol, args.max_iter)
+    record = _checked_record(args)
     if args.json:
         import json  # only this output encodes JSON
 
-        print(json.dumps({k: _json_value(v) for k, v in doc.items()}, indent=2))
+        print(json.dumps({k: _json_value(v) for k, v in record.items()}, indent=2))
     else:
-        print("\n".join(f"{k}: {_cell(v)}" for k, v in doc.items()))
+        print("\n".join(f"{k}: {_cell(v)}" for k, v in record.items()))
     return 0
 
 
@@ -123,38 +159,8 @@ def cmd_generate(args) -> int:
 def sweep_record(spec: FamilySpec, tol: float, max_iter: int) -> dict:
     """Evaluate one grid point as its sweep CSV row: header name -> value, in
     column order; numeric failures turn into NA (None) cells."""
-    matrix = build_family(spec)
-    upper = feasible = start = None
-    spectral = gershgorin = None
-    try:
-        report = capacity_upper_bound(matrix)
-        upper = report.upper_bound
-        feasible = report.p_star_feasible
-        spectral = report.spectral_condition
-        gershgorin = report.gershgorin_condition
-        start = report.p_star
-    except SingularMatrix:
-        # dominance implies invertibility, so the conditions cannot hold here
-        spectral = Condition.PRECONDITION_NOT_MET
-        gershgorin = Condition.PRECONDITION_NOT_MET
-        start = pseudo_inverse_input(matrix)  # a start for BA, not a bound
-    except ConvergenceFailure:
-        pass
-    try:
-        ba = blahut_arimoto(matrix, tol, max_iter, start=start).capacity
-    except NumericError:
-        ba = None
-    return {
-        "parameter": spec.parameter,
-        "upper_bound": upper,
-        "ba_capacity": ba,
-        "arimoto": arimoto_upper_bound(matrix),
-        "boyd_chiang_col": boyd_chiang_upper_bound(matrix, "column-max"),
-        "boyd_chiang_row": boyd_chiang_upper_bound(matrix, "row-max"),
-        "prop3": spectral,
-        "cor2": gershgorin,
-        "feasible": feasible,
-    }
+    record, _ = _evaluate(build_family(spec), tol, max_iter)
+    return {"parameter": spec.parameter, **{c: record[k] for c, k in COLUMNS.items()}}
 
 
 def run_sweep(
@@ -202,8 +208,7 @@ def sweep_svg(records: list[dict], family: str) -> str:
         values = ((r["parameter"], r[name]) for r in records)
         return [(x, y) for x, y in values if y is not None and math.isfinite(y)]
 
-    names = ("upper_bound", "ba_capacity", "arimoto", "boyd_chiang_col", "boyd_chiang_row")
-    series = [(name, points(name)) for name in names]
+    series = [(name, points(name)) for name in list(COLUMNS)[:5]]
     return render_line_chart(
         series, "parameter", "bits", f"capacity and upper bounds ({family})"
     )
@@ -231,18 +236,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    doc = _analyze_document(load_matrix_csv(args.matrix), args.tol, args.max_iter)
-    row = {
-        "upper_bound": doc["upper_bound"],
-        "ba_capacity": doc["ba_capacity"],
-        "arimoto": doc["arimoto_bound"],
-        "boyd_chiang_col": doc["boyd_chiang_col"],
-        "boyd_chiang_row": doc["boyd_chiang_row"],
-    }
+    record = _checked_record(args)
+    row = {column: record[COLUMNS[column]] for column in list(COLUMNS)[:5]}
     names = {"upper_bound": "closed-form", "arimoto": "arimoto",
              "boyd_chiang_col": "boyd-chiang-col", "boyd_chiang_row": "boyd-chiang-row"}
     # ranked as printed, so that of bounds that print equal the first is named
-    row["tightest"] = names[min(names, key=lambda name: float(fmt(row[name])))]
+    printed = {name: _cell(row[name]) for name in names if _cell(row[name]) != "NA"}
+    row["tightest"] = names[min(printed, key=lambda name: float(printed[name]))]
     sys.stdout.write(_csv([row]))
     return 0
 

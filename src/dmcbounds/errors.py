@@ -1,9 +1,8 @@
 """Exception hierarchy.
 
 Two families matter to callers (and to the CLI's exit codes): ``InputError``
-covers malformed or out-of-domain inputs, ``NumericError`` covers inputs that
-are structurally fine but defeat the numerics (singularity, failed
-preconditions, non-convergence).
+covers malformed or out-of-domain inputs, ``NumericError`` inputs that are
+structurally fine but defeat the numerics (singularity, non-convergence).
 """
 
 from __future__ import annotations
@@ -18,7 +17,8 @@ class InputError(DmcError):
 
 
 class NumericError(DmcError):
-    """Numeric failure on structurally valid input (CLI exit code 3)."""
+    """Numeric failure on structurally valid input. At the CLI a ``NotConverged``
+    exits 3; a ``SingularMatrix`` or ``ConvergenceFailure`` gives NA cells."""
 
 
 class NotSquare(InputError):

@@ -10,9 +10,12 @@ import pytest
 
 from dmcbounds import (
     CapacityEstimate,
+    Condition,
+    ConvergenceFailure,
     FamilySpec,
     InvalidParameter,
     InvalidRange,
+    SingularMatrix,
     beta_family,
     blahut_arimoto,
     bsc,
@@ -28,9 +31,11 @@ from dmcbounds import (
     relay_miso,
     validate_channel,
 )
-from dmcbounds.cli import main, run_sweep, sweep_csv, sweep_record
+from dmcbounds.cli import _evaluate, main, run_sweep, sweep_csv, sweep_record
+from dmcbounds.formatting import fmt
 from conftest import cli_grid, spy
 
+CONDITIONS = ("feasibility", "spectral", "coarse", "gershgorin")
 SWEEP_HEADER = (
     "parameter,upper_bound,ba_capacity,arimoto,"
     "boyd_chiang_col,boyd_chiang_row,prop3,cor2,feasible"
@@ -194,43 +199,60 @@ class TestSweep:
         assert ba["0.52"] == "0.00345785796"
 
 
-class TestSweepRecordStart:
-    """The start hint ``sweep_record`` gives ``blahut_arimoto``."""
+class TestEvaluatorStart:
+    """The start hint the one evaluator behind every command gives
+    ``blahut_arimoto``, and the NA cells it leaves where a stage fails."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
         return spy(monkeypatch, "dmcbounds.cli.blahut_arimoto")
 
-    def test_singular_point_starts_from_pseudo_inverse_input(self, calls):
-        spec = FamilySpec("relay-miso", 30, cli_grid(0.02, 0.50, 13)[9], None)  # alpha = 0.38
-        record = sweep_record(spec, 1e-9, 100_000)
-        _, _, kwargs, _ = calls[0]
-        assert np.array_equal(kwargs["start"], pseudo_inverse_input(build_family(spec)))
-        assert record["upper_bound"] is None  # the hint is not a bound
-        assert sweep_csv([record]).split("\n")[1].split(",")[1] == "NA"
-        assert record["ba_capacity"] == pytest.approx(0.683040186, abs=1e-9)
-
-    def test_non_positive_point_starts_from_p_star(self, calls):
-        spec = FamilySpec("relay-miso", 3, 0.0, None)
-        sweep_record(spec, 1e-9, 100_000)
-        _, _, kwargs, _ = calls[0]
-        assert np.array_equal(kwargs["start"], capacity_upper_bound(build_family(spec)).p_star)
-
-    def test_failed_svd_turns_the_closed_form_na_and_starts_from_uniform(
-        self, calls, monkeypatch
-    ):
+    @pytest.fixture()
+    def failing_svd(self, monkeypatch):
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", failing)
-        record = sweep_record(FamilySpec("relay-miso", 3, 0.3, None), 1e-9, 100_000)
+
+    def test_singular_point_starts_from_pseudo_inverse_input(self, calls):
+        matrix = build_family(FamilySpec("relay-miso", 30, cli_grid(0.02, 0.50, 13)[9], None))
+        record, errors = _evaluate(matrix, 1e-9, 100_000)  # alpha = 0.38
+        _, _, kwargs, _ = calls[0]
+        assert np.array_equal(kwargs["start"], pseudo_inverse_input(matrix))
+        assert [type(e) for e in errors] == [SingularMatrix]
+        assert record["upper_bound"] is None  # the hint is not a bound
+        conditions = [record[f"{name}_condition"] for name in CONDITIONS]
+        assert conditions == [Condition.PRECONDITION_NOT_MET] * 4
+        assert record["ba_capacity"] == pytest.approx(0.683040186, abs=1e-9)
+
+    def test_non_positive_point_starts_from_p_star(self, calls):
+        matrix = build_family(FamilySpec("relay-miso", 3, 0.0, None))
+        assert _evaluate(matrix, 1e-9, 100_000)[1] == []
+        _, _, kwargs, _ = calls[0]
+        assert np.array_equal(kwargs["start"], capacity_upper_bound(matrix).p_star)
+
+    def test_failed_svd_turns_the_closed_form_na_and_starts_from_uniform(
+        self, calls, failing_svd
+    ):
+        matrix = build_family(FamilySpec("relay-miso", 3, 0.3, None))
+        record, errors = _evaluate(matrix, 1e-9, 100_000)
         _, _, kwargs, _ = calls[0]
         assert kwargs["start"] is None
-        for name in ("upper_bound", "prop3", "cor2", "feasible"):
+        assert [type(e) for e in errors] == [ConvergenceFailure]
+        for name in ("upper_bound", "feasible", "sigma_min", "p_star"):
             assert record[name] is None
-        cells = sweep_csv([record]).split("\n")[1].split(",")
-        assert [cells[i] for i in (1, 6, 7, 8)] == ["NA"] * 4
-        assert cells[2] == "0.30532577"
+        assert [record[f"{name}_condition"] for name in CONDITIONS] == [None] * 4
+        assert fmt(record["ba_capacity"]) == "0.30532577"
+
+    def test_analyze_prints_na_and_a_note_where_the_svd_fails(
+        self, failing_svd, ex1_file, capsys
+    ):
+        assert main(["analyze", ex1_file]) == 0
+        out, err = capsys.readouterr()
+        lines = dict(line.split(": ", 1) for line in out.strip().split("\n"))
+        assert [lines[k] for k in ("upper_bound", "spectral_condition", "p_star")] == ["NA"] * 3
+        assert lines["ba_capacity"] == "1.2715467"
+        assert err == "note: singular value decomposition did not converge: SVD did not converge\n"
 
 
 class TestRowEntropiesComputedOnce:
@@ -277,6 +299,18 @@ class TestCompare:
         values = capsys.readouterr().out.strip().split("\n")[1].split(",")[:5]
         for v in values:
             assert float(v) == pytest.approx(math.log2(3), abs=1e-3)
+
+    def test_agrees_with_the_sweep_row_at_every_relay30_corpus_point(self, tmp_path, capsys):
+        # one evaluator prints both, NA where A is singular (alpha >= 0.34) included
+        grid = ["--range", "0.02:0.50", "--steps", "13"]
+        assert main(["sweep", "--family", "relay-miso", "--n", "30", *grid]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.split("\n")[1:-1]]
+        path = str(tmp_path / "m.csv")
+        for alpha, row in zip(cli_grid(0.02, 0.50, 13), rows, strict=True):
+            generate = ["generate", "--family", "relay-miso", "--n", "30", "--param", repr(alpha)]
+            assert main([*generate, "--out", path]) == 0
+            assert main(["compare", path]) == 0
+            assert capsys.readouterr().out.split("\n")[1].split(",")[:5] == row[1:6], alpha
 
 
 class TestConsoleScript:

@@ -3,9 +3,10 @@ compared with the copies committed under ``tests/golden/``.
 
 The corpus holds the sweep CSVs and SVG charts of the README and acceptance
 runs, ``analyze`` (text and ``--json``) and ``compare`` on the three fixed
-examples, the 3x3 identity and nine seeded random-sdd matrices, and the exit
-code and stderr of the CLI's error paths. A change that moves an output on
-purpose rewrites the corpus, so its diff shows every moved cell:
+examples, the 3x3 identity, nine seeded random-sdd matrices and a singular
+matrix, and the exit code and stderr of the CLI's error paths. A change that
+moves an output on purpose rewrites the corpus, so its diff shows every moved
+cell:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -55,7 +56,8 @@ ILL_CONDITIONED = {
     "sweep-relay-n60": {"0.1", "0.12", "0.14", "0.16", "0.18"},
 }
 
-# Input files of the error paths, and the commands run on them (cwd: their dir).
+# Input files of the error paths, and the commands run on them (cwd: their dir);
+# singular.csv is the corpus's singular matrix.
 ERROR_INPUTS = {
     "rowsum.csv": b"0.5,0.4\n0.5,0.5\n",
     "oops.csv": b"0.5,0.5\n0.5,oops\n",
@@ -82,8 +84,6 @@ ERROR_COMMANDS = [
                     ["--max-iter", "-3"], ["--max-iter", "0"])
       for command in ("analyze", "compare")),
     ["analyze", "nope.csv"],
-    ["analyze", "singular.csv"],
-    ["compare", "singular.csv"],
     ["generate", "--family", "gamma", "--param", "1.5"],
     ["sweep", "--family", "gamma", "--range", "0:0.5", "--steps", "3"],
     ["sweep", "--family", "bsc", "--range", "0.1:0.4", "--steps", "1"],
@@ -120,8 +120,11 @@ def generate() -> dict[str, str]:
                 assert code == 0, err
                 files[f"{name}.csv"] = Path("s.csv").read_text(encoding="ascii")
                 files[f"{name}.svg"] = Path("s.svg").read_text(encoding="ascii")
-            for name, matrix in corpus_matrices():
-                dump_matrix_csv(matrix, "m.csv")
+            inputs = [(name, dump_matrix_csv(m).encode("ascii")) for name, m in corpus_matrices()]
+            # a singular A has no closed form, but its BA bracket and competitors print
+            inputs.append(("singular", ERROR_INPUTS["singular.csv"]))
+            for name, content in inputs:
+                Path("m.csv").write_bytes(content)
                 for command, suffix in ((["analyze"], "analyze.txt"),
                                         (["analyze", "--json"], "analyze.json"),
                                         (["compare"], "compare.csv")):
