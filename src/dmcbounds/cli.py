@@ -9,15 +9,17 @@ Subcommands:
                a CSV (and optionally an SVG line chart);
 - ``compare``  one CSV line naming the tightest bound for a matrix file.
 
-Exit codes: 0 success, 2 input/validation error, 3 when Blahut-Arimoto
-cannot certify the capacity within ``--max-iter``. Any other numeric failure
-prints NA cells, which ``analyze`` and ``compare`` explain on stderr.
+Exit codes: 0 success, 1 when the reader closes stdout before the output
+ends, 2 input/validation error, 3 when Blahut-Arimoto cannot certify the
+capacity within ``--max-iter``. Any other numeric failure prints NA cells,
+which ``analyze`` and ``compare`` explain on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -25,7 +27,7 @@ import numpy as np
 from .bounds import Condition, capacity_upper_bound, pseudo_inverse_input
 from .errors import ConvergenceFailure, InputError, InvalidRange, NotConverged
 from .errors import NumericError, SingularMatrix
-from .families import FamilySpec, build_family, canonical_family, parameter_domain
+from .families import FamilySpec, build_family, canonical_family
 from .formatting import fmt
 from .matrix import ChannelMatrix, _is_integer, _is_real, dump_matrix_csv, load_matrix_csv
 from .reference import (
@@ -37,22 +39,9 @@ from .reference import (
 )
 
 
-def _cell(value) -> str:
-    """How every command prints one value: None is NA, an array its values
-    comma-joined, a float or bool goes through ``fmt``, and anything else (an
-    int, a Condition, a name) through ``str``."""
-    if value is None:
-        return "NA"
-    if isinstance(value, np.ndarray):
-        return ",".join(map(_cell, value.tolist()))
-    if isinstance(value, (float, bool)):
-        return fmt(value)
-    return str(value)
-
-
 def _csv(rows: list[dict]) -> str:
     """The first row's keys as the header, then one line per row."""
-    lines = [",".join(rows[0])] + [",".join(map(_cell, r.values())) for r in rows]
+    lines = [",".join(rows[0])] + [",".join(map(fmt, r.values())) for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -65,18 +54,20 @@ COLUMNS = {  # sweep column -> record key; the first five are the numbers compar
 
 def _evaluate(matrix: ChannelMatrix, tol: float, max_iter: int) -> tuple[dict, list]:
     """Every value ``analyze`` prints, in its order, and the numeric errors
-    behind its NA (None) cells: a singular A leaves the closed form NA and
-    starts BA from pinv's input, a failed SVD also the conditions, and a BA
-    run that cannot certify the ba_* cells."""
+    behind its NA (None) cells: a singular A leaves the closed form NA, though
+    not A's own diagnostics, and starts BA from pinv's input; a failed SVD
+    also leaves the conditions and diagnostics NA, and a BA run that cannot
+    certify the ba_* cells."""
     def field(owner, name: str, missing=None):  # owner is None where its stage failed
         return missing if owner is None else getattr(owner, name)
 
-    errors, report, start, condition, est = [], None, None, None, None
+    errors, report, analysis, start, condition, est = [], None, None, None, None, None
     try:
         report = capacity_upper_bound(matrix)
-        start = report.p_star
+        analysis, start = report.analysis, report.p_star
     except SingularMatrix as exc:
         errors.append(exc)
+        analysis = exc.analysis
         # dominance implies invertibility, so the conditions cannot hold here
         condition = Condition.PRECONDITION_NOT_MET
         start = pseudo_inverse_input(matrix)  # a start for BA, not a bound
@@ -86,7 +77,6 @@ def _evaluate(matrix: ChannelMatrix, tol: float, max_iter: int) -> tuple[dict, l
         est = blahut_arimoto(matrix, tol, max_iter, start=start)
     except NotConverged as exc:
         errors.append(exc)
-    analysis = field(report, "analysis")
     record = {
         "n": matrix.n,
         "upper_bound": field(report, "upper_bound"),
@@ -130,7 +120,7 @@ def _json_value(value):
         return [_json_value(v) for v in value.tolist()]
     if isinstance(value, int) or isinstance(value, float) and math.isfinite(value):
         return value
-    return _cell(value)
+    return fmt(value)
 
 
 def cmd_analyze(args) -> int:
@@ -140,7 +130,7 @@ def cmd_analyze(args) -> int:
 
         print(json.dumps({k: _json_value(v) for k, v in record.items()}, indent=2))
     else:
-        print("\n".join(f"{k}: {_cell(v)}" for k, v in record.items()))
+        print("\n".join(f"{k}: {fmt(v)}" for k, v in record.items()))
     return 0
 
 
@@ -173,7 +163,6 @@ def run_sweep(
     max_iter: int = DEFAULT_MAX_ITER,
     seed: int | None = None,
 ) -> list[dict]:
-    family = canonical_family(family)
     if not _is_integer(steps):
         raise InvalidRange(f"steps must be an integer, got {steps!r}")
     if steps < 2:
@@ -182,12 +171,6 @@ def run_sweep(
         raise InvalidRange(f"range ends must be real numbers, got {lo!r}:{hi!r}")
     if not lo < hi:
         raise InvalidRange(f"range must satisfy lo < hi, got {lo!r}:{hi!r}")
-    dom_lo, dom_hi, closed = parameter_domain(family)
-    inside = (dom_lo <= lo and hi <= dom_hi) if closed else (dom_lo < lo and hi < dom_hi)
-    if not inside:
-        raise InvalidRange(
-            f"range [{lo}, {hi}] outside the {family} parameter domain"
-        )
     records = []
     for i in range(steps):
         x = hi if i == steps - 1 else lo + i * (hi - lo) / (steps - 1)
@@ -241,7 +224,7 @@ def cmd_compare(args) -> int:
     names = {"upper_bound": "closed-form", "arimoto": "arimoto",
              "boyd_chiang_col": "boyd-chiang-col", "boyd_chiang_row": "boyd-chiang-row"}
     # ranked as printed, so that of bounds that print equal the first is named
-    printed = {name: _cell(row[name]) for name in names if _cell(row[name]) != "NA"}
+    printed = {name: fmt(row[name]) for name in names if fmt(row[name]) != "NA"}
     row["tightest"] = names[min(printed, key=lambda name: float(printed[name]))]
     sys.stdout.write(_csv([row]))
     return 0
@@ -295,7 +278,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that closed stdout fails here, not at exit
+        return status
+    except BrokenPipeError:  # the reader wants no more output: not an input error
+        devnull = os.open(os.devnull, os.O_WRONLY)  # so the flush at exit cannot fail again
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -68,10 +68,13 @@ class TooLarge(InputError):
 
 class SingularMatrix(NumericError):
     """cond(A) = sigma_max/sigma_min is at least 1e13 (inf when sigma_min = 0).
-    The message omits ``cond``: at an exactly singular A its digits are noise."""
+    The message omits ``cond``: at an exactly singular A its digits are noise.
+    From ``analyze_inverse``, A's ``InverseAnalysis`` (inverse None) rides
+    along as ``.analysis``; from ``invert`` it is None."""
 
-    def __init__(self, cond: float):
+    def __init__(self, cond: float, analysis=None):
         self.cond = cond
+        self.analysis = analysis
         super().__init__("singular matrix: condition number is at least 1e13")
 
 

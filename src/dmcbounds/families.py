@@ -8,17 +8,17 @@ positive matrices for property testing.
 The random generator uses splitmix64 so fixtures are reproducible bit-for-bit
 from the seed alone, in any language with 64-bit integers.
 
-``build_family``, ``parameter_domain`` and ``canonical_family`` dispatch on a
-family name through one table, ``_PARAMETRIC``: each parametric family's
-generator, its parameter domain and whether it needs n. The fixed examples,
-which take no parameter, are the tuple ``_FIXED``.
+``build_family`` and ``canonical_family`` dispatch on a family name through
+``_FIXED``, the fixed examples, which take no parameter, and ``_PARAMETRIC``,
+each parametric family's generator. Each generator alone decides which n and
+parameter it takes, and refuses the rest, None too, with its own message.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, inf
+from math import comb
 
 import numpy as np
 
@@ -50,29 +50,32 @@ class SplitMix64:
         return (self.next_uint64() >> 11) * 2.0**-53
 
 
+# The three fixed 3x3 study matrices: a reliable channel, a permutation-row
+# channel with unequal column sums, and an unreliable one.
+_FIXED = {
+    "example-1": [
+        [0.95, 0.01, 0.04],
+        [0.03, 0.95, 0.02],
+        [0.02, 0.02, 0.96],
+    ],
+    "example-3": [
+        [0.93, 0.04, 0.03],
+        [0.04, 0.93, 0.03],
+        [0.04, 0.03, 0.93],
+    ],
+    "example-4": [
+        [0.6, 0.3, 0.1],
+        [0.7, 0.1, 0.2],
+        [0.5, 0.05, 0.45],
+    ],
+}
+
+
 def fixed_example(which: str) -> ChannelMatrix:
-    """The three fixed 3x3 study matrices: a reliable channel, a
-    permutation-row channel with unequal column sums, and an unreliable one."""
-    matrices = {
-        "example-1": [
-            [0.95, 0.01, 0.04],
-            [0.03, 0.95, 0.02],
-            [0.02, 0.02, 0.96],
-        ],
-        "example-3": [
-            [0.93, 0.04, 0.03],
-            [0.04, 0.93, 0.03],
-            [0.04, 0.03, 0.93],
-        ],
-        "example-4": [
-            [0.6, 0.3, 0.1],
-            [0.7, 0.1, 0.2],
-            [0.5, 0.05, 0.45],
-        ],
-    }
-    if not isinstance(which, str) or which not in matrices:
+    """One of the fixed study matrices of ``_FIXED``, by name."""
+    if not isinstance(which, str) or which not in _FIXED:
         raise InvalidParameter(f"unknown fixed example {which!r}")
-    return validate_channel(matrices[which])
+    return validate_channel(_FIXED[which])
 
 
 def bsc(crossover: float) -> ChannelMatrix:
@@ -183,8 +186,6 @@ def random_sdd_positive(n: int, min_ratio: float, seed: int) -> ChannelMatrix:
     """
     if not _is_integer(n) or n < 2:
         raise InvalidParameter(f"n must be an integer of at least 2, got {n!r}")
-    if not _is_integer(seed):
-        raise InvalidParameter(f"seed must be an integer, got {seed!r}")
     if not (_is_real(min_ratio) and min_ratio > 1.0):
         raise InvalidParameter(f"min_ratio must exceed 1, got {min_ratio!r}")
     rng = SplitMix64(seed)
@@ -216,20 +217,13 @@ _ALIASES = {
     "example-3-fixed": "example-3",
 }
 
-_FIXED = ("example-1", "example-3", "example-4")
-
-# family: (generator of a FamilySpec, (lo, hi, endpoints included), needs n)
-_PARAMETRIC = {
-    "relay-miso": (lambda spec: relay_miso(spec.n, spec.parameter), (0.0, 1.0, True), True),
-    "gamma": (lambda spec: gamma_family(spec.parameter), (0.0, 1.0, False), False),
-    "beta": (lambda spec: beta_family(spec.parameter), (0.0, 1.0, True), False),
-    "bsc": (lambda spec: bsc(spec.parameter), (0.0, 1.0, True), False),
-    "random-sdd": (
-        lambda spec: random_sdd_positive(
-            spec.n, spec.parameter, 0 if spec.seed is None else spec.seed
-        ),
-        (1.0, inf, False),
-        True,
+_PARAMETRIC = {  # family -> generator of a FamilySpec
+    "relay-miso": lambda spec: relay_miso(spec.n, spec.parameter),
+    "gamma": lambda spec: gamma_family(spec.parameter),
+    "beta": lambda spec: beta_family(spec.parameter),
+    "bsc": lambda spec: bsc(spec.parameter),
+    "random-sdd": lambda spec: random_sdd_positive(
+        spec.n, spec.parameter, 0 if spec.seed is None else spec.seed
     ),
 }
 
@@ -243,22 +237,11 @@ def canonical_family(name: str) -> str:
     return name
 
 
-def parameter_domain(family: str) -> tuple[float, float, bool]:
-    """(lo, hi, endpoints_included) of the family's parameter."""
-    family = canonical_family(family)
-    if family in _FIXED:
-        raise InvalidParameter(f"family {family!r} takes no parameter")
-    return _PARAMETRIC[family][1]
-
-
 def build_family(spec: FamilySpec) -> ChannelMatrix:
-    """Dispatch a FamilySpec to its generator, checking required fields."""
+    """Dispatch a FamilySpec to its generator; a fixed example takes no parameter."""
     family = canonical_family(spec.family)
-    if family in _FIXED:
-        return fixed_example(family)
-    if spec.parameter is None:
-        raise InvalidParameter(f"family {family!r} requires a parameter")
-    generate, _, needs_n = _PARAMETRIC[family]
-    if needs_n and spec.n is None:
-        raise InvalidParameter(f"{family} requires n")
-    return generate(spec)
+    if family not in _FIXED:
+        return _PARAMETRIC[family](spec)
+    if spec.parameter is not None:
+        raise InvalidParameter(f"family {family!r} takes no parameter")
+    return fixed_example(family)

@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 
-def fmt(x: float) -> str:
-    """Nine significant digits; NaN becomes the NA marker."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if math.isnan(x):
+
+def fmt(value) -> str:
+    """How every command prints one value: None and NaN are NA, an array its
+    values comma-joined, a bool true or false, a float at nine significant
+    digits, and anything else (an int, a Condition, a name) through ``str``."""
+    if value is None:
         return "NA"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".9g")
+    if isinstance(value, np.ndarray):
+        return ",".join(map(fmt, value.tolist()))
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "NA" if math.isnan(value) else format(value, ".9g")
+    return str(value)

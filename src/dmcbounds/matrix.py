@@ -8,7 +8,7 @@ reference capacities) consumes the ``ChannelMatrix`` produced by
 
 - inverse of A, by ``np.linalg.inv`` (one LAPACK gesv on the identity),
   refused as singular when the 2-norm condition number sigma_max/sigma_min
-  reaches 1e13;
+  reaches 1e13; the other diagnostics ride on the ``SingularMatrix``;
 - Gershgorin ratios c_i = A_ii / sum of off-diagonal row entries, and their
   minimum c_min (+inf when every off-diagonal sum is zero or below 5.6e-309);
 - minimum singular value and condition number, from one LAPACK SVD of A
@@ -61,9 +61,10 @@ class ChannelMatrix:
 
 @dataclass(frozen=True, eq=False)
 class InverseAnalysis:
-    """Inverse of a channel matrix plus the diagnostics derived from A itself."""
+    """Inverse of a channel matrix plus the diagnostics derived from A itself;
+    ``inverse`` is None where A is refused as singular."""
 
-    inverse: np.ndarray
+    inverse: np.ndarray | None
     is_positive: bool
     is_sdd: bool
     c_min: float
@@ -132,14 +133,15 @@ def _condition_number(sv: np.ndarray) -> float:
     return float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
 
 
-def _checked_inverse(a: np.ndarray, sv: np.ndarray) -> np.ndarray:
-    """inv(A), or SingularMatrix when A's singular values ``sv`` give cond >= 1e13."""
+def _inverse(a: np.ndarray, sv: np.ndarray) -> np.ndarray | None:
+    """inv(A), or None where A's singular values ``sv`` give cond >= 1e13 or
+    the solve fails."""
     if sv[-1] <= sv[0] / COND_LIMIT:
-        raise SingularMatrix(_condition_number(sv))
+        return None
     try:
         return np.linalg.inv(a)
     except np.linalg.LinAlgError:
-        raise SingularMatrix(_condition_number(sv)) from None
+        return None
 
 
 def _dominance_ratios(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -167,7 +169,11 @@ def invert(matrix: ChannelMatrix) -> np.ndarray:
     ConvergenceFailure when the SVD that measures it does not converge.
     """
     a = matrix.entries
-    return _checked_inverse(a, _singular_values(a))
+    sv = _singular_values(a)
+    inverse = _inverse(a, sv)
+    if inverse is None:
+        raise SingularMatrix(_condition_number(sv))
+    return inverse
 
 
 def gershgorin(matrix: ChannelMatrix) -> tuple[np.ndarray, float]:
@@ -198,14 +204,15 @@ def row_entropies(matrix: ChannelMatrix) -> tuple[np.ndarray, float]:
 def analyze_inverse(matrix: ChannelMatrix) -> InverseAnalysis:
     """Bundle the inverse with positivity/dominance flags and all diagnostics.
 
-    One SVD of A gives the singular test, sigma_min and cond.
+    One SVD of A gives the singular test, sigma_min and cond. Where A is
+    refused as singular, the analysis, its inverse None, rides on the
+    SingularMatrix as ``.analysis``.
     """
     a = matrix.entries
     sv = _singular_values(a)
-    inverse = _checked_inverse(a, sv)
     diag, off = _gershgorin_radii(a)
-    return InverseAnalysis(
-        inverse=inverse,
+    analysis = InverseAnalysis(
+        inverse=_inverse(a, sv),
         is_positive=bool(a.min() > 0.0),
         is_sdd=bool(((diag - off) > DOMINANCE_MARGIN).all()),
         c_min=float(_dominance_ratios(diag, off).min()),
@@ -213,6 +220,9 @@ def analyze_inverse(matrix: ChannelMatrix) -> InverseAnalysis:
         cond=_condition_number(sv),
         h_max=float(0.0 - matrix.neg_entropies.min()),
     )
+    if analysis.inverse is None:
+        raise SingularMatrix(analysis.cond, analysis)
+    return analysis
 
 
 def _float_vector(v, n: int, name: str) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -151,10 +152,12 @@ class TestSweep:
             run_sweep("bsc", None, lo, hi, steps)
 
     def test_tolerance_that_cannot_certify_exits_2_and_writes_nothing(self, tmp_path):
+        # the gamma range's last point, 1, is refused by the generator itself
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--family", "bsc", "--range", "0.1:0.4", "--steps", "3",
-                     "--tol", "inf", "--out", str(out)]) == 2
-        assert not out.exists()
+        for argv in (["--family", "bsc", "--range", "0.1:0.4", "--steps", "3", "--tol", "inf"],
+                     ["--family", "gamma", "--range", "0.5:1", "--steps", "3"]):
+            assert main(["sweep", *argv, "--out", str(out)]) == 2
+            assert not out.exists()
 
     def test_svg_is_well_formed_with_one_polyline_per_series(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -322,6 +325,20 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "upper_bound: 1.2715467" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "family", [["example-1"], ["relay-miso", "--n", "60", "--param", "0.1"]],
+        ids=["fails-in-the-flush", "fails-in-the-write"],  # 3 lines fit the buffer, 61 do not
+    )
+    def test_reader_that_closed_stdout_exits_1_quietly(self, family):
+        # the read end is closed before the child starts, so its first write fails
+        read, write = os.pipe()
+        os.close(read)
+        argv = [sys.executable, "-m", "dmcbounds", "generate", "--family", *family]
+        proc = subprocess.Popen(argv, stdout=write, stderr=subprocess.PIPE)
+        os.close(write)
+        _, err = proc.communicate()
+        assert (proc.returncode, err) == (1, b"")
 
     @pytest.fixture(scope="module")
     def imported(self):

@@ -23,7 +23,7 @@ from dmcbounds import (
     relay_miso,
     validate_channel,
 )
-from dmcbounds.families import _relay_entries, _relay_table, canonical_family, parameter_domain
+from dmcbounds.families import _relay_entries, _relay_table, canonical_family
 from conftest import cli_grid, entropy2
 
 
@@ -328,15 +328,13 @@ class TestBuildFamily:
 @pytest.mark.parametrize(
     "call, expected",
     [
-        (lambda: parameter_domain("relay-miso"), (0.0, 1.0, True)),
-        (lambda: parameter_domain("gamma"), (0.0, 1.0, False)),
-        (lambda: parameter_domain("beta"), (0.0, 1.0, True)),
-        (lambda: parameter_domain("bsc"), (0.0, 1.0, True)),
-        (lambda: parameter_domain("random-sdd"), (1.0, math.inf, False)),
-        (lambda: parameter_domain("example-1"), "family 'example-1' takes no parameter"),
-        (lambda: build_family(FamilySpec("beta")), "family 'beta' requires a parameter"),
-        (lambda: build_family(FamilySpec("relay-miso", parameter=0.3)), "relay-miso requires n"),
-        (lambda: build_family(FamilySpec("random-sdd", parameter=2.0)), "random-sdd requires n"),
+        (lambda: build_family(FamilySpec("example-1", parameter=0.5)),
+         "family 'example-1' takes no parameter"),
+        (lambda: build_family(FamilySpec("beta")), "beta must be in [0, 1], got None"),
+        (lambda: build_family(FamilySpec("relay-miso", parameter=0.3)),
+         "n must be a positive integer, got None"),
+        (lambda: build_family(FamilySpec("random-sdd", parameter=2.0)),
+         "n must be an integer of at least 2, got None"),
         (lambda: canonical_family("quaternary-erasure"), "unknown family 'quaternary-erasure'"),
         (lambda: build_family(FamilySpec([], parameter=0.5)), "family name must be a string, got []"),
         (lambda: fixed_example([]), "unknown fixed example []"),
@@ -344,17 +342,14 @@ class TestBuildFamily:
         (lambda: build_family(FamilySpec("beta", parameter=1.5)), "beta must be in [0, 1], got 1.5"),
     ],
     ids=[
-        "domain-relay-miso", "domain-gamma", "domain-beta", "domain-bsc", "domain-random-sdd",
         "no-parameter", "requires-parameter", "relay-requires-n", "sdd-requires-n", "unknown",
         "family-not-a-string", "fixed-example-not-a-string",
         "generator-domain", "closed-generator-domain",
     ],
 )
 def test_dispatch_contract(call, expected):
-    """Each parametric family's domain, and the message of each refusal, in
-    the order build_family checks: the family, the parameter, n, the domain."""
-    if isinstance(expected, str):
-        with pytest.raises(InvalidParameter, match=f"^{re.escape(expected)}$"):
-            call()
-    else:
-        assert call() == expected
+    """The message of each refusal: build_family checks the family name, then
+    a fixed example refuses a parameter, and a generator its n and parameter,
+    None included."""
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(expected)}$"):
+        call()

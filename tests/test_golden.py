@@ -85,6 +85,7 @@ ERROR_COMMANDS = [
       for command in ("analyze", "compare")),
     ["analyze", "nope.csv"],
     ["generate", "--family", "gamma", "--param", "1.5"],
+    ["generate", "--family", "example-1", "--param", "0.3"],
     ["sweep", "--family", "gamma", "--range", "0:0.5", "--steps", "3"],
     ["sweep", "--family", "bsc", "--range", "0.1:0.4", "--steps", "1"],
     ["sweep", "--family", "bsc", "--range", "0.4:0.1", "--steps", "3"],

@@ -152,6 +152,10 @@ class TestInvert:
             analyze_inverse(m)
         assert err.value.cond >= 1e13
         assert "condition number" in str(err.value)
+        # what needs no inverse still rides along
+        analysis = err.value.analysis
+        assert analysis.inverse is None and analysis.cond >= 1e13
+        assert analysis.sigma_min == np.linalg.svd(m.entries, compute_uv=False)[-1]
 
     def test_cond_above_limit_raises(self):
         # relay n=60 alpha=0.20 has cond 3.2e13: every digit of its inverse is noise
