@@ -27,7 +27,6 @@ from .errors import (
     TooLarge,
 )
 from .families import (
-    FamilySpec,
     SplitMix64,
     beta_family,
     bsc,
@@ -64,7 +63,6 @@ __all__ = [
     "Condition",
     "ConvergenceFailure",
     "DmcError",
-    "FamilySpec",
     "InputError",
     "InvalidParameter",
     "InvalidPmf",

@@ -27,7 +27,7 @@ import numpy as np
 from .bounds import Condition, capacity_upper_bound, pseudo_inverse_input
 from .errors import ConvergenceFailure, InputError, InvalidRange, NotConverged
 from .errors import NumericError, SingularMatrix
-from .families import FamilySpec, build_family, canonical_family
+from .families import build_family, canonical_family
 from .formatting import fmt
 from .matrix import ChannelMatrix, _is_integer, _is_real, dump_matrix_csv, load_matrix_csv
 from .reference import (
@@ -135,10 +135,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    spec = FamilySpec(
-        family=args.family, n=args.n, parameter=args.param, seed=args.seed
-    )
-    matrix = build_family(spec)
+    matrix = build_family(args.family, n=args.n, parameter=args.param, seed=args.seed)
     if args.out:
         dump_matrix_csv(matrix, args.out)
     else:
@@ -146,11 +143,11 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def sweep_record(spec: FamilySpec, tol: float, max_iter: int) -> dict:
+def sweep_record(parameter: float, matrix: ChannelMatrix, tol: float, max_iter: int) -> dict:
     """Evaluate one grid point as its sweep CSV row: header name -> value, in
     column order; numeric failures turn into NA (None) cells."""
-    record, _ = _evaluate(build_family(spec), tol, max_iter)
-    return {"parameter": spec.parameter, **{c: record[k] for c, k in COLUMNS.items()}}
+    record, _ = _evaluate(matrix, tol, max_iter)
+    return {"parameter": parameter, **{c: record[k] for c, k in COLUMNS.items()}}
 
 
 def run_sweep(
@@ -171,12 +168,10 @@ def run_sweep(
         raise InvalidRange(f"range ends must be real numbers, got {lo!r}:{hi!r}")
     if not lo < hi:
         raise InvalidRange(f"range must satisfy lo < hi, got {lo!r}:{hi!r}")
-    records = []
-    for i in range(steps):
-        x = hi if i == steps - 1 else lo + i * (hi - lo) / (steps - 1)
-        spec = FamilySpec(family=family, n=n, parameter=x, seed=seed)
-        records.append(sweep_record(spec, tol, max_iter))
-    return records
+    grid = [lo + i * (hi - lo) / (steps - 1) for i in range(steps - 1)] + [hi]
+    # every point is built before any is evaluated, so a refused one costs no BA run
+    matrices = [build_family(family, n=n, parameter=x, seed=seed) for x in grid]
+    return [sweep_record(x, m, tol, max_iter) for x, m in zip(grid, matrices)]
 
 
 def sweep_csv(records: list[dict]) -> str:

@@ -8,15 +8,15 @@ positive matrices for property testing.
 The random generator uses splitmix64 so fixtures are reproducible bit-for-bit
 from the seed alone, in any language with 64-bit integers.
 
-``build_family`` and ``canonical_family`` dispatch on a family name through
-``_FIXED``, the fixed examples, which take no parameter, and ``_PARAMETRIC``,
-each parametric family's generator. Each generator alone decides which n and
-parameter it takes, and refuses the rest, None too, with its own message.
+``build_family(family, *, n=None, parameter=None, seed=None)`` dispatches
+through one table, ``_FAMILIES``, of fixed and parametric families alike:
+each entry's parameter list names the only arguments its family takes, and
+any other given argument is refused. A missing one reaches the generator as
+None, which refuses it with its own message (random-sdd's seed defaults to 0).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -201,30 +201,27 @@ def random_sdd_positive(n: int, min_ratio: float, seed: int) -> ChannelMatrix:
     return validate_channel(a)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Parameter bundle naming one generated matrix."""
-
-    family: str
-    n: int | None = None
-    parameter: float | None = None
-    seed: int | None = None
-
-
 _ALIASES = {
     "gamma-semi-weakly-symmetric": "gamma",
     "beta-reliability": "beta",
     "example-3-fixed": "example-3",
 }
 
-_PARAMETRIC = {  # family -> generator of a FamilySpec
-    "relay-miso": lambda spec: relay_miso(spec.n, spec.parameter),
-    "gamma": lambda spec: gamma_family(spec.parameter),
-    "beta": lambda spec: beta_family(spec.parameter),
-    "bsc": lambda spec: bsc(spec.parameter),
-    "random-sdd": lambda spec: random_sdd_positive(
-        spec.n, spec.parameter, 0 if spec.seed is None else spec.seed
+_FAMILIES = {  # family -> generator, called with the arguments it names
+    "example-1": lambda: fixed_example("example-1"),
+    "example-3": lambda: fixed_example("example-3"),
+    "example-4": lambda: fixed_example("example-4"),
+    "relay-miso": lambda n, parameter: relay_miso(n, parameter),
+    "gamma": lambda parameter: gamma_family(parameter),
+    "beta": lambda parameter: beta_family(parameter),
+    "bsc": lambda parameter: bsc(parameter),
+    "random-sdd": lambda n, parameter, seed: random_sdd_positive(
+        n, parameter, 0 if seed is None else seed
     ),
+}
+_TAKES = {  # family -> the names of its generator's parameters, read once
+    family: make.__code__.co_varnames[: make.__code__.co_argcount]
+    for family, make in _FAMILIES.items()
 }
 
 
@@ -232,16 +229,18 @@ def canonical_family(name: str) -> str:
     if not isinstance(name, str):
         raise InvalidParameter(f"family name must be a string, got {name!r}")
     name = _ALIASES.get(name, name)
-    if name not in _FIXED and name not in _PARAMETRIC:
+    if name not in _FAMILIES:
         raise InvalidParameter(f"unknown family {name!r}")
     return name
 
 
-def build_family(spec: FamilySpec) -> ChannelMatrix:
-    """Dispatch a FamilySpec to its generator; a fixed example takes no parameter."""
-    family = canonical_family(spec.family)
-    if family not in _FIXED:
-        return _PARAMETRIC[family](spec)
-    if spec.parameter is not None:
-        raise InvalidParameter(f"family {family!r} takes no parameter")
-    return fixed_example(family)
+def build_family(family: str, *, n=None, parameter=None, seed=None) -> ChannelMatrix:
+    """``family``'s matrix from the arguments its generator names; a given
+    argument it does not name is refused, in the order n, parameter, seed."""
+    family = canonical_family(family)
+    given = {"n": n, "parameter": parameter, "seed": seed}
+    takes = _TAKES[family]
+    for name, value in given.items():
+        if value is not None and name not in takes:
+            raise InvalidParameter(f"family {family!r} takes no {name}")
+    return _FAMILIES[family](**{name: given[name] for name in takes})

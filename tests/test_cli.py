@@ -13,7 +13,6 @@ from dmcbounds import (
     CapacityEstimate,
     Condition,
     ConvergenceFailure,
-    FamilySpec,
     InvalidParameter,
     InvalidRange,
     SingularMatrix,
@@ -133,7 +132,7 @@ class TestSweep:
         assert sweep_csv(records).split("\n")[1].split(",")[:3] == ["0", "2", "2"]
 
     def test_point_whose_ba_cannot_certify_turns_na(self):
-        record = sweep_record(FamilySpec("relay-miso", 30, 0.3, None), 1e-9, 0)
+        record = sweep_record(0.3, build_family("relay-miso", n=30, parameter=0.3), 1e-9, 0)
         assert record["ba_capacity"] is None
         cells = sweep_csv([record]).split("\n")[1].split(",")
         assert cells[2] == "NA"
@@ -151,13 +150,23 @@ class TestSweep:
         with pytest.raises(InvalidRange):
             run_sweep("bsc", None, lo, hi, steps)
 
-    def test_tolerance_that_cannot_certify_exits_2_and_writes_nothing(self, tmp_path):
-        # the gamma range's last point, 1, is refused by the generator itself
+    def test_tolerance_that_cannot_certify_exits_2_and_writes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        # the gamma and relay ranges' last points, 1 and 1.02, are refused by
+        # the generator itself, and before any grid point is evaluated
         out = tmp_path / "sweep.csv"
-        for argv in (["--family", "bsc", "--range", "0.1:0.4", "--steps", "3", "--tol", "inf"],
-                     ["--family", "gamma", "--range", "0.5:1", "--steps", "3"]):
+        evaluated = spy(monkeypatch, "dmcbounds.cli._evaluate")
+        for argv in (["--family", "gamma", "--range", "0.5:1", "--steps", "3"],
+                     ["--family", "relay-miso", "--n", "3", "--range", "0.02:1.02",
+                      "--steps", "11"]):
             assert main(["sweep", *argv, "--out", str(out)]) == 2
             assert not out.exists()
+        assert evaluated == []
+        # BA refuses this tolerance inside the first point's evaluation
+        argv =["--family", "bsc", "--range", "0.1:0.4", "--steps", "3", "--tol", "inf"]
+        assert main(["sweep", *argv, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_svg_is_well_formed_with_one_polyline_per_series(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -218,7 +227,7 @@ class TestEvaluatorStart:
         monkeypatch.setattr(np.linalg, "svd", failing)
 
     def test_singular_point_starts_from_pseudo_inverse_input(self, calls):
-        matrix = build_family(FamilySpec("relay-miso", 30, cli_grid(0.02, 0.50, 13)[9], None))
+        matrix = build_family("relay-miso", n=30, parameter=cli_grid(0.02, 0.50, 13)[9])
         record, errors = _evaluate(matrix, 1e-9, 100_000)  # alpha = 0.38
         _, _, kwargs, _ = calls[0]
         assert np.array_equal(kwargs["start"], pseudo_inverse_input(matrix))
@@ -229,7 +238,7 @@ class TestEvaluatorStart:
         assert record["ba_capacity"] == pytest.approx(0.683040186, abs=1e-9)
 
     def test_non_positive_point_starts_from_p_star(self, calls):
-        matrix = build_family(FamilySpec("relay-miso", 3, 0.0, None))
+        matrix = build_family("relay-miso", n=3, parameter=0.0)
         assert _evaluate(matrix, 1e-9, 100_000)[1] == []
         _, _, kwargs, _ = calls[0]
         assert np.array_equal(kwargs["start"], capacity_upper_bound(matrix).p_star)
@@ -237,7 +246,7 @@ class TestEvaluatorStart:
     def test_failed_svd_turns_the_closed_form_na_and_starts_from_uniform(
         self, calls, failing_svd
     ):
-        matrix = build_family(FamilySpec("relay-miso", 3, 0.3, None))
+        matrix = build_family("relay-miso", n=3, parameter=0.3)
         record, errors = _evaluate(matrix, 1e-9, 100_000)
         _, _, kwargs, _ = calls[0]
         assert kwargs["start"] is None
@@ -377,13 +386,13 @@ class TestConsoleScript:
          "range ends must be real numbers, got False:True"),
         (lambda: relay_miso(True, 0.1), InvalidParameter,
          "n must be a positive integer, got True"),
-        (lambda: build_family(FamilySpec("relay-miso", n=True, parameter=0.1)),
+        (lambda: build_family("relay-miso", n=True, parameter=0.1),
          InvalidParameter, "n must be a positive integer, got True"),
         (lambda: random_sdd_positive(True, 2.0, 1), InvalidParameter,
          "n must be an integer of at least 2, got True"),
         (lambda: random_sdd_positive(3, 2.0, True), InvalidParameter,
          "seed must be an integer, got True"),
-        (lambda: build_family(FamilySpec("random-sdd", n=3, parameter=2.0, seed=False)),
+        (lambda: build_family("random-sdd", n=3, parameter=2.0, seed=False),
          InvalidParameter, "seed must be an integer, got False"),
         (lambda: random_sdd_positive(3, True, 1), InvalidParameter,
          "min_ratio must exceed 1, got True"),

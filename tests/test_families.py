@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from dmcbounds import (
     Condition,
-    FamilySpec,
     InvalidParameter,
     SplitMix64,
     analyze_inverse,
@@ -299,28 +298,28 @@ class TestRandomSddPositive:
 
 class TestBuildFamily:
     def test_aliases_resolve(self):
-        a = build_family(FamilySpec("gamma-semi-weakly-symmetric", parameter=0.2))
-        b = build_family(FamilySpec("gamma", parameter=0.2))
+        a = build_family("gamma-semi-weakly-symmetric", parameter=0.2)
+        b = build_family("gamma", parameter=0.2)
         assert np.array_equal(a.entries, b.entries)
 
     def test_fixed_examples_ignore_params(self):
-        m = build_family(FamilySpec("example-3-fixed"))
+        m = build_family("example-3-fixed")
         assert np.array_equal(m.entries, fixed_example("example-3").entries)
 
     def test_relay_requires_n(self):
         with pytest.raises(InvalidParameter):
-            build_family(FamilySpec("relay-miso", parameter=0.3))
+            build_family("relay-miso", parameter=0.3)
 
     def test_missing_parameter_rejected(self):
         with pytest.raises(InvalidParameter):
-            build_family(FamilySpec("beta"))
+            build_family("beta")
 
     def test_unknown_family_rejected(self):
         with pytest.raises(InvalidParameter):
-            build_family(FamilySpec("quaternary-erasure", parameter=0.1))
+            build_family("quaternary-erasure", parameter=0.1)
 
     def test_random_family_uses_seed(self):
-        a = build_family(FamilySpec("random-sdd", n=3, parameter=2.0, seed=5))
+        a = build_family("random-sdd", n=3, parameter=2.0, seed=5)
         b = random_sdd_positive(3, 2.0, 5)
         assert np.array_equal(a.entries, b.entries)
 
@@ -328,28 +327,32 @@ class TestBuildFamily:
 @pytest.mark.parametrize(
     "call, expected",
     [
-        (lambda: build_family(FamilySpec("example-1", parameter=0.5)),
+        (lambda: build_family("example-1", parameter=0.5),
          "family 'example-1' takes no parameter"),
-        (lambda: build_family(FamilySpec("beta")), "beta must be in [0, 1], got None"),
-        (lambda: build_family(FamilySpec("relay-miso", parameter=0.3)),
+        (lambda: build_family("bsc", n=7, parameter=0.1, seed=3), "family 'bsc' takes no n"),
+        (lambda: build_family("relay-miso", n=3, parameter=0.1, seed=3),
+         "family 'relay-miso' takes no seed"),
+        (lambda: build_family("beta"), "beta must be in [0, 1], got None"),
+        (lambda: build_family("relay-miso", parameter=0.3),
          "n must be a positive integer, got None"),
-        (lambda: build_family(FamilySpec("random-sdd", parameter=2.0)),
+        (lambda: build_family("random-sdd", parameter=2.0),
          "n must be an integer of at least 2, got None"),
         (lambda: canonical_family("quaternary-erasure"), "unknown family 'quaternary-erasure'"),
-        (lambda: build_family(FamilySpec([], parameter=0.5)), "family name must be a string, got []"),
+        (lambda: build_family([], parameter=0.5), "family name must be a string, got []"),
         (lambda: fixed_example([]), "unknown fixed example []"),
-        (lambda: build_family(FamilySpec("gamma", parameter=1.5)), "gamma must be in (0, 1), got 1.5"),
-        (lambda: build_family(FamilySpec("beta", parameter=1.5)), "beta must be in [0, 1], got 1.5"),
+        (lambda: build_family("gamma", parameter=1.5), "gamma must be in (0, 1), got 1.5"),
+        (lambda: build_family("beta", parameter=1.5), "beta must be in [0, 1], got 1.5"),
     ],
     ids=[
-        "no-parameter", "requires-parameter", "relay-requires-n", "sdd-requires-n", "unknown",
+        "no-parameter", "no-n", "no-seed", "requires-parameter", "relay-requires-n",
+        "sdd-requires-n", "unknown",
         "family-not-a-string", "fixed-example-not-a-string",
         "generator-domain", "closed-generator-domain",
     ],
 )
 def test_dispatch_contract(call, expected):
     """The message of each refusal: build_family checks the family name, then
-    a fixed example refuses a parameter, and a generator its n and parameter,
-    None included."""
+    refuses a given argument the family does not take (n first, then parameter,
+    then seed), and a generator its n and parameter, None included."""
     with pytest.raises(InvalidParameter, match=f"^{re.escape(expected)}$"):
         call()

@@ -92,6 +92,9 @@ ERROR_COMMANDS = [
     ["sweep", "--family", "bsc", "--range", "nope", "--steps", "3"],
     ["sweep", "--family", "bsc", "--range", "0.1:0.4", "--steps", "3", "--tol", "inf",
      "--out", "sweep.csv"],
+    ["generate", "--family", "bsc", "--param", "0.1", "--n", "7", "--seed", "3"],
+    ["generate", "--family", "example-1", "--n", "7"],
+    ["sweep", "--family", "gamma", "--n", "4", "--range", "0.1:0.5", "--steps", "3"],
 ]
 
 

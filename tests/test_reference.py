@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmcbounds import (
-    FamilySpec,
     InvalidParameter,
     InvalidPmf,
     NotConverged,
@@ -133,7 +132,7 @@ RELAY30_CAPACITIES = [
 
 def sweep_channels(family, n, lo, hi, steps):
     """The channels of a CLI sweep, at the grid parameters the CLI uses."""
-    return [build_family(FamilySpec(family, n, x, None)) for x in cli_grid(lo, hi, steps)]
+    return [build_family(family, n=n, parameter=x) for x in cli_grid(lo, hi, steps)]
 
 
 def refused_as_singular(matrix):
