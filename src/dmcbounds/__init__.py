@@ -8,7 +8,6 @@ from .bounds import (
     BoundReport,
     Condition,
     capacity_upper_bound,
-    pseudo_inverse_input,
 )
 from .errors import (
     ConvergenceFailure,
@@ -24,7 +23,6 @@ from .errors import (
     NumericError,
     RowSumViolation,
     SingularMatrix,
-    TooLarge,
 )
 from .families import (
     SplitMix64,
@@ -76,7 +74,6 @@ __all__ = [
     "RowSumViolation",
     "SingularMatrix",
     "SplitMix64",
-    "TooLarge",
     "analyze_inverse",
     "arimoto_upper_bound",
     "beta_family",
@@ -92,7 +89,6 @@ __all__ = [
     "grid_oracle",
     "load_matrix_csv",
     "mutual_information",
-    "pseudo_inverse_input",
     "random_sdd_positive",
     "relay_miso",
     "validate_channel",

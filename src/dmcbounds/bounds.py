@@ -19,8 +19,8 @@ exact arithmetic every D(A_i || q*) equals log2 sum_j 2^(-K_j).
 
 Where A is too close to singular to invert, the same formula with the
 Moore-Penrose pseudo-inverse pinv(A) in place of inv(A) still gives an input
-near the optimum (``pseudo_inverse_input``). It is only a start point for the
-iterative solver, never a bound.
+near the optimum (``_pseudo_inverse_input``). It is only a start point for
+the iterative solver, never a bound.
 
 When p* is a valid pmf the bound is the capacity. ``capacity_upper_bound``
 decides once whether A meets the hypothesis of the four sufficient conditions
@@ -103,7 +103,7 @@ def _kkt_closed_form(
     return k, q_star, inverse.T @ q_star
 
 
-def pseudo_inverse_input(matrix: ChannelMatrix) -> np.ndarray | None:
+def _pseudo_inverse_input(matrix: ChannelMatrix) -> np.ndarray | None:
     """The closed form's input with pinv(A) in place of inv(A).
 
     A start hint for ``blahut_arimoto`` where A is refused as singular: it

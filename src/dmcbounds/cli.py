@@ -24,10 +24,10 @@ import sys
 
 import numpy as np
 
-from .bounds import Condition, capacity_upper_bound, pseudo_inverse_input
+from .bounds import Condition, _pseudo_inverse_input, capacity_upper_bound
 from .errors import ConvergenceFailure, InputError, InvalidRange, NotConverged
 from .errors import NumericError, SingularMatrix
-from .families import build_family, canonical_family
+from .families import build_family
 from .formatting import fmt
 from .matrix import ChannelMatrix, _is_integer, _is_real, dump_matrix_csv, load_matrix_csv
 from .reference import (
@@ -70,7 +70,7 @@ def _evaluate(matrix: ChannelMatrix, tol: float, max_iter: int) -> tuple[dict, l
         analysis = exc.analysis
         # dominance implies invertibility, so the conditions cannot hold here
         condition = Condition.PRECONDITION_NOT_MET
-        start = pseudo_inverse_input(matrix)  # a start for BA, not a bound
+        start = _pseudo_inverse_input(matrix)  # a start for BA, not a bound
     except ConvergenceFailure as exc:
         errors.append(exc)
     try:
@@ -168,6 +168,8 @@ def run_sweep(
         raise InvalidRange(f"range ends must be real numbers, got {lo!r}:{hi!r}")
     if not lo < hi:
         raise InvalidRange(f"range must satisfy lo < hi, got {lo!r}:{hi!r}")
+    if not math.isfinite(hi - lo):
+        raise InvalidRange(f"range must be finite, got {lo!r}:{hi!r}")
     grid = [lo + i * (hi - lo) / (steps - 1) for i in range(steps - 1)] + [hi]
     # every point is built before any is evaluated, so a refused one costs no BA run
     matrices = [build_family(family, n=n, parameter=x, seed=seed) for x in grid]
@@ -187,9 +189,7 @@ def sweep_svg(records: list[dict], family: str) -> str:
         return [(x, y) for x, y in values if y is not None and math.isfinite(y)]
 
     series = [(name, points(name)) for name in list(COLUMNS)[:5]]
-    return render_line_chart(
-        series, "parameter", "bits", f"capacity and upper bounds ({family})"
-    )
+    return render_line_chart(series, f"capacity and upper bounds ({family})")
 
 
 def cmd_sweep(args) -> int:
@@ -209,7 +209,7 @@ def cmd_sweep(args) -> int:
         sys.stdout.write(text)
     if args.svg:
         with open(args.svg, "w", encoding="ascii") as fh:
-            fh.write(sweep_svg(records, canonical_family(args.family)))
+            fh.write(sweep_svg(records, args.family))
     return 0
 
 

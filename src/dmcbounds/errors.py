@@ -60,12 +60,6 @@ class InvalidRange(InputError):
     pass
 
 
-class TooLarge(InputError):
-    def __init__(self, n: int, limit: int):
-        self.n = n
-        super().__init__(f"alphabet size {n} exceeds limit {limit}")
-
-
 class SingularMatrix(NumericError):
     """cond(A) = sigma_max/sigma_min is at least 1e13 (inf when sigma_min = 0).
     The message omits ``cond``: at an exactly singular A its digits are noise.

@@ -9,10 +9,11 @@ The random generator uses splitmix64 so fixtures are reproducible bit-for-bit
 from the seed alone, in any language with 64-bit integers.
 
 ``build_family(family, *, n=None, parameter=None, seed=None)`` dispatches
-through one table, ``_FAMILIES``, of fixed and parametric families alike:
-each entry's parameter list names the only arguments its family takes, and
-any other given argument is refused. A missing one reaches the generator as
-None, which refuses it with its own message (random-sdd's seed defaults to 0).
+through one table, ``_FAMILIES``, of fixed and parametric families alike. Its
+eight keys are the only family names; any other is refused. Each entry's
+parameter list names the only arguments its family takes, and any other given
+argument is refused. A missing one reaches the generator as None, which
+refuses it with its own message (random-sdd's seed defaults to 0).
 """
 
 from __future__ import annotations
@@ -201,12 +202,6 @@ def random_sdd_positive(n: int, min_ratio: float, seed: int) -> ChannelMatrix:
     return validate_channel(a)
 
 
-_ALIASES = {
-    "gamma-semi-weakly-symmetric": "gamma",
-    "beta-reliability": "beta",
-    "example-3-fixed": "example-3",
-}
-
 _FAMILIES = {  # family -> generator, called with the arguments it names
     "example-1": lambda: fixed_example("example-1"),
     "example-3": lambda: fixed_example("example-3"),
@@ -225,19 +220,13 @@ _TAKES = {  # family -> the names of its generator's parameters, read once
 }
 
 
-def canonical_family(name: str) -> str:
-    if not isinstance(name, str):
-        raise InvalidParameter(f"family name must be a string, got {name!r}")
-    name = _ALIASES.get(name, name)
-    if name not in _FAMILIES:
-        raise InvalidParameter(f"unknown family {name!r}")
-    return name
-
-
 def build_family(family: str, *, n=None, parameter=None, seed=None) -> ChannelMatrix:
     """``family``'s matrix from the arguments its generator names; a given
     argument it does not name is refused, in the order n, parameter, seed."""
-    family = canonical_family(family)
+    if not isinstance(family, str):
+        raise InvalidParameter(f"family name must be a string, got {family!r}")
+    if family not in _FAMILIES:
+        raise InvalidParameter(f"unknown family {family!r}")
     given = {"n": n, "parameter": parameter, "seed": seed}
     takes = _TAKES[family]
     for name, value in given.items():

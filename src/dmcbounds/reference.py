@@ -78,7 +78,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .errors import InvalidParameter, NotConverged, TooLarge
+from .errors import InvalidParameter, NotConverged
 from .matrix import ChannelMatrix, _checked_pmf, _entropies, _float_vector
 from .matrix import _is_integer, _is_real
 
@@ -449,7 +449,7 @@ def grid_oracle(matrix: ChannelMatrix, resolution: int) -> CapacityEstimate:
     """
     n = matrix.n
     if n > GRID_MAX_N:
-        raise TooLarge(n, GRID_MAX_N)
+        raise InvalidParameter(f"alphabet size {n} exceeds limit {GRID_MAX_N}")
     if not _is_integer(resolution):
         raise InvalidParameter(f"resolution must be an integer, got {resolution!r}")
     if resolution < 10:

@@ -16,14 +16,10 @@ MARGIN_BOTTOM = 55
 PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
 
-def render_line_chart(
-    series: list[tuple[str, list[tuple[float, float]]]],
-    x_label: str,
-    y_label: str,
-    title: str = "",
-) -> str:
-    """Render named point series as polylines. Series with no points are
-    omitted; every emitted series contributes exactly one polyline."""
+def render_line_chart(series: list[tuple[str, list[tuple[float, float]]]], title: str) -> str:
+    """Render named point series as polylines against "parameter" and "bits"
+    axes. Series with no points are omitted; every emitted series contributes
+    exactly one polyline."""
     drawn = [(name, pts) for name, pts in series if pts]
     xs = [x for _, pts in drawn for x, _ in pts]
     ys = [y for _, pts in drawn for _, y in pts]
@@ -50,12 +46,9 @@ def render_line_chart(
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="black" stroke-width="1"/>',
+        f'<text x="{WIDTH / 2:.2f}" y="24" text-anchor="middle" '
+        f'font-size="16">{html.escape(title, quote=False)}</text>',
     ]
-    if title:
-        out.append(
-            f'<text x="{WIDTH / 2:.2f}" y="24" text-anchor="middle" '
-            f'font-size="16">{html.escape(title, quote=False)}</text>'
-        )
 
     for k in range(5):
         fx = x_lo + (x_hi - x_lo) * k / 4
@@ -70,12 +63,12 @@ def render_line_chart(
         )
     out.append(
         f'<text x="{MARGIN_LEFT + plot_w / 2:.2f}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-size="13">{html.escape(x_label, quote=False)}</text>'
+        'font-size="13">parameter</text>'
     )
     out.append(
         f'<text x="18" y="{MARGIN_TOP + plot_h / 2:.2f}" text-anchor="middle" '
         f'font-size="13" transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.2f})">'
-        f"{html.escape(y_label, quote=False)}</text>"
+        "bits</text>"
     )
 
     for idx, (name, pts) in enumerate(drawn):

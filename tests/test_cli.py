@@ -26,11 +26,11 @@ from dmcbounds import (
     gamma_family,
     grid_oracle,
     load_matrix_csv,
-    pseudo_inverse_input,
     random_sdd_positive,
     relay_miso,
     validate_channel,
 )
+from dmcbounds.bounds import _pseudo_inverse_input
 from dmcbounds.cli import _evaluate, main, run_sweep, sweep_csv, sweep_record
 from dmcbounds.formatting import fmt
 from conftest import cli_grid, spy
@@ -143,11 +143,21 @@ class TestSweep:
         assert "takes no parameter" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "lo, hi, steps", [(0.1, 0.4, 2.5), ("a", 0.4, 3), (0.1, "a", 3)],
-        ids=["float-steps", "text-lo", "text-hi"],
+        "lo, hi, steps, message",
+        [
+            (0.1, 0.4, 2.5, "steps must be an integer, got 2.5"),
+            ("a", 0.4, 3, "range ends must be real numbers, got 'a':0.4"),
+            (0.1, "a", 3, "range ends must be real numbers, got 0.1:'a'"),
+            # a grid over an infinite span would hand the generator a NaN point
+            (0.1, math.inf, 3, "range must be finite, got 0.1:inf"),
+            (-1e308, 1e308, 3, "range must be finite, got -1e+308:1e+308"),
+        ],
+        ids=["float-steps", "text-lo", "text-hi", "infinite-hi", "overflowing-span"],
     )
-    def test_run_sweep_refuses_a_non_integer_step_count_or_non_real_range(self, lo, hi, steps):
-        with pytest.raises(InvalidRange):
+    def test_run_sweep_refuses_a_non_integer_step_count_or_non_real_range(
+        self, lo, hi, steps, message
+    ):
+        with pytest.raises(InvalidRange, match=f"^{re.escape(message)}$"):
             run_sweep("bsc", None, lo, hi, steps)
 
     def test_tolerance_that_cannot_certify_exits_2_and_writes_nothing(
@@ -230,7 +240,7 @@ class TestEvaluatorStart:
         matrix = build_family("relay-miso", n=30, parameter=cli_grid(0.02, 0.50, 13)[9])
         record, errors = _evaluate(matrix, 1e-9, 100_000)  # alpha = 0.38
         _, _, kwargs, _ = calls[0]
-        assert np.array_equal(kwargs["start"], pseudo_inverse_input(matrix))
+        assert np.array_equal(kwargs["start"], _pseudo_inverse_input(matrix))
         assert [type(e) for e in errors] == [SingularMatrix]
         assert record["upper_bound"] is None  # the hint is not a bound
         conditions = [record[f"{name}_condition"] for name in CONDITIONS]

@@ -22,7 +22,7 @@ from dmcbounds import (
     relay_miso,
     validate_channel,
 )
-from dmcbounds.families import _relay_entries, _relay_table, canonical_family
+from dmcbounds.families import _relay_entries, _relay_table
 from conftest import cli_grid, entropy2
 
 
@@ -297,13 +297,8 @@ class TestRandomSddPositive:
 
 
 class TestBuildFamily:
-    def test_aliases_resolve(self):
-        a = build_family("gamma-semi-weakly-symmetric", parameter=0.2)
-        b = build_family("gamma", parameter=0.2)
-        assert np.array_equal(a.entries, b.entries)
-
     def test_fixed_examples_ignore_params(self):
-        m = build_family("example-3-fixed")
+        m = build_family("example-3")
         assert np.array_equal(m.entries, fixed_example("example-3").entries)
 
     def test_relay_requires_n(self):
@@ -337,7 +332,7 @@ class TestBuildFamily:
          "n must be a positive integer, got None"),
         (lambda: build_family("random-sdd", parameter=2.0),
          "n must be an integer of at least 2, got None"),
-        (lambda: canonical_family("quaternary-erasure"), "unknown family 'quaternary-erasure'"),
+        (lambda: build_family("quaternary-erasure"), "unknown family 'quaternary-erasure'"),
         (lambda: build_family([], parameter=0.5), "family name must be a string, got []"),
         (lambda: fixed_example([]), "unknown fixed example []"),
         (lambda: build_family("gamma", parameter=1.5), "gamma must be in (0, 1), got 1.5"),

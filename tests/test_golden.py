@@ -95,6 +95,8 @@ ERROR_COMMANDS = [
     ["generate", "--family", "bsc", "--param", "0.1", "--n", "7", "--seed", "3"],
     ["generate", "--family", "example-1", "--n", "7"],
     ["sweep", "--family", "gamma", "--n", "4", "--range", "0.1:0.5", "--steps", "3"],
+    ["sweep", "--family", "bsc", "--range", "0.1:inf", "--steps", "3"],
+    ["generate", "--family", "beta-reliability", "--param", "0.3"],
 ]
 
 

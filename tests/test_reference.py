@@ -13,7 +13,6 @@ from dmcbounds import (
     NotConverged,
     NumericError,
     SingularMatrix,
-    TooLarge,
     analyze_inverse,
     arimoto_upper_bound,
     blahut_arimoto,
@@ -23,11 +22,11 @@ from dmcbounds import (
     dual_bound,
     fixed_example,
     grid_oracle,
-    pseudo_inverse_input,
     random_sdd_positive,
     relay_miso,
     validate_channel,
 )
+from dmcbounds.bounds import _pseudo_inverse_input
 from dmcbounds.reference import NEWTON_EVERY, _evaluate, _newton_on_support, _reduced_face, _solve
 from conftest import (
     CORPUS_SWEEPS,
@@ -94,7 +93,7 @@ def certified_counts(channels):
     """BA's iterations on each of ``channels``, unseeded and then seeded with
     pinv's p*, each run checked to certify by ``certified_bracket``."""
     counts = []
-    for start in (lambda m: None, pseudo_inverse_input):
+    for start in (lambda m: None, _pseudo_inverse_input):
         runs = []
         for m in channels:
             est = blahut_arimoto(m, start=start(m))
@@ -148,7 +147,7 @@ def sweep_start(matrix):
     try:
         return capacity_upper_bound(matrix).p_star
     except SingularMatrix:
-        return pseudo_inverse_input(matrix)
+        return _pseudo_inverse_input(matrix)
     except NumericError:
         return None
 
@@ -366,7 +365,7 @@ class TestSparseOptimalInput:
         spy(monkeypatch, "dmcbounds.reference._newton_point", calls)
         runs = [(m, sweep_start(m)) for m in sweep_channels("relay-miso", 30, 0.02, 0.50, 13)]
         for m in rank_deficient_channels():
-            runs += [(m, None), (m, pseudo_inverse_input(m))]
+            runs += [(m, None), (m, _pseudo_inverse_input(m))]
         for m, start in runs:
             blahut_arimoto(m, start=start)
         later_pieces, pinned = 0, []
@@ -511,7 +510,7 @@ class TestSparseOptimalInput:
         runs.append((rank_two_channel(), np.array([0.4, 0.3, 0.2, 0.1])))
         for name, index in STARTED_OVER:
             m = started_over_channel(name, index)
-            runs.append((m, pseudo_inverse_input(m)))
+            runs.append((m, _pseudo_inverse_input(m)))
         for m, start in runs:
             calls.clear()
             blahut_arimoto(m, start=start)
@@ -615,7 +614,7 @@ class TestFaceReduction:
         # each of these once failed its first solve and started over from
         # uniform; every build reaches the certified input in a handful of steps
         m = started_over_channel(name, index)
-        est = blahut_arimoto(m, start=pseudo_inverse_input(m))
+        est = blahut_arimoto(m, start=_pseudo_inverse_input(m))
         assert certified_bracket(m, est.optimal_input)[1] <= 1e-9 + 1e-12
         assert est.iterations < 10, est.iterations
 
@@ -815,7 +814,7 @@ class TestClosedFormStart:
         solves = spy(monkeypatch, "dmcbounds.reference._solve")
         for m in points:
             counts = []
-            for start in (None, pseudo_inverse_input(m)):
+            for start in (None, _pseudo_inverse_input(m)):
                 solves.clear()
                 blahut_arimoto(m, start=start)
                 counts.append(len(solves))
@@ -846,7 +845,7 @@ class TestClosedFormStart:
 
     def test_pseudo_inverse_input_is_p_star_when_a_inverts(self, ex1):
         expected = capacity_upper_bound(ex1).p_star
-        assert pseudo_inverse_input(ex1) == pytest.approx(expected, abs=1e-12)
+        assert _pseudo_inverse_input(ex1) == pytest.approx(expected, abs=1e-12)
 
     def test_pinv_failure_gives_no_hint(self, monkeypatch):
         def no_convergence(*args, **kwargs):
@@ -854,7 +853,7 @@ class TestClosedFormStart:
 
         m = relay_miso(30, 0.38)
         monkeypatch.setattr(np.linalg, "pinv", no_convergence)
-        hint = pseudo_inverse_input(m)
+        hint = _pseudo_inverse_input(m)
         assert hint is None
         plain = blahut_arimoto(m)
         seeded = blahut_arimoto(m, start=hint)
@@ -922,7 +921,7 @@ class TestGridOracle:
 
     def test_alphabet_size_limit(self):
         m = random_sdd_positive(5, 3.0, 1)
-        with pytest.raises(TooLarge):
+        with pytest.raises(InvalidParameter, match="^alphabet size 5 exceeds limit 4$"):
             grid_oracle(m, 50)
 
     def test_resolution_floor(self, bsc01):
