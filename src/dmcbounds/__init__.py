@@ -24,16 +24,7 @@ from .errors import (
     RowSumViolation,
     SingularMatrix,
 )
-from .families import (
-    SplitMix64,
-    beta_family,
-    bsc,
-    build_family,
-    fixed_example,
-    gamma_family,
-    random_sdd_positive,
-    relay_miso,
-)
+from .families import build_family, fixed_example, random_sdd_positive
 from .matrix import (
     ChannelMatrix,
     InverseAnalysis,
@@ -73,23 +64,18 @@ __all__ = [
     "NumericError",
     "RowSumViolation",
     "SingularMatrix",
-    "SplitMix64",
     "analyze_inverse",
     "arimoto_upper_bound",
-    "beta_family",
     "blahut_arimoto",
     "boyd_chiang_upper_bound",
-    "bsc",
     "build_family",
     "capacity_upper_bound",
     "dual_bound",
     "dump_matrix_csv",
     "fixed_example",
-    "gamma_family",
     "grid_oracle",
     "load_matrix_csv",
     "mutual_information",
     "random_sdd_positive",
-    "relay_miso",
     "validate_channel",
 ]

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import ChannelMatrix, InverseAnalysis, analyze_inverse
-from .matrix import _dominance_ratios
+from .matrix import _dominance_ratios, _gershgorin_radii
 from .reference import _dual
 
 FEASIBILITY_TOL = -1e-10
@@ -132,14 +132,13 @@ def _exactness_ladder(n: int, analysis: InverseAnalysis, k: np.ndarray) -> dict:
     and c_min is +inf, so A is the identity to the last bit, and the ladder
     takes the limits V = 1, sigma* = 1 and H*_max = 0. Without the hypothesis
     the ladder decides nothing, and every field keeps its ``BoundReport``
-    default.
+    default. Feasibility takes inv(A)'s columns as ``_gershgorin_radii`` takes A's rows.
     """
     if not (analysis.is_positive and analysis.is_sdd):
         return {}
     c, sigma_min = analysis.c_min, analysis.sigma_min
-    inverse = analysis.inverse
-    diag = np.diag(inverse)
-    ratios = _dominance_ratios(diag, np.abs(inverse).sum(axis=0) - np.abs(diag))
+    inverse = analysis.inverse  # a signed diagonal over the rows of |inv(A)|^T
+    ratios = _dominance_ratios(np.diag(inverse), _gershgorin_radii(np.abs(inverse).T)[1])
     rhs = math.log2(n - 1) + float(k.max() - k.min())
     feasible = all(math.isinf(r) or (r > 0 and math.log2(r) >= rhs) for r in ratios)
     if math.isinf(c):  # each formula below is inf/inf there

@@ -123,6 +123,15 @@ def _json_value(value):
     return fmt(value)
 
 
+def _write(text: str, path) -> None:
+    """``text`` to the file at ``path``, or to stdout where no path is given."""
+    if path:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_analyze(args) -> int:
     record = _checked_record(args)
     if args.json:
@@ -136,10 +145,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_generate(args) -> int:
     matrix = build_family(args.family, n=args.n, parameter=args.param, seed=args.seed)
-    if args.out:
-        dump_matrix_csv(matrix, args.out)
-    else:
-        sys.stdout.write(dump_matrix_csv(matrix))
+    _write(dump_matrix_csv(matrix), args.out)
     return 0
 
 
@@ -168,7 +174,11 @@ def run_sweep(
         raise InvalidRange(f"range ends must be real numbers, got {lo!r}:{hi!r}")
     if not lo < hi:
         raise InvalidRange(f"range must satisfy lo < hi, got {lo!r}:{hi!r}")
-    if not math.isfinite(hi - lo):
+    try:
+        span = float(hi) - float(lo)
+    except OverflowError:  # an int end too large for a float
+        span = math.inf
+    if not math.isfinite(span):
         raise InvalidRange(f"range must be finite, got {lo!r}:{hi!r}")
     grid = [lo + i * (hi - lo) / (steps - 1) for i in range(steps - 1)] + [hi]
     # every point is built before any is evaluated, so a refused one costs no BA run
@@ -201,15 +211,9 @@ def cmd_sweep(args) -> int:
     records = run_sweep(
         args.family, args.n, lo, hi, args.steps, args.tol, args.max_iter, args.seed
     )
-    text = sweep_csv(records)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(sweep_csv(records), args.out)
     if args.svg:
-        with open(args.svg, "w", encoding="ascii") as fh:
-            fh.write(sweep_svg(records, args.family))
+        _write(sweep_svg(records, args.family), args.svg)
     return 0
 
 

@@ -81,12 +81,12 @@ class ConvergenceFailure(NumericError):
 
 
 class NotConverged(NumericError):
-    """Iteration hit its cap; the best estimate rides along on the error."""
+    """Iteration hit its cap; the best estimate rides along, its iterations and gap too."""
 
-    def __init__(self, iterations: int, gap: float, estimate):
-        self.iterations = iterations
-        self.gap = gap
+    def __init__(self, estimate):
         self.estimate = estimate
+        self.iterations = estimate.iterations
+        self.gap = estimate.gap
         super().__init__(
-            f"not converged after {iterations} iterations (gap {gap:.3e} bits)"
+            f"not converged after {self.iterations} iterations (gap {self.gap:.3e} bits)"
         )

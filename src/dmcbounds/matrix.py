@@ -133,10 +133,10 @@ def _condition_number(sv: np.ndarray) -> float:
     return float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
 
 
-def _inverse(a: np.ndarray, sv: np.ndarray) -> np.ndarray | None:
-    """inv(A), or None where A's singular values ``sv`` give cond >= 1e13 or
+def _inverse(a: np.ndarray, cond: float) -> np.ndarray | None:
+    """inv(A), or None where A's condition number ``cond`` is at least 1e13 or
     the solve fails."""
-    if sv[-1] <= sv[0] / COND_LIMIT:
+    if cond >= COND_LIMIT:
         return None
     try:
         return np.linalg.inv(a)
@@ -168,11 +168,10 @@ def invert(matrix: ChannelMatrix) -> np.ndarray:
     Raises SingularMatrix when cond(A) = sigma_max/sigma_min reaches 1e13, and
     ConvergenceFailure when the SVD that measures it does not converge.
     """
-    a = matrix.entries
-    sv = _singular_values(a)
-    inverse = _inverse(a, sv)
+    cond = _condition_number(_singular_values(matrix.entries))
+    inverse = _inverse(matrix.entries, cond)
     if inverse is None:
-        raise SingularMatrix(_condition_number(sv))
+        raise SingularMatrix(cond)
     return inverse
 
 
@@ -204,20 +203,21 @@ def row_entropies(matrix: ChannelMatrix) -> tuple[np.ndarray, float]:
 def analyze_inverse(matrix: ChannelMatrix) -> InverseAnalysis:
     """Bundle the inverse with positivity/dominance flags and all diagnostics.
 
-    One SVD of A gives the singular test, sigma_min and cond. Where A is
-    refused as singular, the analysis, its inverse None, rides on the
-    SingularMatrix as ``.analysis``.
+    One SVD of A gives sigma_min and cond, and cond alone makes the singular
+    test. Where A is refused as singular, the analysis, its inverse None,
+    rides on the SingularMatrix as ``.analysis``.
     """
     a = matrix.entries
     sv = _singular_values(a)
+    cond = _condition_number(sv)
     diag, off = _gershgorin_radii(a)
     analysis = InverseAnalysis(
-        inverse=_inverse(a, sv),
+        inverse=_inverse(a, cond),
         is_positive=bool(a.min() > 0.0),
         is_sdd=bool(((diag - off) > DOMINANCE_MARGIN).all()),
         c_min=float(_dominance_ratios(diag, off).min()),
         sigma_min=float(sv[-1]),
-        cond=_condition_number(sv),
+        cond=cond,
         h_max=float(0.0 - matrix.neg_entropies.min()),
     )
     if analysis.inverse is None:

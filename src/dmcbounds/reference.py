@@ -401,8 +401,7 @@ def blahut_arimoto(
         if gap <= tol:
             return _estimate(lower, gap, p, iterations)
         if iterations >= max_iter:
-            estimate = _estimate(lower, gap, p, iterations)
-            raise NotConverged(iterations, estimate.gap, estimate)
+            raise NotConverged(_estimate(lower, gap, p, iterations))
         if since_newton == NEWTON_EVERY:
             since_newton = 0
             budget = min(max_iter - iterations, matrix.n + NEWTON_EVERY)

@@ -26,19 +26,16 @@ import pytest
 
 from dmcbounds import (
     Condition,
-    SplitMix64,
     arimoto_upper_bound,
-    beta_family,
     blahut_arimoto,
     boyd_chiang_upper_bound,
     capacity_upper_bound,
     grid_oracle,
     random_sdd_positive,
-    relay_miso,
     validate_channel,
 )
 from dmcbounds.cli import main, run_sweep
-from dmcbounds.families import _relay_entries
+from dmcbounds.families import SplitMix64, _relay_entries, beta_family, relay_miso
 from conftest import divergences_by_loops, entropy2, relay_miso_explicit3, sdd_fixture_params
 
 

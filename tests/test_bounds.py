@@ -12,13 +12,12 @@ from dmcbounds import (
     SingularMatrix,
     analyze_inverse,
     blahut_arimoto,
-    bsc,
     capacity_upper_bound,
     mutual_information,
     random_sdd_positive,
-    relay_miso,
     validate_channel,
 )
+from dmcbounds.families import beta_family, bsc, relay_miso
 from conftest import cli_grid, divergences_by_loops, entropy2
 
 Z_CHANNEL = validate_channel([[1.0, 0.0], [0.5, 0.5]])
@@ -267,8 +266,6 @@ class TestSpectralSurrogates:
 
 class TestGershgorinCondition:
     def test_small_ratio_hits_sigma_star_guard(self):
-        from dmcbounds import beta_family
-
         m = beta_family(0.4)  # c_min = 1.5 <= n/2 = 2, sigma* <= 0
         assert capacity_upper_bound(m).gershgorin_condition is Condition.PRECONDITION_NOT_MET
 

@@ -16,22 +16,19 @@ from dmcbounds import (
     InvalidParameter,
     InvalidRange,
     SingularMatrix,
-    beta_family,
     blahut_arimoto,
-    bsc,
     build_family,
     capacity_upper_bound,
     dump_matrix_csv,
     fixed_example,
-    gamma_family,
     grid_oracle,
     load_matrix_csv,
     random_sdd_positive,
-    relay_miso,
     validate_channel,
 )
 from dmcbounds.bounds import _pseudo_inverse_input
 from dmcbounds.cli import _evaluate, main, run_sweep, sweep_csv, sweep_record
+from dmcbounds.families import beta_family, bsc, gamma_family, relay_miso
 from dmcbounds.formatting import fmt
 from conftest import cli_grid, spy
 
@@ -80,8 +77,6 @@ class TestGenerate:
         assert np.array_equal(load_matrix_csv(out).entries, np.eye(4))
 
     def test_beta_round_trip_is_bit_exact(self, tmp_path):
-        from dmcbounds import beta_family
-
         out = tmp_path / "m.csv"
         assert main(["generate", "--family", "beta", "--param", "0.5",
                      "--out", str(out)]) == 0
@@ -151,8 +146,13 @@ class TestSweep:
             # a grid over an infinite span would hand the generator a NaN point
             (0.1, math.inf, 3, "range must be finite, got 0.1:inf"),
             (-1e308, 1e308, 3, "range must be finite, got -1e+308:1e+308"),
+            # an int end too large for a float, even where the int span is 1
+            (0, 10**400, 3, f"range must be finite, got 0:{10**400}"),
+            (-10**400, 0, 3, f"range must be finite, got {-10**400}:0"),
+            (10**400 - 1, 10**400, 3, f"range must be finite, got {10**400 - 1}:{10**400}"),
         ],
-        ids=["float-steps", "text-lo", "text-hi", "infinite-hi", "overflowing-span"],
+        ids=["float-steps", "text-lo", "text-hi", "infinite-hi", "overflowing-span",
+             "huge-int-hi", "huge-int-lo", "huge-int-ends"],
     )
     def test_run_sweep_refuses_a_non_integer_step_count_or_non_real_range(
         self, lo, hi, steps, message

@@ -10,19 +10,22 @@ from hypothesis import strategies as st
 from dmcbounds import (
     Condition,
     InvalidParameter,
-    SplitMix64,
     analyze_inverse,
-    beta_family,
-    bsc,
     build_family,
     capacity_upper_bound,
     fixed_example,
-    gamma_family,
     random_sdd_positive,
-    relay_miso,
     validate_channel,
 )
-from dmcbounds.families import _relay_entries, _relay_table
+from dmcbounds.families import (
+    SplitMix64,
+    _relay_entries,
+    _relay_table,
+    beta_family,
+    bsc,
+    gamma_family,
+    relay_miso,
+)
 from conftest import cli_grid, entropy2
 
 

@@ -97,6 +97,7 @@ ERROR_COMMANDS = [
     ["sweep", "--family", "gamma", "--n", "4", "--range", "0.1:0.5", "--steps", "3"],
     ["sweep", "--family", "bsc", "--range", "0.1:inf", "--steps", "3"],
     ["generate", "--family", "beta-reliability", "--param", "0.3"],
+    ["generate", "--family", "relay-miso", "--n", "61", "--param", "0.1"],
 ]
 
 

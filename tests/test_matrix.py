@@ -22,9 +22,9 @@ from dmcbounds import (
     load_matrix_csv,
     mutual_information,
     random_sdd_positive,
-    relay_miso,
     validate_channel,
 )
+from dmcbounds.families import relay_miso
 from dmcbounds.matrix import gershgorin, invert, min_singular_value, row_entropies
 from conftest import entropy2, spy
 

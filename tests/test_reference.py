@@ -23,10 +23,10 @@ from dmcbounds import (
     fixed_example,
     grid_oracle,
     random_sdd_positive,
-    relay_miso,
     validate_channel,
 )
 from dmcbounds.bounds import _pseudo_inverse_input
+from dmcbounds.families import relay_miso
 from dmcbounds.reference import NEWTON_EVERY, _evaluate, _newton_on_support, _reduced_face, _solve
 from conftest import (
     CORPUS_SWEEPS,
