@@ -156,6 +156,15 @@ def sweep_record(parameter: float, matrix: ChannelMatrix, tol: float, max_iter: 
     return {"parameter": parameter, **{c: record[k] for c, k in COLUMNS.items()}}
 
 
+def _shown(end) -> str:
+    """A range end's repr, or its type where an int in it is too long for
+    repr (``sys.get_int_max_str_digits()``)."""
+    try:
+        return repr(end)
+    except ValueError:
+        return f"<{type(end).__name__} too long for repr>"
+
+
 def run_sweep(
     family: str,
     n: int | None,
@@ -171,15 +180,15 @@ def run_sweep(
     if steps < 2:
         raise InvalidRange(f"steps must be at least 2, got {steps}")
     if not (_is_real(lo) and _is_real(hi)):
-        raise InvalidRange(f"range ends must be real numbers, got {lo!r}:{hi!r}")
+        raise InvalidRange(f"range ends must be real numbers, got {_shown(lo)}:{_shown(hi)}")
     if not lo < hi:
-        raise InvalidRange(f"range must satisfy lo < hi, got {lo!r}:{hi!r}")
+        raise InvalidRange(f"range must satisfy lo < hi, got {_shown(lo)}:{_shown(hi)}")
     try:
         span = float(hi) - float(lo)
     except OverflowError:  # an int end too large for a float
         span = math.inf
     if not math.isfinite(span):
-        raise InvalidRange(f"range must be finite, got {lo!r}:{hi!r}")
+        raise InvalidRange(f"range must be finite, got {_shown(lo)}:{_shown(hi)}")
     grid = [lo + i * (hi - lo) / (steps - 1) for i in range(steps - 1)] + [hi]
     # every point is built before any is evaluated, so a refused one costs no BA run
     matrices = [build_family(family, n=n, parameter=x, seed=seed) for x in grid]

@@ -256,7 +256,7 @@ def mutual_information(matrix: ChannelMatrix, p) -> float:
     return float(_entropies(q)) + float(p @ matrix.neg_entropies)
 
 
-def _loadtxt(lines: list[str]) -> np.ndarray:
+def _loadtxt(lines: list[str] | list[bytes]) -> np.ndarray:
     return np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
 
 
@@ -292,29 +292,37 @@ def load_matrix_csv(path) -> ChannelMatrix:
     ``np.loadtxt(delimiter=",", comments=None)`` alone decides what loads: it
     must read each line as one row. Else the error names the 1-based row and
     column of the first field it does not read as one number, or the first
-    ragged row (NotSquare).
+    ragged row (NotSquare). The file's bytes are dropped once split, and
+    np.loadtxt reads the bytes lines themselves, so the text is held once and
+    never as a decoded copy: the loader peaks at about twice the file's size.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     # np.loadtxt would strip the ASCII separators 0x1c-0x1f from a field's ends
     refused = [k for k in map(data.find, b"\x1c\x1d\x1e\x1f") if k >= 0]
     if not data.isascii():
-        refused.append(next(k for k, b in enumerate(data) if b >= 0x80))
+        try:
+            data.decode("ascii")
+        except UnicodeDecodeError as exc:  # its start is the first byte >= 0x80
+            refused.append(exc.start)
     if refused:
         k = min(refused)
         what = "an ASCII separator" if data[k] < 0x80 else "not ASCII"
         raise MatrixFormatError(f"byte offset {k}: {data[k]:#04x} is {what}")
-    lines = [line.decode() for line in data.splitlines()]
-    while lines and lines[-1].strip() == "":
+    lines = data.splitlines()
+    del data
+    # on ASCII without 0x1c-0x1f, bytes.strip and str.strip remove the same bytes
+    while lines and lines[-1].strip() == b"":
         lines.pop()
     if not lines:
         raise MatrixFormatError("empty matrix file")
     try:
-        raw = _loadtxt(lines)
+        raw = _loadtxt(lines)  # numpy reads ASCII bytes lines as their text
     except ValueError:
         raw = None
     if raw is None or raw.shape[0] != len(lines):  # loadtxt skips a blank line
-        raise _refusal(lines)
+        raise _refusal([line.decode() for line in lines])
+    del lines
     return validate_channel(raw)
 
 

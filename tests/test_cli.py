@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -150,9 +151,14 @@ class TestSweep:
             (0, 10**400, 3, f"range must be finite, got 0:{10**400}"),
             (-10**400, 0, 3, f"range must be finite, got {-10**400}:0"),
             (10**400 - 1, 10**400, 3, f"range must be finite, got {10**400 - 1}:{10**400}"),
+            # an end holding an int too long for repr is shown by its type
+            (0, 10**5000, 3, "range must be finite, got 0:<int too long for repr>"),
+            (10**5000, 0, 3, "range must satisfy lo < hi, got <int too long for repr>:0"),
+            (0, Fraction(10**5000, 3), 3, "range must be finite, got 0:<Fraction too long for repr>"),
         ],
         ids=["float-steps", "text-lo", "text-hi", "infinite-hi", "overflowing-span",
-             "huge-int-hi", "huge-int-lo", "huge-int-ends"],
+             "huge-int-hi", "huge-int-lo", "huge-int-ends", "long-int-hi", "long-int-lo",
+             "long-fraction-hi"],
     )
     def test_run_sweep_refuses_a_non_integer_step_count_or_non_real_range(
         self, lo, hi, steps, message

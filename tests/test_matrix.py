@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -498,6 +499,19 @@ class TestCsvFormat:
         path = tmp_path / "m.csv"
         dump_matrix_csv(m, path)
         assert load_matrix_csv(path).entries.tobytes() == m.entries.tobytes()
+
+    def test_loader_holds_the_text_once(self, tmp_path):
+        """The heap peak stays below 3x the file: np.loadtxt reads the bytes
+        lines, the one copy of the text, after the file's bytes are dropped."""
+        path = tmp_path / "m.csv"
+        dump_matrix_csv(random_sdd_positive(128, 3.0, 128_030), path)
+        tracemalloc.start()
+        try:
+            load_matrix_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * path.stat().st_size
 
 
 @pytest.fixture(scope="class")
