@@ -7,7 +7,9 @@ Subcommands:
 - ``generate`` write a family matrix in the shared CSV format;
 - ``sweep``    evaluate bound and capacity across a parameter grid, emitting
                a CSV (and optionally an SVG line chart);
-- ``compare``  one CSV line naming the tightest bound for a matrix file.
+- ``compare``  one CSV line naming the tightest bound in ``BOUNDS`` for a
+               matrix file. ``boyd_chiang_row`` (log2 sum_i max_j A_ij)
+               prints but bounds nothing: never named, never drawn.
 
 Exit codes: 0 success, 1 when the reader closes stdout before the output
 ends, 2 input/validation error, 3 when Blahut-Arimoto cannot certify the
@@ -45,10 +47,14 @@ def _csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-COLUMNS = {  # sweep column -> record key; the first five are the numbers compared
+COLUMNS = {  # sweep column -> record key; the first five are the numbers compare prints
     "upper_bound": "upper_bound", "ba_capacity": "ba_capacity", "arimoto": "arimoto_bound",
     "boyd_chiang_col": "boyd_chiang_col", "boyd_chiang_row": "boyd_chiang_row",
     "prop3": "spectral_condition", "cor2": "gershgorin_condition", "feasible": "feasible",
+}
+
+BOUNDS = {  # sweep column -> its name in compare's tightest; only these bound C
+    "upper_bound": "closed-form", "arimoto": "arimoto", "boyd_chiang_col": "boyd-chiang-col",
 }
 
 
@@ -98,8 +104,8 @@ def _evaluate(matrix: ChannelMatrix, tol: float, max_iter: int) -> tuple[dict, l
         "ba_iterations": field(est, "iterations"),
         "ba_gap": field(est, "gap"),
         "arimoto_bound": arimoto_upper_bound(matrix),
-        "boyd_chiang_col": boyd_chiang_upper_bound(matrix, "column-max"),
-        "boyd_chiang_row": boyd_chiang_upper_bound(matrix, "row-max"),
+        "boyd_chiang_col": boyd_chiang_upper_bound(matrix),
+        "boyd_chiang_row": float(np.log2(matrix.entries.max(axis=1).sum())),  # bounds nothing
     }
     return record, errors
 
@@ -207,7 +213,8 @@ def sweep_svg(records: list[dict], family: str) -> str:
         values = ((r["parameter"], r[name]) for r in records)
         return [(x, y) for x, y in values if y is not None and math.isfinite(y)]
 
-    series = [(name, points(name)) for name in list(COLUMNS)[:5]]
+    # the capacity and the bounds, in column order so that each keeps its colour
+    series = [(c, points(c)) for c in COLUMNS if c == "ba_capacity" or c in BOUNDS]
     return render_line_chart(series, f"capacity and upper bounds ({family})")
 
 
@@ -229,11 +236,9 @@ def cmd_sweep(args) -> int:
 def cmd_compare(args) -> int:
     record = _checked_record(args)
     row = {column: record[COLUMNS[column]] for column in list(COLUMNS)[:5]}
-    names = {"upper_bound": "closed-form", "arimoto": "arimoto",
-             "boyd_chiang_col": "boyd-chiang-col", "boyd_chiang_row": "boyd-chiang-row"}
     # ranked as printed, so that of bounds that print equal the first is named
-    printed = {name: fmt(row[name]) for name in names if fmt(row[name]) != "NA"}
-    row["tightest"] = names[min(printed, key=lambda name: float(printed[name]))]
+    printed = {name: fmt(row[name]) for name in BOUNDS if fmt(row[name]) != "NA"}
+    row["tightest"] = BOUNDS[min(printed, key=lambda name: float(printed[name]))]
     sys.stdout.write(_csv([row]))
     return 0
 

@@ -466,14 +466,8 @@ def arimoto_upper_bound(matrix: ChannelMatrix) -> float:
     return _dual(matrix, matrix.entries.sum(axis=0) / matrix.n)
 
 
-def boyd_chiang_upper_bound(matrix: ChannelMatrix, orientation: str = "column-max") -> float:
-    """log2 of the sum of columnwise (default) or rowwise maxima.
-
-    Both orientations are exposed because published uses disagree on which
-    axis the maximum runs over; neither is declared canonical here.
-    """
-    if orientation == "column-max":
-        return float(np.log2(matrix.entries.max(axis=0).sum()))
-    if orientation == "row-max":
-        return float(np.log2(matrix.entries.max(axis=1).sum()))
-    raise InvalidParameter(f"unknown orientation {orientation!r}")
+def boyd_chiang_upper_bound(matrix: ChannelMatrix) -> float:
+    """log2 sum_j max_i A_ij, the bound of Chiang & Boyd (IEEE Trans. IT 50(2),
+    2004): the dual bound at q_j proportional to max_i A_ij, where every
+    D(A_i || q) is at most log2 of that sum."""
+    return float(np.log2(matrix.entries.max(axis=0).sum()))

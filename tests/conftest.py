@@ -69,11 +69,16 @@ def sdd_fixtures():
 
 
 def corpus_matrices():
-    """(name, matrix): the three fixed examples, the 3x3 identity and the nine
-    random-sdd matrices n in {4, 16, 64} x min_ratio in {1.5, 3, 10}, seed
-    100 n + floor(ratio)."""
+    """(name, matrix): the three fixed examples, the 3x3 identity, a 5x5
+    channel with two noiseless inputs, and the nine random-sdd matrices n in
+    {4, 16, 64} x min_ratio in {1.5, 3, 10}, seed 100 n + floor(ratio)."""
     named = [(name, fixed_example(name)) for name in ("example-1", "example-3", "example-4")]
     named.append(("identity-3", validate_channel(np.eye(3))))
+    # inputs 1-3 are told apart without error, so C >= log2 3, yet the row
+    # maxima sum to 2.9: log2 sum_i max_j A_ij is no bound
+    block = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, .4, .35, .25],
+             [.1, .1, .3, .3, .2], [.2] * 5]
+    named.append(("noiseless-block", validate_channel(np.array(block, dtype=float))))
     for n in (4, 16, 64):
         for ratio in (1.5, 3.0, 10.0):
             named.append((f"sdd-n{n}-r{ratio:g}", random_sdd_positive(n, ratio, 100 * n + int(ratio))))

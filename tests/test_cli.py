@@ -28,7 +28,7 @@ from dmcbounds import (
     validate_channel,
 )
 from dmcbounds.bounds import _pseudo_inverse_input
-from dmcbounds.cli import _evaluate, main, run_sweep, sweep_csv, sweep_record
+from dmcbounds.cli import BOUNDS, _evaluate, main, run_sweep, sweep_csv, sweep_record
 from dmcbounds.families import beta_family, bsc, gamma_family, relay_miso
 from dmcbounds.formatting import fmt
 from conftest import cli_grid, spy
@@ -100,10 +100,9 @@ class TestSweep:
         records = run_sweep("beta", None, 0.1, 0.9, 9)
         for r in records:
             assert r["ba_capacity"] is not None
-            for bound in (r["upper_bound"], r["arimoto"],
-                          r["boyd_chiang_col"], r["boyd_chiang_row"]):
-                if bound is not None:
-                    assert r["ba_capacity"] <= bound + 1e-6
+            for column in BOUNDS:
+                if r[column] is not None:
+                    assert r["ba_capacity"] <= r[column] + 1e-6
 
     def test_singular_grid_point_turns_na(self):
         records = run_sweep("relay-miso", 3, 0.4, 0.6, 3)  # middle point is 0.5
@@ -194,7 +193,8 @@ class TestSweep:
         assert code == 0
         root = ET.parse(svg).getroot()  # raises on malformed XML
         polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
-        assert len(polylines) == 5  # every series has at least one defined point
+        # the capacity and every bound, each with at least one defined point
+        assert len(polylines) == len(BOUNDS) + 1 == 4
 
     def test_relay30_chart_plots_only_finite_values(self, tmp_path):
         # the closed form is inf at alpha = 0.30, and NA where A is singular
@@ -303,7 +303,28 @@ class TestRowEntropiesComputedOnce:
         assert self.square_shapes(calls) == [(3, 3)]
 
 
+def block_channels(draws):
+    """Channels with noiseless inputs 0..k-1, an input k spread over the other
+    outputs, and the rest near uniform; the row maxima of about half of them
+    sum below 2^C."""
+    rng = np.random.default_rng(11)
+    for _ in range(draws):
+        n = rng.integers(4, 9)
+        k = rng.integers(1, n - 2)
+        a = rng.dirichlet(np.full(n, 20), size=n)
+        a[:k] = np.eye(n)[:k]
+        a[k, :k] = 0
+        a[k, k:] = rng.dirichlet(np.full(n - k, 20))
+        yield validate_channel(a)
+
+
 class TestCompare:
+    def test_every_bound_holds_on_the_block_family(self):
+        for m in block_channels(200):
+            row = sweep_record(None, m, 1e-9, 100_000)
+            for column in BOUNDS:
+                assert row[column] is None or row[column] >= row["ba_capacity"] - 1e-9
+
     def test_z_channel_tightest_is_closed_form_at_capacity(self, tmp_path, capsys):
         path = tmp_path / "z.csv"
         path.write_text("1,0\n0.5,0.5\n")

@@ -3,8 +3,9 @@ compared with the copies committed under ``tests/golden/``.
 
 The corpus holds the sweep CSVs and SVG charts of the README and acceptance
 runs, ``analyze`` (text and ``--json``) and ``compare`` on the three fixed
-examples, the 3x3 identity, nine seeded random-sdd matrices and a singular
-matrix, and the exit code and stderr of the CLI's error paths. A change that
+examples, the 3x3 identity, a 5x5 channel with two noiseless inputs, nine
+seeded random-sdd matrices and a singular matrix (fifteen matrices in all),
+and the exit code and stderr of the CLI's error paths. A change that
 moves an output on purpose rewrites the corpus, so its diff shows every moved
 cell:
 

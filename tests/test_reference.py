@@ -833,7 +833,7 @@ class TestClosedFormStart:
             (m, sweep_start(m)) for grid in CORPUS_SWEEPS.values() for m in sweep_channels(*grid)
         ]
         runs += [(m, sweep_start(m)) for _, m in corpus_matrices()]
-        assert len(runs) == 130 + 13
+        assert len(runs) == 130 + 14
         failed = []
         for index, (m, start) in enumerate(runs):
             calls.clear()
@@ -991,18 +991,9 @@ class TestDualBound:
 class TestBoydChiangUpperBound:
     def test_unreliable_example_column_max(self, ex4):
         expected = math.log2(0.7 + 0.3 + 0.45)
-        got = boyd_chiang_upper_bound(ex4, "column-max")
+        got = boyd_chiang_upper_bound(ex4)
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.536, abs=1e-3)
-
-    def test_default_orientation_is_column_max(self, ex4):
-        assert boyd_chiang_upper_bound(ex4) == boyd_chiang_upper_bound(
-            ex4, "column-max"
-        )
-
-    def test_unknown_orientation_rejected(self, ex4):
-        with pytest.raises(InvalidParameter):
-            boyd_chiang_upper_bound(ex4, "diag-max")
 
 
 class TestBoundOrdering:
@@ -1013,7 +1004,6 @@ class TestBoundOrdering:
             bounds = [
                 capacity_upper_bound(m).upper_bound,
                 arimoto_upper_bound(m),
-                boyd_chiang_upper_bound(m, "column-max"),
-                boyd_chiang_upper_bound(m, "row-max"),
+                boyd_chiang_upper_bound(m),
             ]
             assert capacity <= min(bounds) + 1e-6
