@@ -63,12 +63,12 @@ class InvalidRange(InputError):
 class SingularMatrix(NumericError):
     """cond(A) = sigma_max/sigma_min is at least 1e13 (inf when sigma_min = 0).
     The message omits ``cond``: at an exactly singular A its digits are noise.
-    From ``analyze_inverse``, A's ``InverseAnalysis`` (inverse None) rides
-    along as ``.analysis``; from ``invert`` it is None."""
+    A's ``InverseAnalysis`` (inverse None) rides along as ``.analysis``, and
+    ``.cond`` reads its ``cond``."""
 
-    def __init__(self, cond: float, analysis=None):
-        self.cond = cond
+    def __init__(self, analysis):
         self.analysis = analysis
+        self.cond = analysis.cond
         super().__init__("singular matrix: condition number is at least 1e13")
 
 

@@ -83,7 +83,7 @@ def bsc(crossover: float) -> ChannelMatrix:
     """Binary symmetric channel with the given crossover probability."""
     if not (_is_real(crossover) and 0.0 <= crossover <= 1.0):
         raise InvalidParameter(f"crossover must be in [0, 1], got {crossover!r}")
-    p = crossover
+    p = float(crossover)  # a numpy float32 would keep 1 - p in float32
     return validate_channel([[1.0 - p, p], [p, 1.0 - p]])
 
 
@@ -143,7 +143,7 @@ def gamma_family(gamma: float) -> ChannelMatrix:
     ((1-g)^3, 3(1-g)^2 g, 3(1-g)g^2, g^3) but whose column sums differ."""
     if not (_is_real(gamma) and 0.0 < gamma < 1.0):
         raise InvalidParameter(f"gamma must be in (0, 1), got {gamma!r}")
-    g = gamma
+    g = float(gamma)
     w3 = (1.0 - g) ** 3
     w2 = 3.0 * (1.0 - g) ** 2 * g
     w1 = 3.0 * (1.0 - g) * g * g
@@ -163,7 +163,7 @@ def beta_family(beta: float) -> ChannelMatrix:
     scaled by b. Strictly diagonally dominant exactly for b < 0.5."""
     if not (_is_real(beta) and 0.0 <= beta <= 1.0):
         raise InvalidParameter(f"beta must be in [0, 1], got {beta!r}")
-    b = beta
+    b = float(beta)
     return validate_channel(
         [
             [1.0 - b, 0.3 * b, 0.4 * b, 0.3 * b],
@@ -189,6 +189,7 @@ def random_sdd_positive(n: int, min_ratio: float, seed: int) -> ChannelMatrix:
         raise InvalidParameter(f"n must be an integer of at least 2, got {n!r}")
     if not (_is_real(min_ratio) and min_ratio > 1.0):
         raise InvalidParameter(f"min_ratio must exceed 1, got {min_ratio!r}")
+    min_ratio = float(min_ratio)
     rng = SplitMix64(seed)
     a = np.zeros((n, n))
     for i in range(n):

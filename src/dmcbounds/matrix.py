@@ -8,7 +8,8 @@ reference capacities) consumes the ``ChannelMatrix`` produced by
 
 - inverse of A, by ``np.linalg.inv`` (one LAPACK gesv on the identity),
   refused as singular when the 2-norm condition number sigma_max/sigma_min
-  reaches 1e13; the other diagnostics ride on the ``SingularMatrix``;
+  reaches 1e13; the other diagnostics ride on the ``SingularMatrix``.
+  ``analyze_inverse`` alone makes this test; ``invert`` reads its result;
 - Gershgorin ratios c_i = A_ii / sum of off-diagonal row entries, and their
   minimum c_min (+inf when every off-diagonal sum is zero or below 5.6e-309);
 - minimum singular value and condition number, from one LAPACK SVD of A
@@ -129,21 +130,6 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
         raise ConvergenceFailure(str(exc)) from None
 
 
-def _condition_number(sv: np.ndarray) -> float:
-    return float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
-
-
-def _inverse(a: np.ndarray, cond: float) -> np.ndarray | None:
-    """inv(A), or None where A's condition number ``cond`` is at least 1e13 or
-    the solve fails."""
-    if cond >= COND_LIMIT:
-        return None
-    try:
-        return np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        return None
-
-
 def _dominance_ratios(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """diag / off entrywise, +inf where the off-diagonal sum ``off`` is not
     positive, or so small (below 5.6e-309 for diag <= 1) that it overflows."""
@@ -160,19 +146,12 @@ def _gershgorin_radii(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Not exported: these four stay only because perfbench/worker.stage_split times them.
-# Tests call them only to check that they agree with analyze_inverse, which the
-# commands run; every other test of these values reads analyze_inverse's fields.
+# invert reads analyze_inverse, which alone decides whether A inverts. Tests call
+# them only to check that they agree with analyze_inverse, which the commands
+# run; every other test of these values reads analyze_inverse's fields.
 def invert(matrix: ChannelMatrix) -> np.ndarray:
-    """Inverse of the channel matrix, by ``np.linalg.inv`` (LAPACK gesv on I).
-
-    Raises SingularMatrix when cond(A) = sigma_max/sigma_min reaches 1e13, and
-    ConvergenceFailure when the SVD that measures it does not converge.
-    """
-    cond = _condition_number(_singular_values(matrix.entries))
-    inverse = _inverse(matrix.entries, cond)
-    if inverse is None:
-        raise SingularMatrix(cond)
-    return inverse
+    """analyze_inverse(matrix).inverse; it raises what analyze_inverse raises."""
+    return analyze_inverse(matrix).inverse
 
 
 def gershgorin(matrix: ChannelMatrix) -> tuple[np.ndarray, float]:
@@ -203,16 +182,22 @@ def row_entropies(matrix: ChannelMatrix) -> tuple[np.ndarray, float]:
 def analyze_inverse(matrix: ChannelMatrix) -> InverseAnalysis:
     """Bundle the inverse with positivity/dominance flags and all diagnostics.
 
-    One SVD of A gives sigma_min and cond, and cond alone makes the singular
-    test. Where A is refused as singular, the analysis, its inverse None,
-    rides on the SingularMatrix as ``.analysis``.
+    One SVD of A gives sigma_min and cond. This is the only singular test: A
+    is refused where cond reaches 1e13 or the solve fails, and the analysis,
+    its inverse None, rides on the SingularMatrix as ``.analysis``.
     """
     a = matrix.entries
     sv = _singular_values(a)
-    cond = _condition_number(sv)
+    cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
+    inverse = None
+    if cond < COND_LIMIT:
+        try:
+            inverse = np.linalg.inv(a)
+        except np.linalg.LinAlgError:  # the solve found an exactly zero pivot
+            pass
     diag, off = _gershgorin_radii(a)
     analysis = InverseAnalysis(
-        inverse=_inverse(a, cond),
+        inverse=inverse,
         is_positive=bool(a.min() > 0.0),
         is_sdd=bool(((diag - off) > DOMINANCE_MARGIN).all()),
         c_min=float(_dominance_ratios(diag, off).min()),
@@ -220,8 +205,8 @@ def analyze_inverse(matrix: ChannelMatrix) -> InverseAnalysis:
         cond=cond,
         h_max=float(0.0 - matrix.neg_entropies.min()),
     )
-    if analysis.inverse is None:
-        raise SingularMatrix(analysis.cond, analysis)
+    if inverse is None:
+        raise SingularMatrix(analysis)
     return analysis
 
 

@@ -186,15 +186,16 @@ class TestSweep:
     def test_svg_is_well_formed_with_one_polyline_per_series(self, tmp_path):
         out = tmp_path / "s.csv"
         svg = tmp_path / "s.svg"
-        code = main(
-            ["sweep", "--family", "relay-miso", "--n", "3", "--range", "0.3:0.7",
-             "--steps", "5", "--out", str(out), "--svg", str(svg)]
-        )
-        assert code == 0
-        root = ET.parse(svg).getroot()  # raises on malformed XML
-        polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
-        # the capacity and every bound, each with at least one defined point
-        assert len(polylines) == len(BOUNDS) + 1 == 4
+        for args in (
+            ["--family", "relay-miso", "--n", "3", "--range", "0.3:0.7", "--steps", "5"],
+            # an x span of 4.9e-324 and every plotted value 1: both axes are widened
+            ["--family", "bsc", "--range", "0:5e-324", "--steps", "2"],
+        ):
+            assert main(["sweep", *args, "--out", str(out), "--svg", str(svg)]) == 0
+            root = ET.parse(svg).getroot()  # raises on malformed XML
+            polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
+            # the capacity and every bound, each with at least one defined point
+            assert len(polylines) == len(BOUNDS) + 1 == 4
 
     def test_relay30_chart_plots_only_finite_values(self, tmp_path):
         # the closed form is inf at alpha = 0.30, and NA where A is singular

@@ -321,6 +321,19 @@ class TestBuildFamily:
         b = random_sdd_positive(3, 2.0, 5)
         assert np.array_equal(a.entries, b.entries)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    @pytest.mark.parametrize(
+        "family, n, x",
+        [("bsc", None, 0.1), ("gamma", None, 0.3), ("beta", None, 0.2),
+         ("relay-miso", 3, 0.2), ("random-sdd", 3, 2.0)],
+    )
+    def test_numpy_float_parameter_builds_as_its_value(self, family, n, x, dtype):
+        # under NEP 50 (numpy >= 2) 1.0 - np.float32(x) stays float32, and its
+        # rows would miss a sum of 1 by more than 1e-9
+        a = build_family(family, n=n, parameter=dtype(x))
+        b = build_family(family, n=n, parameter=float(dtype(x)))
+        assert a.entries.tobytes() == b.entries.tobytes()
+
 
 @pytest.mark.parametrize(
     "call, expected",

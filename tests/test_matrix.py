@@ -298,8 +298,10 @@ class TestAnalyzeInverse:
         assert gershgorin(ex1)[0][2] == pytest.approx(24.0, abs=1e-9)
         assert np.isinf(gershgorin(identity)[0]).all()
         assert math.isinf(gershgorin(mixed)[0][0])
-        with pytest.raises(SingularMatrix):
+        with pytest.raises(SingularMatrix) as err:
             invert(validate_channel([[0.5, 0.5], [0.5, 0.5]]))
+        assert err.value.analysis.inverse is None
+        assert err.value.cond >= 1e13
 
     def test_one_svd_per_call(self, ex3, monkeypatch):
         sv = np.linalg.svd(ex3.entries, compute_uv=False)
