@@ -138,7 +138,7 @@ def _write(text: str, path) -> None:
         sys.stdout.write(text)
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     record = _checked_record(args)
     if args.json:
         import json  # only this output encodes JSON
@@ -146,13 +146,11 @@ def cmd_analyze(args) -> int:
         print(json.dumps({k: _json_value(v) for k, v in record.items()}, indent=2))
     else:
         print("\n".join(f"{k}: {fmt(v)}" for k, v in record.items()))
-    return 0
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> None:
     matrix = build_family(args.family, n=args.n, parameter=args.param, seed=args.seed)
     _write(dump_matrix_csv(matrix), args.out)
-    return 0
 
 
 def sweep_record(parameter: float, matrix: ChannelMatrix, tol: float, max_iter: int) -> dict:
@@ -218,7 +216,7 @@ def sweep_svg(records: list[dict], family: str) -> str:
     return render_line_chart(series, f"capacity and upper bounds ({family})")
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     try:
         lo_s, hi_s = args.range.split(":")
         lo, hi = float(lo_s), float(hi_s)
@@ -230,17 +228,15 @@ def cmd_sweep(args) -> int:
     _write(sweep_csv(records), args.out)
     if args.svg:
         _write(sweep_svg(records, args.family), args.svg)
-    return 0
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> None:
     record = _checked_record(args)
     row = {column: record[COLUMNS[column]] for column in list(COLUMNS)[:5]}
     # ranked as printed, so that of bounds that print equal the first is named
     printed = {name: fmt(row[name]) for name in BOUNDS if fmt(row[name]) != "NA"}
     row["tightest"] = BOUNDS[min(printed, key=lambda name: float(printed[name]))]
     sys.stdout.write(_csv([row]))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,9 +287,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        status = args.func(args)
+        args.func(args)
         sys.stdout.flush()  # a reader that closed stdout fails here, not at exit
-        return status
+        return 0
     except BrokenPipeError:  # the reader wants no more output: not an input error
         devnull = os.open(os.devnull, os.O_WRONLY)  # so the flush at exit cannot fail again
         os.dup2(devnull, sys.stdout.fileno())

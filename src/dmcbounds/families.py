@@ -10,9 +10,9 @@ from the seed alone, in any language with 64-bit integers.
 
 ``build_family(family, *, n=None, parameter=None, seed=None)`` dispatches
 through one table, ``_FAMILIES``, of fixed and parametric families alike. Its
-eight keys are the only family names; any other is refused. Each entry's
-parameter list names the only arguments its family takes, and any other given
-argument is refused. A missing one reaches the generator as None, which
+eight keys are the only family names; any other is refused. Each entry names
+its generator and the only arguments its family takes, in order; any other
+given argument is refused. A missing one reaches the generator as None, which
 refuses it with its own message (random-sdd's seed defaults to 0).
 """
 
@@ -203,34 +203,29 @@ def random_sdd_positive(n: int, min_ratio: float, seed: int) -> ChannelMatrix:
     return validate_channel(a)
 
 
-_FAMILIES = {  # family -> generator, called with the arguments it names
-    "example-1": lambda: fixed_example("example-1"),
-    "example-3": lambda: fixed_example("example-3"),
-    "example-4": lambda: fixed_example("example-4"),
-    "relay-miso": lambda n, parameter: relay_miso(n, parameter),
-    "gamma": lambda parameter: gamma_family(parameter),
-    "beta": lambda parameter: beta_family(parameter),
-    "bsc": lambda parameter: bsc(parameter),
-    "random-sdd": lambda n, parameter, seed: random_sdd_positive(
-        n, parameter, 0 if seed is None else seed
-    ),
-}
-_TAKES = {  # family -> the names of its generator's parameters, read once
-    family: make.__code__.co_varnames[: make.__code__.co_argcount]
-    for family, make in _FAMILIES.items()
+_FAMILIES = {  # family -> its generator and the build_family arguments it takes, in order
+    "example-1": (lambda: fixed_example("example-1"), ()),
+    "example-3": (lambda: fixed_example("example-3"), ()),
+    "example-4": (lambda: fixed_example("example-4"), ()),
+    "relay-miso": (relay_miso, ("n", "parameter")),
+    "gamma": (gamma_family, ("parameter",)),
+    "beta": (beta_family, ("parameter",)),
+    "bsc": (bsc, ("parameter",)),
+    "random-sdd": (lambda n, r, seed: random_sdd_positive(n, r, 0 if seed is None else seed),
+                   ("n", "parameter", "seed")),
 }
 
 
 def build_family(family: str, *, n=None, parameter=None, seed=None) -> ChannelMatrix:
-    """``family``'s matrix from the arguments its generator names; a given
+    """``family``'s matrix from the arguments its entry names; a given
     argument it does not name is refused, in the order n, parameter, seed."""
     if not isinstance(family, str):
         raise InvalidParameter(f"family name must be a string, got {family!r}")
     if family not in _FAMILIES:
         raise InvalidParameter(f"unknown family {family!r}")
     given = {"n": n, "parameter": parameter, "seed": seed}
-    takes = _TAKES[family]
+    make, takes = _FAMILIES[family]
     for name, value in given.items():
         if value is not None and name not in takes:
             raise InvalidParameter(f"family {family!r} takes no {name}")
-    return _FAMILIES[family](**{name: given[name] for name in takes})
+    return make(*(given[name] for name in takes))

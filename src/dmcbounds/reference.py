@@ -140,11 +140,11 @@ def _evaluate(matrix: ChannelMatrix, p: np.ndarray) -> tuple:
     return q, d, lower, max(max(d.tolist()) - lower, 0.0)
 
 
-def _solve(system: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray | None:
-    """The first ``k`` entries of the solution of ``system`` x = ``rhs``, or
-    None when the system is singular or those entries are not finite."""
+def _solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """The solution of the bordered ``system`` x = ``rhs`` less its last entry
+    (the multiplier), or None when the system is singular or the rest is not finite."""
     try:
-        x = np.linalg.solve(system, rhs)[:k]
+        x = np.linalg.solve(system, rhs)[:-1]
     except np.linalg.LinAlgError:
         return None
     return x if all(map(math.isfinite, x.tolist())) else None
@@ -203,7 +203,7 @@ def _newton_point(
     rhs = np.empty(k + 1)
     d.take(idx, out=rhs[:k])
     rhs[k] = 1.0 - p_face.sum()
-    dp = _solve(system, rhs, k)
+    dp = _solve(system, rhs)
     if dp is None:
         return None
     x, leaving = _ratio_step(p_face, dp)
@@ -216,7 +216,7 @@ def _newton_point(
         system[:, leaving] = 0.0
         system[leaving, leaving] = 1.0
         rhs[leaving] = 0.0
-        y = _solve(system, rhs, k)
+        y = _solve(system, rhs)
         if y is None:
             return None
         # a pinned input's row is e_l with right-hand side 0, so y_l is +-0
