@@ -31,7 +31,7 @@ from .errors import ConvergenceFailure, InputError, InvalidRange, NotConverged
 from .errors import NumericError, SingularMatrix
 from .families import build_family
 from .formatting import fmt
-from .matrix import ChannelMatrix, _is_integer, _is_real, dump_matrix_csv, load_matrix_csv
+from .matrix import ChannelMatrix, _is_integer, _is_real, _shown, dump_matrix_csv, load_matrix_csv
 from .reference import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -160,15 +160,6 @@ def sweep_record(parameter: float, matrix: ChannelMatrix, tol: float, max_iter: 
     return {"parameter": parameter, **{c: record[k] for c, k in COLUMNS.items()}}
 
 
-def _shown(end) -> str:
-    """A range end's repr, or its type where an int in it is too long for
-    repr (``sys.get_int_max_str_digits()``)."""
-    try:
-        return repr(end)
-    except ValueError:
-        return f"<{type(end).__name__} too long for repr>"
-
-
 def run_sweep(
     family: str,
     n: int | None,
@@ -180,9 +171,9 @@ def run_sweep(
     seed: int | None = None,
 ) -> list[dict]:
     if not _is_integer(steps):
-        raise InvalidRange(f"steps must be an integer, got {steps!r}")
+        raise InvalidRange(f"steps must be an integer, got {_shown(steps)}")
     if steps < 2:
-        raise InvalidRange(f"steps must be at least 2, got {steps}")
+        raise InvalidRange(f"steps must be at least 2, got {_shown(steps)}")
     if not (_is_real(lo) and _is_real(hi)):
         raise InvalidRange(f"range ends must be real numbers, got {_shown(lo)}:{_shown(hi)}")
     if not lo < hi:

@@ -24,7 +24,7 @@ from math import comb
 import numpy as np
 
 from .errors import InvalidParameter
-from .matrix import ChannelMatrix, _is_integer, _is_real, validate_channel
+from .matrix import ChannelMatrix, _is_integer, _is_real, _shown, validate_channel
 
 RELAY_MAX_N = 60
 
@@ -36,7 +36,7 @@ class SplitMix64:
 
     def __init__(self, seed: int):
         if not _is_integer(seed):
-            raise InvalidParameter(f"seed must be an integer, got {seed!r}")
+            raise InvalidParameter(f"seed must be an integer, got {_shown(seed)}")
         self._state = int(seed) & _MASK64
 
     def next_uint64(self) -> int:
@@ -75,14 +75,14 @@ _FIXED = {
 def fixed_example(which: str) -> ChannelMatrix:
     """One of the fixed study matrices of ``_FIXED``, by name."""
     if not isinstance(which, str) or which not in _FIXED:
-        raise InvalidParameter(f"unknown fixed example {which!r}")
+        raise InvalidParameter(f"unknown fixed example {_shown(which)}")
     return validate_channel(_FIXED[which])
 
 
 def bsc(crossover: float) -> ChannelMatrix:
     """Binary symmetric channel with the given crossover probability."""
     if not (_is_real(crossover) and 0.0 <= crossover <= 1.0):
-        raise InvalidParameter(f"crossover must be in [0, 1], got {crossover!r}")
+        raise InvalidParameter(f"crossover must be in [0, 1], got {_shown(crossover)}")
     p = float(crossover)  # a numpy float32 would keep 1 - p in float32
     return validate_channel([[1.0 - p, p], [p, 1.0 - p]])
 
@@ -130,11 +130,11 @@ def relay_miso(n: int, alpha: float) -> ChannelMatrix:
     """(n+1)-ary channel of n binary uplinks with flip probability alpha,
     summed at the receiver."""
     if not _is_integer(n) or n < 1:
-        raise InvalidParameter(f"n must be a positive integer, got {n!r}")
+        raise InvalidParameter(f"n must be a positive integer, got {_shown(n)}")
     if n > RELAY_MAX_N:
-        raise InvalidParameter(f"n must be at most {RELAY_MAX_N}, got {n}")
+        raise InvalidParameter(f"n must be at most {RELAY_MAX_N}, got {_shown(n)}")
     if not (_is_real(alpha) and 0.0 <= alpha <= 1.0):
-        raise InvalidParameter(f"alpha must be in [0, 1], got {alpha!r}")
+        raise InvalidParameter(f"alpha must be in [0, 1], got {_shown(alpha)}")
     return validate_channel(_relay_entries(int(n), float(alpha)))
 
 
@@ -142,7 +142,7 @@ def gamma_family(gamma: float) -> ChannelMatrix:
     """4x4 family whose rows are permutations of the binomial weights
     ((1-g)^3, 3(1-g)^2 g, 3(1-g)g^2, g^3) but whose column sums differ."""
     if not (_is_real(gamma) and 0.0 < gamma < 1.0):
-        raise InvalidParameter(f"gamma must be in (0, 1), got {gamma!r}")
+        raise InvalidParameter(f"gamma must be in (0, 1), got {_shown(gamma)}")
     g = float(gamma)
     w3 = (1.0 - g) ** 3
     w2 = 3.0 * (1.0 - g) ** 2 * g
@@ -162,7 +162,7 @@ def beta_family(beta: float) -> ChannelMatrix:
     """4x4 reliability family: diagonal 1-b, fixed off-diagonal weights
     scaled by b. Strictly diagonally dominant exactly for b < 0.5."""
     if not (_is_real(beta) and 0.0 <= beta <= 1.0):
-        raise InvalidParameter(f"beta must be in [0, 1], got {beta!r}")
+        raise InvalidParameter(f"beta must be in [0, 1], got {_shown(beta)}")
     b = float(beta)
     return validate_channel(
         [
@@ -183,13 +183,17 @@ def random_sdd_positive(n: int, min_ratio: float, seed: int) -> ChannelMatrix:
     weights 0.1+u in column order. Off-diagonal mass is normalized to
     1/(1+r_i) and the diagonal takes the remainder, so the realized ratio is
     exactly r_i and c_min >= min_ratio by construction. A ``min_ratio`` that
-    makes some r_i overflow to inf is refused with InvalidParameter.
+    makes some r_i overflow to inf, or is an int beyond the float range, is
+    refused with InvalidParameter.
     """
     if not _is_integer(n) or n < 2:
-        raise InvalidParameter(f"n must be an integer of at least 2, got {n!r}")
+        raise InvalidParameter(f"n must be an integer of at least 2, got {_shown(n)}")
     if not (_is_real(min_ratio) and min_ratio > 1.0):
-        raise InvalidParameter(f"min_ratio must exceed 1, got {min_ratio!r}")
-    min_ratio = float(min_ratio)
+        raise InvalidParameter(f"min_ratio must exceed 1, got {_shown(min_ratio)}")
+    try:
+        min_ratio = float(min_ratio)
+    except OverflowError:  # an int beyond the float range makes every row's ratio infinite
+        min_ratio = np.inf
     rng = SplitMix64(seed)
     a = np.zeros((n, n))
     for i in range(n):
@@ -220,12 +224,12 @@ def build_family(family: str, *, n=None, parameter=None, seed=None) -> ChannelMa
     """``family``'s matrix from the arguments its entry names; a given
     argument it does not name is refused, in the order n, parameter, seed."""
     if not isinstance(family, str):
-        raise InvalidParameter(f"family name must be a string, got {family!r}")
+        raise InvalidParameter(f"family name must be a string, got {_shown(family)}")
     if family not in _FAMILIES:
-        raise InvalidParameter(f"unknown family {family!r}")
+        raise InvalidParameter(f"unknown family {_shown(family)}")
     given = {"n": n, "parameter": parameter, "seed": seed}
     make, takes = _FAMILIES[family]
     for name, value in given.items():
         if value is not None and name not in takes:
-            raise InvalidParameter(f"family {family!r} takes no {name}")
+            raise InvalidParameter(f"family {_shown(family)} takes no {name}")
     return make(*(given[name] for name in takes))

@@ -90,6 +90,15 @@ def _is_real(x) -> bool:
     return isinstance(x, Real) and not isinstance(x, bool)
 
 
+def _shown(x) -> str:
+    """A refused argument's repr, or its type where an int in it is too long
+    for repr (``sys.get_int_max_str_digits()``)."""
+    try:
+        return repr(x)
+    except ValueError:
+        return f"<{type(x).__name__} too long for repr>"
+
+
 def validate_channel(raw) -> ChannelMatrix:
     """Check squareness, nonnegativity and row stochasticity of a raw array.
 

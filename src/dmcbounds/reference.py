@@ -80,7 +80,7 @@ import numpy as np
 
 from .errors import InvalidParameter, NotConverged
 from .matrix import ChannelMatrix, _checked_pmf, _entropies, _float_vector
-from .matrix import _is_integer, _is_real
+from .matrix import _is_integer, _is_real, _shown
 
 GRID_MAX_N = 4
 DEFAULT_TOL = 1e-9
@@ -381,11 +381,11 @@ def blahut_arimoto(
     by the same amount.
     """
     if not (_is_real(tol) and 0.0 < tol < np.inf):
-        raise InvalidParameter(f"tolerance must be positive and finite, got {tol!r}")
+        raise InvalidParameter(f"tolerance must be positive and finite, got {_shown(tol)}")
     if not _is_integer(max_iter):
-        raise InvalidParameter(f"max_iter must be an integer, got {max_iter!r}")
+        raise InvalidParameter(f"max_iter must be an integer, got {_shown(max_iter)}")
     if max_iter < 0:
-        raise InvalidParameter(f"max_iter must be at least 0, got {max_iter!r}")
+        raise InvalidParameter(f"max_iter must be at least 0, got {_shown(max_iter)}")
     uniform = np.full(matrix.n, 1.0 / matrix.n)
     p = _seed_pmf(start, matrix.n)
     seeded = p is not None
@@ -450,9 +450,9 @@ def grid_oracle(matrix: ChannelMatrix, resolution: int) -> CapacityEstimate:
     if n > GRID_MAX_N:
         raise InvalidParameter(f"alphabet size {n} exceeds limit {GRID_MAX_N}")
     if not _is_integer(resolution):
-        raise InvalidParameter(f"resolution must be an integer, got {resolution!r}")
+        raise InvalidParameter(f"resolution must be an integer, got {_shown(resolution)}")
     if resolution < 10:
-        raise InvalidParameter(f"resolution must be at least 10, got {resolution}")
+        raise InvalidParameter(f"resolution must be at least 10, got {_shown(resolution)}")
     pmfs = _simplex_lattice(resolution, n).astype(float) / resolution
     q = pmfs @ matrix.entries
     mi = _entropies(q) + pmfs @ matrix.neg_entropies

@@ -451,6 +451,52 @@ def test_a_bool_is_not_a_number(call, error, message):
         call()
 
 
+HUGE = 10**5000  # more digits than sys.get_int_max_str_digits() lets repr print
+SHOWN = "<int too long for repr>"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: build_family("bsc", parameter=HUGE), InvalidParameter,
+         f"crossover must be in [0, 1], got {SHOWN}"),
+        (lambda: build_family("gamma", parameter=HUGE), InvalidParameter,
+         f"gamma must be in (0, 1), got {SHOWN}"),
+        (lambda: build_family("relay-miso", n=3, parameter=HUGE), InvalidParameter,
+         f"alpha must be in [0, 1], got {SHOWN}"),
+        (lambda: build_family("beta", parameter=-HUGE), InvalidParameter,
+         f"beta must be in [0, 1], got {SHOWN}"),
+        (lambda: build_family(HUGE), InvalidParameter,
+         f"family name must be a string, got {SHOWN}"),
+        (lambda: fixed_example(HUGE), InvalidParameter, f"unknown fixed example {SHOWN}"),
+        (lambda: relay_miso(HUGE, 0.1), InvalidParameter, f"n must be at most 60, got {SHOWN}"),
+        (lambda: relay_miso(-HUGE, 0.1), InvalidParameter,
+         f"n must be a positive integer, got {SHOWN}"),
+        (lambda: random_sdd_positive(-HUGE, 2.0, 1), InvalidParameter,
+         f"n must be an integer of at least 2, got {SHOWN}"),
+        (lambda: random_sdd_positive(3, -HUGE, 1), InvalidParameter,
+         f"min_ratio must exceed 1, got {SHOWN}"),
+        (lambda: blahut_arimoto(bsc(0.1), tol=-HUGE), InvalidParameter,
+         f"tolerance must be positive and finite, got {SHOWN}"),
+        (lambda: blahut_arimoto(bsc(0.1), max_iter=-HUGE), InvalidParameter,
+         f"max_iter must be at least 0, got {SHOWN}"),
+        (lambda: grid_oracle(bsc(0.1), -HUGE), InvalidParameter,
+         f"resolution must be at least 10, got {SHOWN}"),
+        (lambda: run_sweep("bsc", None, 0.1, 0.4, -HUGE), InvalidRange,
+         f"steps must be at least 2, got {SHOWN}"),
+    ],
+    ids=[
+        "bsc", "gamma", "relay-alpha", "beta", "family-name", "fixed-example", "relay-n-high",
+        "relay-n-low", "sdd-n", "min_ratio", "tol", "max_iter", "resolution", "steps",
+    ],
+)
+def test_a_refused_int_too_long_for_repr_is_shown_by_its_type(call, error, message):
+    """Python refuses to print an int past its digit limit, so a refusal that
+    showed it with repr raised ValueError instead; it shows the type."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 class TestInfiniteGap:
     """A bracket whose top is +inf (an output the input pmf never reaches)
     must still print: as ``inf`` where the gap is shown, and nowhere else."""

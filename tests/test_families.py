@@ -281,8 +281,9 @@ class TestRandomSddPositive:
             random_sdd_positive(3, 1.0, 0)
         with pytest.raises(InvalidParameter):
             random_sdd_positive(3, "x", 1)
-        # a row ratio min_ratio*(1+u) that overflows to inf makes its row a unit vector
-        for min_ratio in (math.inf, 1e308):
+        # a row ratio min_ratio*(1+u) that overflows to inf makes its row a unit
+        # vector, and so does an int min_ratio beyond the float range
+        for min_ratio in (math.inf, 1e308, 10**400):
             with pytest.raises(InvalidParameter):
                 random_sdd_positive(3, min_ratio, 1)
         assert random_sdd_positive(3, 1e307, 1).entries.min() > 0.0
